@@ -17,7 +17,7 @@ import cyclic_spectra.cli as cli  # noqa: E402
 import cyclic_spectra.exact as exact  # noqa: E402
 import workloads  # noqa: E402
 from checks import References  # noqa: E402
-from run import classify, pass_metrics  # noqa: E402
+from run import best_of_passes, classify, pass_metrics  # noqa: E402
 from spans import Span, Tracer, self_times  # noqa: E402
 from worker import run_commands  # noqa: E402
 
@@ -100,3 +100,20 @@ def test_forced_failures_count_into_failed_share(monkeypatch):
     assert [o["status"] for o in outcomes] == ["ok", "failed", "failed", "wrong"]
     assert outcomes[2]["error"] == "RuntimeError: forced"
     assert pass_metrics(outcomes)["failed_share"] == 3 / 4
+
+
+def test_best_of_passes_takes_each_command_at_its_best_and_keeps_failures():
+    def outcome(name, wall, status="ok", digits=None):
+        return {"command": name, "group": "spectrum", "wall_s": wall,
+                "status": status, "digits": digits}
+
+    passes = [
+        [outcome("a", 3.0, digits=14.0), outcome("b", 1.0), outcome("c", 5.0, "failed")],
+        [outcome("a", 2.0, digits=12.0), outcome("b", 1.5, "wrong"), outcome("c", 4.0, "failed")],
+    ]
+    best = best_of_passes(passes)
+    assert [o["wall_s"] for o in best] == [2.0, 1.0, 4.0]
+    assert [o["status"] for o in best] == ["ok", "wrong", "failed"]
+    assert best[0]["digits"] == 12.0
+    assert pass_metrics(best)["wall_s"] == 7.0
+    assert pass_metrics(best)["failed_share"] == 2 / 3
