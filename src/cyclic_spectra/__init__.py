@@ -45,7 +45,6 @@ from .transforms import (
 )
 from .convolutions import (
     TransformPair,
-    boolean_f_sum,
     comb_char_poly,
     cyclic_boolean_sum,
     cyclic_monotone_sum,

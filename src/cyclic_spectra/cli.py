@@ -93,11 +93,11 @@ def cmd_spectrum(args) -> int:
     if args.product == "star":
         pair = nfold_star_transforms(sd, fold)
         dim = fold * (sd.dim - 1) + 1
-        product_graph = graphs.nfold_star(base, fold)
+        build_product = graphs.nfold_star
     else:
         pair = nfold_comb_transforms(sd, fold)
         dim = sd.dim**fold
-        product_graph = graphs.nfold_comb(base, fold)
+        build_product = graphs.nfold_comb
     report = extract_spectrum(pair.rc, dim)
     payload = {
         "schema": SCHEMA,
@@ -111,6 +111,7 @@ def cmd_spectrum(args) -> int:
     rows = [[v, m, None] for v, m in report.entries]
     status = EXIT_OK
     if dim <= args.oracle_max:
+        product_graph = build_product(base, fold)
         oracle = eigensolve(graphs.adjacency(product_graph.graph).astype(float))
         payload["oracle"] = _spectrum_entries(oracle)
         if [m for _, m in oracle.entries] != [m for _, m in report.entries]:
@@ -141,7 +142,6 @@ def cmd_verify(args) -> int:
         trials=args.trials,
         max_vertices=args.max_vertices,
         seed=args.seed,
-        threads=_thread_count(),
     )
     payload = {
         "schema": SCHEMA,
@@ -342,14 +342,6 @@ def cmd_idcheck(args) -> int:
         payload["beta"] = verdict.beta
     _emit(args, payload)
     return EXIT_OK
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("CYCLIC_SPECTRA_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .exact import Polynomial, RationalFunction, TruncatedSeries
 from .transforms import (
     RootedSpectralData,
-    f_transform,
     green,
     h_transform,
     laurent_at_infinity,
@@ -39,40 +38,36 @@ def transform_pair(sd: RootedSpectralData) -> TransformPair:
 # ----------------------------------------------------------------------
 # star product / additive convolution
 
-def boolean_f_sum(f1: RationalFunction, f2: RationalFunction) -> RationalFunction:
-    """F1 + F2 - z: the reciprocal Green function of an independent sum."""
-    return f1 + f2 - _Z
+def cyclic_boolean_multisum(
+    terms: Sequence[tuple[TransformPair, int]],
+) -> TransformPair:
+    """Transforms of a sum of cyclic-Boolean independent elements.
+
+    Each term is (pair_i, n_i): n_i independent copies of the element with
+    transforms pair_i. With N = sum n_i, the reciprocal Green function is
+    F = sum n_i F_i - (N - 1) z, and the renormalized trace resolvent is
+    rc = sum n_i (rc_i + G_i'/G_i) - G'/G + (N - 1)/z.
+    """
+    count = sum(n for _, n in terms)
+    f = -(count - 1) * _Z
+    rc = (count - 1) * _ONE_OVER_Z
+    for pair, n in terms:
+        f = f + n * pair.green.reciprocal()
+        rc = rc + n * (pair.rc + pair.green.log_derivative())
+    g = f.reciprocal()
+    return TransformPair(rc - g.log_derivative(), g)
 
 
 def cyclic_boolean_sum(a: TransformPair, b: TransformPair) -> TransformPair:
     """Transforms of a + b for cyclic-Boolean independent a, b."""
-    g_sum = boolean_f_sum(a.green.reciprocal(), b.green.reciprocal()).reciprocal()
-    rc_sum = (
-        a.rc
-        + b.rc
-        + a.green.log_derivative()
-        + b.green.log_derivative()
-        - g_sum.log_derivative()
-        + _ONE_OVER_Z
-    )
-    return TransformPair(rc_sum, g_sum)
+    return cyclic_boolean_multisum(((a, 1), (b, 1)))
 
 
 def nfold_star_transforms(sd: RootedSpectralData, n: int) -> TransformPair:
     """Transforms of the n-fold star power, in closed form (no iteration)."""
     if n < 1:
         raise ValueError("fold count must be >= 1")
-    g = green(sd)
-    rc = renormalized_cauchy(sd)
-    f_n = n * g.reciprocal() - (n - 1) * _Z
-    g_n = f_n.reciprocal()
-    rc_n = (
-        n * rc
-        + n * g.log_derivative()
-        - g_n.log_derivative()
-        + (n - 1) * _ONE_OVER_Z
-    )
-    return TransformPair(rc_n, g_n)
+    return cyclic_boolean_multisum(((transform_pair(sd), n),))
 
 
 def star_char_poly(
@@ -142,24 +137,23 @@ def comb_trace_transform(
 ) -> RationalFunction:
     """Renormalized trace resolvent of g |> h from the factor transforms.
 
-    The trace side of the comb identity: d copies of the attached graph plus
-    the composed contribution of the base graph, d = |g|.
+    The trace side of the comb identity: a cyclic-monotone sum with the base
+    graph below and d copies of the attached graph above, d = |g|.
     """
-    rc_h = renormalized_cauchy(sd_h)
-    f_h = f_transform(sd_h)
-    rc_g = renormalized_cauchy(sd_g)
-    return sd_g.dim * rc_h + f_h.derivative() * rc_g.compose(f_h)
+    outer = TransformPair(sd_g.dim * renormalized_cauchy(sd_h), green(sd_h))
+    return cyclic_monotone_sum(renormalized_cauchy(sd_g), outer)
 
 
 def nfold_comb_transforms(sd: RootedSpectralData, n: int) -> TransformPair:
     """Transforms of the n-fold comb power (left fold)."""
     if n < 1:
         raise ValueError("fold count must be >= 1")
-    rc = renormalized_cauchy(sd)
-    f = f_transform(sd)
-    rc_cur, f_cur, dim_cur = rc, f, sd.dim
+    pair = transform_pair(sd)
+    f = pair.green.reciprocal()
+    rc_cur, f_cur, dim_cur = pair.rc, f, sd.dim
     for _ in range(n - 1):
-        rc_cur = dim_cur * rc + f.derivative() * rc_cur.compose(f)
+        outer = TransformPair(dim_cur * pair.rc, pair.green)
+        rc_cur = cyclic_monotone_sum(rc_cur, outer)
         f_cur = f_cur.compose(f)
         dim_cur *= sd.dim
     return TransformPair(rc_cur, f_cur.reciprocal())

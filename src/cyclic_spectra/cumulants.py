@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact import TruncatedSeries
-from .models import MixedWord, eval_cyclic_boolean_word, table_moments
+from .models import MixedWord, _merge_runs, eval_cyclic_boolean_word, table_moments
 from .partitions import (
     SetPartition,
     is_cyclic_interval,
@@ -113,12 +113,7 @@ class MultiMomentOracle:
 
     def eval_word(self, indices: Sequence[int], powers: Sequence[int], functional: str):
         """Value of the product functional on a_1^(i_1) ... a_n^(i_n)."""
-        merged: list[list[int]] = []
-        for idx, power in zip(indices, powers):
-            if merged and merged[-1][0] == idx:
-                merged[-1][1] += power
-            else:
-                merged.append([idx, power])
+        merged = _merge_runs(zip(indices, powers))
         word = MixedWord(tuple((i, p) for i, p in merged))
         return eval_cyclic_boolean_word(word, self._phi, self._omega, functional)
 

@@ -307,7 +307,8 @@ def carleman_check(n_max: int) -> tuple[bool, list[float]]:
     for n in range(1, n_max + 1):
         if table.values[n] > (11 * n) ** (2 * n):
             return False, partial
-        acc += table.values[n] ** (-1.0 / (2 * n))
+        # beta_n ** (-1 / 2n) by logs: beta_n overflows a float from n = 142
+        acc += math.exp(-math.log(table.values[n]) / (2 * n))
         partial.append(acc)
     return True, partial
 

@@ -7,16 +7,14 @@ the two sides can arbitrate each other in tests.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .transforms import SpectrumReport
 
-JACOBI_TOL = 1e-12
 CLUSTER_TOL = 1e-8
 MAX_POWER = 64
 
@@ -24,7 +22,7 @@ MomentFn = Callable[[int, int], Fraction]
 
 
 # ----------------------------------------------------------------------
-# dense symmetric eigensolver (cyclic Jacobi)
+# dense symmetric eigensolver (LAPACK)
 
 def _check_symmetric(m: np.ndarray) -> np.ndarray:
     a = np.asarray(m, dtype=float)
@@ -32,53 +30,16 @@ def _check_symmetric(m: np.ndarray) -> np.ndarray:
         raise ValueError("matrix must be square")
     if not np.array_equal(a, a.T):
         raise ValueError("matrix must be symmetric")
-    return a.copy()
-
-
-def jacobi_eigenvalues(m: np.ndarray, tol: float = JACOBI_TOL) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps until the off-diagonal Frobenius norm drops below tol * ||M||_F.
-    """
-    a = _check_symmetric(m)
-    n = a.shape[0]
-    if n <= 1:
-        return np.diag(a).copy()
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
-        return np.zeros(n)
-    for _ in range(60):  # sweeps; far more than Jacobi ever needs
-        off = math.sqrt(max((a * a).sum() - (np.diag(a) ** 2).sum(), 0.0))
-        if off <= tol * norm:
-            break
-        threshold = off / n
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= threshold * 1e-6:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(theta * theta + 1.0)
-                )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    return np.sort(np.diag(a))
+    return a
 
 
 def eigensolve(m: np.ndarray) -> SpectrumReport:
-    """SpectrumReport from the Jacobi solver, clustering near-equal values."""
-    values = jacobi_eigenvalues(m)
+    """SpectrumReport from LAPACK's symmetric solver, clustering near-equal values.
+
+    ``eigvalsh`` reads only one triangle, so a non-symmetric matrix is rejected
+    here instead of being solved as if it were symmetric.
+    """
+    values = np.linalg.eigvalsh(_check_symmetric(m))
     n = len(values)
     entries = []
     i = 0
@@ -159,13 +120,10 @@ class OperatorModel:
 
 
 def trace_moment(m: np.ndarray, k: int):
-    """Tr(M^k) by repeated multiplication; exact on int/Fraction matrices."""
+    """Tr(M^k); exact on int/Fraction matrices."""
     if k < 1 or k > MAX_POWER:
         raise ValueError(f"power {k} out of range 1..{MAX_POWER}")
-    p = m
-    for _ in range(k - 1):
-        p = p.dot(m)
-    return p.trace()
+    return np.linalg.matrix_power(m, k).trace()
 
 
 def vacuum_moment(m: np.ndarray, k: int, index: int = 0):
@@ -212,7 +170,7 @@ class MixedWord:
         return len(self.letters)
 
 
-def _merge_runs(letters: list[list[int]]) -> list[list[int]]:
+def _merge_runs(letters: Iterable[Sequence[int]]) -> list[list[int]]:
     out: list[list[int]] = []
     for idx, power in letters:
         if out and out[-1][0] == idx:
@@ -227,27 +185,18 @@ def eval_cyclic_boolean_word(
 ):
     """Mixed moment of an alternating word under full factorization rules.
 
-    phi-words factor into single-letter state moments; omega-words of length
-    one use the trace table, and otherwise factor after cyclically merging
-    matching end letters.
+    phi-words factor into single-letter state moments. omega-words first merge
+    matching end letters cyclically; a single remaining letter uses the trace
+    table, and longer words factor like phi-words.
     """
-    letters = [list(l) for l in word.letters]
-    if functional == "phi":
-        prod = Fraction(1)
-        for idx, power in letters:
-            prod *= phi(idx, power)
-        return prod
-    if functional != "omega":
+    letters = word.letters
+    if functional == "omega":
+        letters = _merge_cyclic(letters)
+        if len(letters) == 1:
+            idx, power = letters[0]
+            return omega(idx, power)
+    elif functional != "phi":
         raise ValueError("functional must be 'phi' or 'omega'")
-    if len(letters) == 1:
-        idx, power = letters[0]
-        return omega(idx, power)
-    if letters[0][0] == letters[-1][0]:
-        last = letters.pop()
-        letters[0][1] += last[1]
-    if len(letters) == 1:
-        idx, power = letters[0]
-        return omega(idx, power)
     prod = Fraction(1)
     for idx, power in letters:
         prod *= phi(idx, power)
@@ -306,7 +255,7 @@ def _cyclic_local_max(letters: list[list[int]]) -> int:
     raise AssertionError("no cyclic local maximum")
 
 
-def _merge_cyclic(letters: list[list[int]]) -> list[list[int]]:
+def _merge_cyclic(letters: Iterable[Sequence[int]]) -> list[list[int]]:
     letters = _merge_runs(letters)
     while len(letters) > 1 and letters[0][0] == letters[-1][0]:
         last = letters.pop()

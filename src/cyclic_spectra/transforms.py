@@ -103,13 +103,8 @@ def renormalized_cauchy(sd: RootedSpectralData) -> RationalFunction:
 
 def h_transform(sd: RootedSpectralData) -> RationalFunction:
     """renormalized_cauchy + d/dz log(z G); additive under the star product."""
-    g = green(sd)
-    return h_from_pair(renormalized_cauchy(sd), g)
-
-
-def h_from_pair(rc: RationalFunction, g: RationalFunction) -> RationalFunction:
     one_over_z = RationalFunction(Polynomial.one(), Polynomial.x())
-    return rc + one_over_z + g.log_derivative()
+    return renormalized_cauchy(sd) + one_over_z + green(sd).log_derivative()
 
 
 def laurent_at_infinity(f: RationalFunction, order: int) -> TruncatedSeries:
@@ -228,9 +223,6 @@ def _variations(chain: list[Polynomial], x: Fraction) -> int:
 class IsolatedRoot:
     value: float
     exact: Fraction | None = None
-
-    def as_fraction_or_float(self):
-        return self.exact if self.exact is not None else self.value
 
 
 def isolate_real_roots(p: Polynomial) -> list[IsolatedRoot]:

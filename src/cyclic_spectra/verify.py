@@ -6,8 +6,8 @@ every run with the same seed checks the same instances.
 
 from __future__ import annotations
 
+import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -62,29 +62,19 @@ class SuiteResult:
     certificates: list[dict] = field(default_factory=list)
 
 
-def _star_pair_trial(rng: random.Random, max_vertices: int, checks) -> dict:
-    g1 = random_rooted_graph(rng, max_vertices)
-    g2 = random_rooted_graph(rng, max_vertices)
-    sd1, sd2 = spectral_data(g1), spectral_data(g2)
-    product_sd = spectral_data(star_product(g1, g2))
-    for check in checks:
-        outcome = check(sd1, sd2, product_sd)
-        if not outcome:
-            return {"ok": False, "detail": outcome.detail, "identity": outcome.name}
-    return {"ok": True, "detail": ""}
+# the comb product multiplies vertex counts, so keep its factors small enough
+# for the exact characteristic polynomial of the product
+COMB_FACTOR_CAPS = (5, 4)
 
 
-def _comb_pair_trial(rng: random.Random, max_vertices: int, checks) -> dict:
-    # the comb product multiplies vertex counts, so keep factors small enough
-    # for the exact characteristic polynomial of the product
-    g1 = random_rooted_graph(rng, min(max_vertices, 5))
-    g2 = random_rooted_graph(rng, min(max_vertices, 4))
-    sd1, sd2 = spectral_data(g1), spectral_data(g2)
-    product_sd = spectral_data(comb_product(g1, g2))
-    for check in checks:
-        outcome = check(sd1, sd2, product_sd)
-        if not outcome:
-            return {"ok": False, "detail": outcome.detail, "identity": outcome.name}
+def _pair_trial(
+    rng: random.Random, max_vertices: int, product, check, caps=(math.inf, math.inf)
+) -> dict:
+    """Check one identity on a random pair of rooted graphs and their product."""
+    g1, g2 = (random_rooted_graph(rng, min(max_vertices, cap)) for cap in caps)
+    outcome = check(spectral_data(g1), spectral_data(g2), spectral_data(product(g1, g2)))
+    if not outcome:
+        return {"ok": False, "detail": outcome.detail, "identity": outcome.name}
     return {"ok": True, "detail": ""}
 
 
@@ -103,13 +93,6 @@ def _moment_cumulant_trial(rng: random.Random, max_vertices: int) -> dict:
             "detail": f"{outcome.detail}: lhs={outcome.lhs} rhs={outcome.rhs}",
         }
     return {"ok": True, "detail": ""}
-
-
-def _object_matrix_power(m: np.ndarray, k: int) -> np.ndarray:
-    out = m
-    for _ in range(k - 1):
-        out = out.dot(m)
-    return out
 
 
 def _random_alternating_indices(rng: random.Random, length: int, algebras: int) -> list[int]:
@@ -139,7 +122,7 @@ def _mixed_words_trial(rng: random.Random, max_vertices: int) -> dict:
         phi_fn, omega_fn = model_tables(model, mats, kind, count=24)
         big = None
         for idx, power in word.letters:
-            factor = embed(idx - 1, _object_matrix_power(mats[idx - 1], power))
+            factor = embed(idx - 1, np.linalg.matrix_power(mats[idx - 1], power))
             big = factor if big is None else big.dot(factor)
         model_trace = big.trace()
         model_vacuum = big[0, 0]
@@ -159,11 +142,17 @@ def _mixed_words_trial(rng: random.Random, max_vertices: int) -> dict:
 
 
 SUITES: dict[str, Callable] = {
-    "h-additivity": lambda rng, mv: _star_pair_trial(rng, mv, [h_additivity_check]),
-    "schwenk-star": lambda rng, mv: _star_pair_trial(rng, mv, [schwenk_star_check]),
-    "schwenk-comb": lambda rng, mv: _comb_pair_trial(rng, mv, [schwenk_comb_check]),
-    "comb-trace": lambda rng, mv: _comb_pair_trial(rng, mv, [comb_trace_check]),
-    "star-cauchy": lambda rng, mv: _star_pair_trial(rng, mv, [star_cauchy_identity_check]),
+    "h-additivity": lambda rng, mv: _pair_trial(rng, mv, star_product, h_additivity_check),
+    "schwenk-star": lambda rng, mv: _pair_trial(rng, mv, star_product, schwenk_star_check),
+    "schwenk-comb": lambda rng, mv: _pair_trial(
+        rng, mv, comb_product, schwenk_comb_check, COMB_FACTOR_CAPS
+    ),
+    "comb-trace": lambda rng, mv: _pair_trial(
+        rng, mv, comb_product, comb_trace_check, COMB_FACTOR_CAPS
+    ),
+    "star-cauchy": lambda rng, mv: _pair_trial(
+        rng, mv, star_product, star_cauchy_identity_check
+    ),
     "moment-cumulant": lambda rng, mv: _moment_cumulant_trial(rng, mv),
     "mixed-words": lambda rng, mv: _mixed_words_trial(rng, mv),
 }
@@ -174,31 +163,20 @@ def run_suite(
     trials: int = 100,
     max_vertices: int = 8,
     seed: int = 0,
-    threads: int = 1,
 ) -> SuiteResult:
     """Run one named identity suite over a seeded corpus.
 
-    Trials get independent per-trial seeds, so results do not depend on the
-    thread count; output order is by trial index.
+    Each trial gets its own seed, derived from the suite seed and the trial
+    index, so any single trial can be rerun alone.
     """
     trial_fn = SUITES[name]
     result = SuiteResult(suite=name, trials=trials)
-
-    def one(index: int) -> dict:
-        rng = random.Random(seed * 1_000_003 + index)
-        cert = trial_fn(rng, max_vertices)
+    for index in range(trials):
+        cert = trial_fn(random.Random(seed * 1_000_003 + index), max_vertices)
         cert["trial"] = index
-        return cert
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            certs = list(pool.map(one, range(trials)))
-    else:
-        certs = [one(i) for i in range(trials)]
-    for cert in certs:
         if cert["ok"]:
             result.passed += 1
         else:
             result.failed += 1
-    result.certificates = certs
+        result.certificates.append(cert)
     return result

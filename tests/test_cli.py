@@ -53,6 +53,26 @@ class TestSpectrum:
         assert "oracle" in data
         assert all(diff is not None and diff < 1e-9 for _, _, diff in data["rows"])
 
+    def test_above_oracle_cap_builds_no_product_graph(self, capsys, monkeypatch):
+        from cyclic_spectra import graphs
+
+        def refuse(*args):
+            raise AssertionError("product graph built above the oracle cap")
+
+        monkeypatch.setattr(graphs, "nfold_star", refuse)
+        monkeypatch.setattr(graphs, "nfold_comb", refuse)
+        for family, fold, product, mults in (
+            ("complete:3", 20, "star", [1, 20, 19, 1]),
+            ("complete:2", 4, "comb", [1] * 16),
+        ):
+            code, data = run_json(
+                capsys, "spectrum", "--family", f"{product}-of", family,
+                "--fold", str(fold), "--product", product, "--oracle-max", "10",
+            )
+            assert code == 0
+            assert "oracle" not in data
+            assert [m for _, m, _ in data["rows"]] == mults
+
     def test_parse_error_exit_2(self, capsys):
         code, _ = run(capsys, "spectrum", "--family", "bogus:3")
         assert code == 2
@@ -210,14 +230,6 @@ class TestGraphFileInput:
         code, data = run_json(capsys, "spectrum", "--family", str(target))
         assert code == 0
         assert [m for _, m, _ in data["rows"]] == [1, 3, 1]
-
-
-class TestThreads:
-    def test_thread_env_does_not_change_output(self, capsys, monkeypatch):
-        _, serial = run(capsys, "verify", "schwenk-star", "--trials", "6")
-        monkeypatch.setenv("CYCLIC_SPECTRA_THREADS", "4")
-        _, threaded = run(capsys, "verify", "schwenk-star", "--trials", "6")
-        assert serial == threaded
 
 
 class TestCertificates:

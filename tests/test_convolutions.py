@@ -4,7 +4,6 @@ import random
 from fractions import Fraction
 
 from cyclic_spectra.convolutions import (
-    boolean_f_sum,
     comb_char_poly,
     comb_trace_check,
     comb_trace_transform,
@@ -30,6 +29,8 @@ from cyclic_spectra.graphs import (
     complete,
     friendship,
     nfold_comb,
+    path,
+    star,
     star_product,
 )
 from cyclic_spectra.transforms import (
@@ -58,23 +59,26 @@ def sd_vertex():
 
 
 class TestBooleanFSum:
+    # F of a cyclic-Boolean sum is F1 + F2 - z
     def test_two_edges(self):
-        f = f_transform(sd_k2())
+        pair = transform_pair(sd_k2())
         # z - 2/z = (z^2 - 2)/z
-        assert boolean_f_sum(f, f) == RationalFunction(poly(-2, 0, 1), poly(0, 1))
+        f = cyclic_boolean_sum(pair, pair).green.reciprocal()
+        assert f == RationalFunction(poly(-2, 0, 1), poly(0, 1))
 
     def test_neutral_element(self):
-        f = f_transform(sd_k2())
-        assert boolean_f_sum(f, f_transform(sd_vertex())) == f
+        pair = transform_pair(sd_k2())
+        total = cyclic_boolean_sum(pair, transform_pair(sd_vertex()))
+        assert total.green.reciprocal() == f_transform(sd_k2())
 
     def test_nfold_closed_form(self):
-        f = f_transform(sd_k2())
+        pair = transform_pair(sd_k2())
         for n in range(1, 17):
-            iterated = f
+            iterated = pair
             for _ in range(n - 1):
-                iterated = boolean_f_sum(iterated, f)
+                iterated = cyclic_boolean_sum(iterated, pair)
             closed = RationalFunction(poly(-n, 0, 1), poly(0, 1))  # z - n/z
-            assert iterated == closed
+            assert iterated.green.reciprocal() == closed
             assert nfold_star_transforms(sd_k2(), n).green == closed.reciprocal()
 
 
@@ -305,8 +309,12 @@ class TestIdentityCheckers:
 
 class TestNfoldComb:
     def test_transforms_match_oracle(self):
-        for n in (1, 2, 3):
-            pair = nfold_comb_transforms(sd_k2(), n)
-            oracle = spectral_data(nfold_comb(complete(2), n))
-            assert pair.rc == renormalized_cauchy(oracle)
-            assert pair.green == green(oracle)
+        # K2 plus two bases whose root is unlike their other vertices: an end
+        # of path:3 and the centre of star:3
+        for base in (complete(2), path(3), star(3)):
+            sd = spectral_data(base)
+            for n in (1, 2, 3):
+                pair = nfold_comb_transforms(sd, n)
+                oracle = spectral_data(nfold_comb(base, n))
+                assert pair.rc == renormalized_cauchy(oracle)
+                assert pair.green == green(oracle)

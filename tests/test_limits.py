@@ -10,6 +10,7 @@ import pytest
 from cyclic_spectra.convolutions import nfold_star_transforms
 from cyclic_spectra.graphs import complete
 from cyclic_spectra.limits import (
+    BETA_CAP,
     alpha_k,
     beta_table,
     carleman_check,
@@ -284,6 +285,13 @@ class TestBetaTable:
         assert ok
         assert partial == sorted(partial)
         assert partial[-1] > partial[0]
+
+    def test_carleman_at_cap(self):
+        # beta_n overflows a float from n = 142 on; the sums must not
+        ok, partial = carleman_check(BETA_CAP)
+        assert ok
+        assert len(partial) == BETA_CAP == 200
+        assert all(a < b for a, b in zip(partial, partial[1:]))
 
     def test_bounds_small_cases(self):
         table = beta_table(7)
