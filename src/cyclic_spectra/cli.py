@@ -61,9 +61,12 @@ def _to_csv(payload: dict) -> str:
     return buf.getvalue().rstrip("\n")
 
 
+_PRODUCT_WORDS = {"star-of": "star", "comb-of": "comb"}
+
+
 def _parse_graph_arg(tokens: list[str]) -> tuple[graphs.RootedGraph, str]:
     """--family accepts 'name:param' or 'star-of/comb-of name:param'."""
-    if len(tokens) == 2 and tokens[0] in ("star-of", "comb-of"):
+    if len(tokens) == 2 and tokens[0] in _PRODUCT_WORDS:
         return graphs.named(tokens[1]), tokens[1]
     if len(tokens) == 1:
         if os.path.exists(tokens[0]):
@@ -80,9 +83,18 @@ def _spectrum_entries(report: SpectrumReport) -> list[list]:
     return [[v, m] for v, m in report.entries]
 
 
+def _product(args) -> str:
+    """The product named by the 'star-of'/'comb-of' word or by --product."""
+    word = _PRODUCT_WORDS.get(args.family[0]) if len(args.family) == 2 else None
+    if word and args.product and word != args.product:
+        raise ValueError(f"--family {args.family[0]} contradicts --product {args.product}")
+    return word or args.product or "star"
+
+
 def cmd_spectrum(args) -> int:
     try:
         base, label = _parse_graph_arg(args.family)
+        product = _product(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -90,7 +102,7 @@ def cmd_spectrum(args) -> int:
 
     sd = spectral_data(base)
     fold = args.fold
-    if args.product == "star":
+    if product == "star":
         pair = nfold_star_transforms(sd, fold)
         dim = fold * (sd.dim - 1) + 1
         build_product = graphs.nfold_star
@@ -98,13 +110,17 @@ def cmd_spectrum(args) -> int:
         pair = nfold_comb_transforms(sd, fold)
         dim = sd.dim**fold
         build_product = graphs.nfold_comb
-    report = extract_spectrum(pair.rc, dim)
+    try:
+        report = extract_spectrum(pair.rc, dim)
+    except ValueError as exc:
+        print(f"error: spectrum extraction failed: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     payload = {
         "schema": SCHEMA,
         "command": "spectrum",
         "family": label,
         "fold": fold,
-        "product": args.product,
+        "product": product,
         "dim": dim,
         "columns": ["eigenvalue", "multiplicity", "oracle_diff"],
     }
@@ -344,6 +360,13 @@ def cmd_idcheck(args) -> int:
     return EXIT_OK
 
 
+def _vertex_count(text: str) -> int:
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cyclic-spectra",
@@ -363,7 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", nargs="+", required=True,
                     help="graph family 'name:param', a file path, or 'star-of name:param'")
     sp.add_argument("--fold", type=int, default=1)
-    sp.add_argument("--product", choices=("star", "comb"), default="star")
+    sp.add_argument("--product", choices=("star", "comb"),
+                    help="product for a bare family (default star); "
+                         "'star-of'/'comb-of' choose it themselves")
     sp.add_argument("--oracle-max", type=int, default=ORACLE_VERTEX_LIMIT,
                     help="run the dense eigensolver when the product has at most this many vertices")
     sp.set_defaults(func=cmd_spectrum)
@@ -371,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     vf = sub.add_parser("verify", help="run a randomized identity suite", parents=[shared])
     vf.add_argument("suite", choices=sorted(SUITES))
     vf.add_argument("--trials", type=int, default=100)
-    vf.add_argument("--max-vertices", type=int, default=8)
+    vf.add_argument("--max-vertices", type=_vertex_count, default=8)
     vf.add_argument("--seed", type=int, default=0)
     vf.add_argument("--certificate", help="where to write the mismatch certificate")
     vf.set_defaults(func=cmd_verify)

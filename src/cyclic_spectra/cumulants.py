@@ -103,10 +103,6 @@ class MultiMomentOracle:
         self._phi = table_moments(self.phi_table)
         self._omega = table_moments(self.omega_table)
 
-    @classmethod
-    def from_moment_data(cls, m: MomentData) -> "MultiMomentOracle":
-        return cls(m.phi, m.omega)
-
     def moment_data(self, order: int | None = None) -> MomentData:
         k = order or len(self.phi_table)
         return MomentData(self.phi_table[:k], self.omega_table[:k])

@@ -2,7 +2,8 @@
 
 Coefficients are `fractions.Fraction` throughout, so every identity in the
 calculus is checked exactly and results are bit-reproducible.  Floating point
-enters only at numeric root isolation (see `transforms`).
+enters only when an isolated irrational eigenvalue is reported (see
+`transforms`).
 """
 
 from __future__ import annotations
@@ -60,13 +61,6 @@ class Polynomial:
     @classmethod
     def constant(cls, c: Scalar) -> "Polynomial":
         return cls((c,))
-
-    @classmethod
-    def from_roots(cls, roots: Iterable[Scalar]) -> "Polynomial":
-        p = cls.one()
-        for r in roots:
-            p = p * cls((-_coerce(r), 1))
-        return p
 
     # ------------------------------------------------------------------
     @property
@@ -138,11 +132,11 @@ class Polynomial:
     def derivative(self) -> "Polynomial":
         return Polynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
 
-    def __call__(self, x):
-        """Evaluate by Horner's rule; exact for int/Fraction arguments."""
-        acc = 0 if not isinstance(x, float) else 0.0
+    def __call__(self, x: Scalar) -> Scalar:
+        """Evaluate exactly by Horner's rule."""
+        acc = 0
         for c in reversed(self.coeffs):
-            acc = acc * x + (float(c) if isinstance(x, float) else c)
+            acc = acc * x + c
         return acc
 
     def compose(self, inner: "Polynomial") -> "Polynomial":

@@ -41,10 +41,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return sum(1 for i, j in self.edges if v in (i, j))
 
-    def neighbors(self, v: int) -> list[int]:
-        out = [j if i == v else i for i, j in self.edges if v in (i, j)]
-        return sorted(out)
-
 
 @dataclass(frozen=True)
 class RootedGraph:

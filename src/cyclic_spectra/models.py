@@ -82,13 +82,6 @@ class OperatorModel:
 
     dims: tuple[int, ...]
 
-    @property
-    def total_dim(self) -> int:
-        out = 1
-        for d in self.dims:
-            out *= d
-        return out
-
     def _chain(self, factors: Sequence[np.ndarray]) -> np.ndarray:
         out = factors[0]
         for f in factors[1:]:

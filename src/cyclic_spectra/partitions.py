@@ -38,12 +38,6 @@ class SetPartition:
     def __len__(self) -> int:
         return len(self.blocks)
 
-    def block_of(self, x: int) -> frozenset[int]:
-        for b in self.blocks:
-            if x in b:
-                return b
-        raise KeyError(x)
-
     def encode(self) -> str:
         """Text form: elements joined by ',', blocks by '/'."""
         return "/".join(",".join(str(x) for x in sorted(b)) for b in self.blocks)

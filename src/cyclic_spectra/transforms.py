@@ -2,8 +2,10 @@
 
 The symbolic layer (characteristic polynomials, Green function, reciprocal
 Green function, trace resolvent and its renormalized form, additive transform)
-is exact over the rationals.  Floating point is confined to the final root
-isolation step that turns a transform into a spectrum.
+is exact over the rationals, and so is the step that turns a transform into
+a spectrum: roots are isolated in exact rational intervals and multiplicities
+are certified by exact gcds.  Floating point enters only when an irrational
+eigenvalue is reported as the float of its interval midpoint.
 """
 
 from __future__ import annotations
@@ -14,16 +16,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import Polynomial, RationalFunction, TruncatedSeries, square_free_part
+from .exact import (
+    Polynomial,
+    RationalFunction,
+    TruncatedSeries,
+    poly_gcd,
+    square_free_part,
+)
 from .graphs import RootedGraph, adjacency_rows, delete_root
 
 #: exact characteristic polynomials only up to this size; beyond it use the
 #: float eigensolver in `models`
 EXACT_CHARPOLY_CAP = 512
-
-ROOT_WIDTH = Fraction(1, 10**12)
-ROOT_DEDUP = 1e-9
-RESIDUE_TOL = 1e-6
 
 
 # ----------------------------------------------------------------------
@@ -138,20 +142,6 @@ def laurent_at_infinity(f: RationalFunction, order: int) -> TruncatedSeries:
     return TruncatedSeries(out, k)
 
 
-def trace_moments_from_transform(rc: RationalFunction, count: int) -> list[Fraction]:
-    """Moments w_1..w_count read off a renormalized trace resolvent."""
-    series = laurent_at_infinity(rc, count + 1)
-    return [series.coefficient(n + 1) for n in range(1, count + 1)]
-
-
-def vacuum_moments_from_green(g: RationalFunction, count: int) -> list[Fraction]:
-    """Moments m_1..m_count read off a Green function (coefficient of 1/z is 1)."""
-    series = laurent_at_infinity(g, count + 1)
-    if series.coefficient(1) != 1:
-        raise ValueError("not a Green function: 1/z coefficient != 1")
-    return [series.coefficient(n + 1) for n in range(1, count + 1)]
-
-
 # ----------------------------------------------------------------------
 # exact real root isolation (square-free input)
 
@@ -190,7 +180,7 @@ def _rational_roots(p: Polynomial) -> list[Fraction]:
     nums = _divisors(ints[0])
     dens = _divisors(ints[-1])
     if nums is None or dens is None:
-        return roots  # constants too large; fall back to numeric isolation
+        return roots  # constants too large; bisection finds the rest
     seen = set()
     for a in nums:
         for b in dens:
@@ -221,31 +211,47 @@ def _variations(chain: list[Polynomial], x: Fraction) -> int:
 
 @dataclass(frozen=True)
 class IsolatedRoot:
-    value: float
-    exact: Fraction | None = None
+    """A real root in the exact interval [lo, hi]; lo == hi for a rational root."""
+
+    lo: Fraction
+    hi: Fraction
+
+    @property
+    def exact(self) -> Fraction | None:
+        return self.lo if self.lo == self.hi else None
+
+    @property
+    def midpoint(self) -> Fraction:
+        return (self.lo + self.hi) / 2
+
+    @property
+    def value(self) -> float:
+        return float(self.midpoint)
 
 
 def isolate_real_roots(p: Polynomial) -> list[IsolatedRoot]:
     """All real roots of p, each reported once (input need not be square-free).
 
-    Rational roots are found exactly; irrational ones are isolated by Sturm
-    bisection to width 1e-12 and polished by one Newton step in doubles.
+    Rational roots are found exactly.  Each irrational root gets an interval,
+    found by Sturm bisection, whose ends round to the same double, that holds
+    no other root of p and has no root of p at either end.
     """
     if p.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
     p = square_free_part(p)
     if p.degree <= 0:
         return []
-    roots = [IsolatedRoot(float(r), r) for r in _rational_roots(p)]
-    for r in roots:
-        p = p // Polynomial((-r.exact, 1))
+    rational = _rational_roots(p)
+    for r in rational:
+        p = p // Polynomial((-r, 1))
+    roots = [IsolatedRoot(r, r) for r in rational]
     if p.degree >= 1:
-        roots.extend(_isolate_irrational(p))
-    return sorted(roots, key=lambda r: r.value)
+        roots.extend(_isolate_irrational(p, rational))
+    return sorted(roots, key=lambda r: r.lo)
 
 
-def _isolate_irrational(p: Polynomial) -> list[IsolatedRoot]:
-    # p square-free with no rational roots: Sturm evaluations never hit zero
+def _isolate_irrational(p: Polynomial, rational: list[Fraction]) -> list[IsolatedRoot]:
+    # p square-free; Sturm counts the roots in half-open intervals (a, b]
     chain = _sturm_chain(p)
     bound = Fraction(1) + max(abs(c) for c in p.coeffs) / abs(p.leading())
     lo, hi = -bound, bound
@@ -263,43 +269,29 @@ def _isolate_irrational(p: Polynomial) -> list[IsolatedRoot]:
         left = _variations(chain, a) - _variations(chain, mid)
         stack.append((a, mid, left))
         stack.append((mid, b, count - left))
-    out = []
-    for a, b in isolated:
-        # exact bisection on the sign of p down to the target width; exact
-        # zero hits can still occur when the rational-root scan was skipped
-        fa = p(a)
-        if fa == 0:
-            out.append(IsolatedRoot(float(a), a))
-            continue
-        hit = None
-        while b - a > ROOT_WIDTH:
-            mid = (a + b) / 2
-            fm = p(mid)
-            if fm == 0:
-                hit = mid
-                break
-            if (fa < 0) == (fm < 0):
-                a, fa = mid, fm
-            else:
-                b = mid
-        if hit is not None:
-            out.append(IsolatedRoot(float(hit), hit))
-            continue
-        x = float((a + b) / 2)
-        x = _newton_polish(p, x)
-        out.append(IsolatedRoot(x))
-    return out
+    return [_refine(p, a, b, rational) for a, b in isolated]
 
 
-def _newton_polish(p: Polynomial, x: float) -> float:
-    dp = p.derivative()
-    fx = p(x)
-    dfx = dp(x)
-    if dfx != 0.0 and math.isfinite(fx) and math.isfinite(dfx):
-        step = fx / dfx
-        if abs(step) < 1e-6:
-            x -= step
-    return x
+def _refine(p: Polynomial, a: Fraction, b: Fraction, avoid: list[Fraction]) -> IsolatedRoot:
+    """Bisect (a, b], which holds one root of p, on the sign of p.
+
+    Stops once both ends round to the same double, so the root does too, a
+    is not a root of p and no point of `avoid` lies in [a, b].  Zero hits are
+    rational roots the scan in `_rational_roots` skipped.
+    """
+    fa, fb = p(a), p(b)
+    if fb == 0:
+        return IsolatedRoot(b, b)
+    while float(a) != float(b) or fa == 0 or any(a <= r <= b for r in avoid):
+        mid = (a + b) / 2
+        fm = p(mid)
+        if fm == 0:
+            return IsolatedRoot(mid, mid)
+        if (fm > 0) == (fb > 0):
+            b, fb = mid, fm
+        else:
+            a, fa = mid, fm
+    return IsolatedRoot(a, b)
 
 
 # ----------------------------------------------------------------------
@@ -329,59 +321,47 @@ class SpectrumReport:
         return [(v, m) for v, m in self.entries if abs(v) > tol]
 
 
-def _simple_pole_residue(rc: RationalFunction, root: IsolatedRoot):
-    if root.exact is not None:
-        quot, rem = rc.den.divmod(Polynomial((-root.exact, 1)))
-        if not rem.is_zero():
-            raise AssertionError("exact root does not divide denominator")
-        denom = quot(root.exact)
-        if denom == 0:
-            return math.inf  # multiple pole; caller rejects
-        return rc.num(root.exact) / denom
-    d = rc.den.derivative()(root.value)
-    if d == 0.0:
-        return math.inf
-    return rc.num(root.value) / d
+def _residue(f: RationalFunction, root: IsolatedRoot) -> Fraction:
+    """f.num / f.den' at a simple pole of f: the exact residue at a rational
+    pole, its value at the interval midpoint at an irrational one."""
+    x = root.midpoint
+    return f.num(x) / f.den.derivative()(x)
 
 
 def extract_spectrum(rc: RationalFunction, dim: int) -> SpectrumReport:
     """Recover eigenvalues and multiplicities from a renormalized trace resolvent.
 
-    Nonzero eigenvalues are the poles; each multiplicity is the residue there,
-    and the zero multiplicity is dim plus the residue at zero.
+    t = rc + dim/z is the trace resolvent phi'/phi = sum of m/(z - lambda):
+    its poles are the eigenvalues, 0 included, and the residue at each is the
+    multiplicity m.  The residue is read exactly at a rational pole and at the
+    interval midpoint of an irrational one, rounded to m, and certified
+    exactly: at a rational pole it must equal m; an irrational pole must be a
+    root of gcd(t.den, t.num - m t.den'), whose roots are the poles with
+    residue m (Rothstein-Trager).  The multiplicities must sum to dim.
     """
-    if rc.is_zero():
-        return SpectrumReport(((0.0, dim),), dim)
-    if rc.num.degree >= rc.den.degree:
+    t = rc + RationalFunction(Polynomial.constant(dim), Polynomial.x())
+    if t.num.degree >= t.den.degree:
         raise ValueError("not a trace resolvent: must vanish at infinity")
-    roots = isolate_real_roots(rc.den)
-    found = sum(1 for _ in roots)
-    if found < square_free_part(rc.den).degree:
-        raise ValueError("denominator has non-real poles; not a trace resolvent")
+    roots = isolate_real_roots(t.den)
+    if len(roots) != t.den.degree:
+        raise ValueError("not a trace resolvent: poles must be real and simple")
+    den_prime = t.den.derivative()
+    gcds: dict[int, Polynomial] = {}
     entries = []
-    zero_residue = 0
-    total = 0
     for root in roots:
-        res = _simple_pole_residue(rc, root)
-        r = float(res)
-        nearest = round(r)
-        if not math.isfinite(r) or abs(r - nearest) > RESIDUE_TOL:
-            raise ValueError(f"non-integer residue {res} at pole {root.value}")
-        if root.exact == 0 or (root.exact is None and abs(root.value) <= ROOT_DEDUP):
-            zero_residue = nearest
+        residue = _residue(t, root)
+        m = round(residue)
+        if root.exact is not None:
+            certified = residue == m
         else:
-            if nearest < 1:
-                raise ValueError(f"non-positive multiplicity at pole {root.value}")
-            entries.append((float(root.value), nearest))
-            total += nearest
-    zero_mult = dim + zero_residue
-    if zero_mult < 0 or total + zero_mult != dim:
-        raise ValueError(
-            f"multiplicity sum mismatch: {total} nonzero + {zero_mult} zero != {dim}"
-        )
-    if zero_mult > 0:
-        entries.append((0.0, zero_mult))
-    entries.sort()
+            if m not in gcds:
+                gcds[m] = poly_gcd(t.den, t.num - den_prime * m)
+            certified = gcds[m](root.lo) * gcds[m](root.hi) < 0
+        if not certified:
+            raise ValueError(f"non-integer residue {float(residue)} at pole {root.value}")
+        if m < 1:
+            raise ValueError(f"non-positive multiplicity {m} at pole {root.value}")
+        entries.append((root.value, m))
     return SpectrumReport(tuple(entries), dim)
 
 
@@ -390,7 +370,10 @@ def extract_spectrum(rc: RationalFunction, dim: int) -> SpectrumReport:
 
 @dataclass(frozen=True)
 class GreenFactorization:
-    """Poles with state weights, and interlacing zeros, of a Green function."""
+    """Poles with state weights, and interlacing zeros, of a Green function.
+
+    Weights are exact at rational poles and floats at irrational ones.
+    """
 
     poles: tuple[tuple[float, Fraction | float], ...]
     zeros: tuple[float, ...]
@@ -402,35 +385,25 @@ def factorize_green(g: RationalFunction) -> GreenFactorization:
         raise ValueError("not a Green function: zero")
     if g.num.degree != g.den.degree - 1:
         raise ValueError("not a Green function: wrong degree at infinity")
+    # the weights sum to the coefficient of 1/z at infinity (den is monic)
+    if g.num.leading() != 1:
+        raise ValueError(f"not a Green function: weights sum to {g.num.leading()}")
     pole_roots = isolate_real_roots(g.den)
     if len(pole_roots) < g.den.degree:
         raise ValueError("not a Green function: non-real poles")
     poles = []
-    weight_sum = Fraction(0)
-    exact_sum = True
     for root in pole_roots:
-        w = _simple_pole_residue(g, root)
-        wf = float(w)
-        if not math.isfinite(wf) or wf <= 0:
+        w = _residue(g, root)
+        if w <= 0:
             raise ValueError(f"not a Green function: weight {w} at pole {root.value}")
-        poles.append((float(root.value), w))
-        if isinstance(w, Fraction):
-            weight_sum += w
-        else:
-            exact_sum = False
-    if exact_sum:
-        if weight_sum != 1:
-            raise ValueError(f"not a Green function: weights sum to {weight_sum}")
-    else:
-        if abs(sum(float(w) for _, w in poles) - 1.0) > 1e-9:
-            raise ValueError("not a Green function: weights do not sum to 1")
+        poles.append((root.value, w if root.exact is not None else float(w)))
     if g.num.degree >= 1:
         zero_roots = isolate_real_roots(g.num)
     else:
         zero_roots = []
     if len(zero_roots) != g.num.degree:
         raise ValueError("not a Green function: non-real zeros")
-    zeros = [float(r.value) for r in zero_roots]
+    zeros = [r.value for r in zero_roots]
     pole_values = [v for v, _ in poles]
     for lo, hi, z in zip(pole_values, pole_values[1:], zeros):
         if not lo < z < hi:

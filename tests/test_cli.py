@@ -77,6 +77,32 @@ class TestSpectrum:
         code, _ = run(capsys, "spectrum", "--family", "bogus:3")
         assert code == 2
 
+    def test_family_word_chooses_product(self, capsys):
+        code, data = run_json(
+            capsys, "spectrum", "--family", "comb-of", "complete:2", "--fold", "3",
+        )
+        assert code == 0
+        assert data["product"] == "comb" and data["dim"] == 8
+        assert [m for _, m, _ in data["rows"]] == [1] * 8
+        assert all(diff < 1e-9 for _, _, diff in data["rows"])
+
+    def test_family_word_contradicting_product_exit_2(self, capsys):
+        code, out = run(
+            capsys, "spectrum", "--family", "star-of", "complete:2", "--fold", "3",
+            "--product", "comb",
+        )
+        assert code == 2 and out == ""
+
+    def test_comb_fold_3(self, capsys):
+        code, data = run_json(
+            capsys, "spectrum", "--family", "comb-of", "path:4", "--fold", "3",
+            "--product", "comb",
+        )
+        assert code == 0 and "mismatch" not in data
+        assert sum(m for _, m, _ in data["rows"]) == 64
+        assert [m for _, m, _ in data["rows"]] == [m for _, m in data["oracle"]]
+        assert all(diff < 1e-9 for _, _, diff in data["rows"])
+
 
 class TestVerify:
     def test_h_additivity(self, capsys):
@@ -97,6 +123,13 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         code, _ = run(capsys, "verify", "nonsense")
         assert code == 2
+
+    def test_max_vertices_below_two_exit_2(self, capsys):
+        for bad in ("1", "0"):
+            code = main(["verify", "h-additivity", "--trials", "2", "--max-vertices", bad])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert "--max-vertices: must be at least 2" in err
 
 
 class TestCumulants:
@@ -246,6 +279,19 @@ class TestCertificates:
         code, data = run_json(capsys, "spectrum", "--family", "star:3")
         assert code == 3
         assert "mismatch" in data
+
+    def test_extraction_failure_exit_3(self, capsys, monkeypatch):
+        from cyclic_spectra import cli as cli_mod
+
+        def failing_extract(rc, dim):
+            raise ValueError("non-integer residue 0.5 at pole 1.0")
+
+        monkeypatch.setattr(cli_mod, "extract_spectrum", failing_extract)
+        code = main(["spectrum", "--family", "star:3"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "non-integer residue" in captured.err
 
     def test_mismatch_certificate_parses(self, tmp_path, capsys, monkeypatch):
         # corrupt one suite on purpose by registering a failing trial

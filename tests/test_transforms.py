@@ -8,10 +8,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cyclic_spectra.convolutions import nfold_comb_transforms
 from cyclic_spectra.exact import Polynomial, RationalFunction
-from cyclic_spectra.graphs import Graph, RootedGraph, adjacency, complete, friendship, star
+from cyclic_spectra.graphs import (
+    Graph,
+    RootedGraph,
+    adjacency,
+    complete,
+    friendship,
+    named,
+    nfold_comb,
+    star,
+)
 from cyclic_spectra.models import eigensolve, trace_moment, vacuum_moment
 from cyclic_spectra.transforms import (
+    _refine,
     char_poly,
     cauchy,
     extract_spectrum,
@@ -205,6 +216,29 @@ class TestRootIsolation:
     def test_no_real_roots(self):
         assert isolate_real_roots(poly(1, 0, 1)) == []
 
+    def test_irrational_root_interval(self):
+        (neg, pos) = isolate_real_roots(poly(-2, 0, 1))
+        for root in (neg, pos):
+            assert root.exact is None and root.lo < root.hi
+            assert float(root.lo) == float(root.hi) == root.value
+        assert pos.lo**2 < 2 < pos.hi**2 and neg.hi**2 < 2 < neg.lo**2
+        assert pos.value == math.sqrt(2) == -neg.value  # correctly rounded
+
+    def test_refined_interval_leaves_a_root_at_its_left_end(self):
+        # p has roots 1 and 1 +- d, d = sqrt(2) 1e-17; (1, 1 + 1e-16] holds
+        # 1 + d, rounds to the double 1.0 and has the root 1 at its left end
+        p = poly(-1, 1) * poly(1 - F(2, 10**34), -2, 1)
+        root = _refine(p, F(1), 1 + F(1, 10**16), [])
+        assert 1 < root.lo and (root.lo - 1) ** 2 < F(2, 10**34) < (root.hi - 1) ** 2
+
+    def test_refined_interval_excludes_avoided_points(self):
+        # avoid holds the rational roots split off p; none may share an interval
+        p = poly(-2, 0, 1)
+        inside = _refine(p, F(1), F(2), []).midpoint
+        root = _refine(p, F(1), F(2), [inside])
+        assert root.lo**2 < 2 < root.hi**2
+        assert not root.lo <= inside <= root.hi
+
 
 class TestExtractSpectrum:
     def test_star_graphs(self):
@@ -246,6 +280,37 @@ class TestExtractSpectrum:
         rc = ratfun(poly(F(1, 2)), poly(-1, 1))  # residue 1/2 at pole 1
         with pytest.raises(ValueError):
             extract_spectrum(rc, 2)
+
+    @pytest.mark.parametrize(
+        "num",
+        [
+            poly(1),  # residues -+1/(2 sqrt 2) at -+sqrt 2
+            poly(0, F(2001, 1000)),  # residue 1.0005 at both poles
+        ],
+    )
+    def test_non_integer_residue_at_irrational_pole_rejected(self, num):
+        rc = ratfun(num, poly(-2, 0, 1))
+        with pytest.raises(ValueError, match="non-integer residue"):
+            extract_spectrum(rc, 3)
+
+    def test_non_real_poles_rejected(self):
+        # t = rc + 1/z = 1/z - 2/(z^2 + 1) has residue 1 at its only real pole
+        rc = ratfun(poly(-2), poly(1, 0, 1))
+        with pytest.raises(ValueError, match="real and simple"):
+            extract_spectrum(rc, 1)
+
+    @pytest.mark.parametrize(
+        "family, fold", [("complete:2", 6), ("path:3", 4), ("path:4", 3)]
+    )
+    def test_comb_powers_match_oracle(self, family, fold):
+        # these folds once failed with a float residue check
+        base = named(family)
+        rc = nfold_comb_transforms(spectral_data(base), fold).rc
+        report = extract_spectrum(rc, base.n**fold)
+        oracle = eigensolve(adjacency(nfold_comb(base, fold).graph).astype(float))
+        assert [m for _, m in report.entries] == [m for _, m in oracle.entries]
+        for (a, _), (b, _) in zip(report.entries, oracle.entries):
+            assert abs(a - b) < 1e-9
 
 
 class TestFactorizeGreen:
