@@ -6,14 +6,7 @@ convolution identities, and validates everything against built-in brute-force
 operator models.
 """
 
-from .exact import (
-    DEFAULT_ORDER,
-    Polynomial,
-    RationalFunction,
-    TruncatedSeries,
-    poly_gcd,
-    square_free_part,
-)
+from .exact import Polynomial, RationalFunction, poly_gcd, square_free_part
 from .graphs import (
     Graph,
     RootedGraph,
@@ -48,9 +41,6 @@ from .convolutions import (
     comb_char_poly,
     cyclic_boolean_sum,
     cyclic_monotone_sum,
-    k_transform,
-    k_transform_sum,
-    monotone_f_compose,
     nfold_comb_transforms,
     nfold_star_transforms,
     star_char_poly,

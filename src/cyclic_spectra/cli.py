@@ -150,9 +150,6 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.suite not in SUITES:
-        print(f"error: unknown suite {args.suite!r}", file=sys.stderr)
-        return EXIT_USAGE
     result = run_suite(
         args.suite,
         trials=args.trials,
@@ -177,6 +174,10 @@ def cmd_verify(args) -> int:
                 {
                     "schema": SCHEMA,
                     "suite": args.suite,
+                    # trial t reruns alone from random.Random(seed * 1_000_003 + t)
+                    "seed": args.seed,
+                    "trials": args.trials,
+                    "max_vertices": args.max_vertices,
                     "failures": [c for c in result.certificates if not c["ok"]],
                 },
                 fh,
@@ -253,33 +254,34 @@ def _limits_comb_payload(args) -> dict:
     }
 
 
-def _limits_gap_payload(args) -> dict:
-    from .limits import spectral_gap_report
-
-    base, label = _parse_graph_arg([args.family])
-    deg = base.root_degree()
-    rows = spectral_gap_report(spectral_data(base), deg, args.n_max)
-    return {
-        "schema": SCHEMA,
-        "command": "limits",
-        "table": "gap",
-        "family": label,
-        "columns": ["N", "largest", "smallest", "largest_mult", "smallest_mult", "bulk_max"],
-        "rows": [
-            [r.n, r.largest, r.smallest, r.largest_mult, r.smallest_mult, r.bulk_max]
-            for r in rows
-        ],
-    }
-
-
 def cmd_limits(args) -> int:
     if args.table == "comb":
-        _emit(args, _limits_comb_payload(args))
-        return EXIT_OK
-    if args.table == "gap":
-        _emit(args, _limits_gap_payload(args))
-        return EXIT_OK
-    if args.table == "beta":
+        payload = _limits_comb_payload(args)
+    elif args.table == "gap":
+        from .limits import spectral_gap_report
+
+        base, label = _parse_graph_arg([args.family])
+        deg = base.root_degree()
+        if deg < 1:
+            print("error: root must have positive degree", file=sys.stderr)
+            return EXIT_USAGE
+        try:
+            rows = spectral_gap_report(spectral_data(base), deg, args.n_max)
+        except ValueError as exc:
+            print(f"error: spectrum extraction failed: {exc}", file=sys.stderr)
+            return EXIT_MISMATCH
+        payload = {
+            "schema": SCHEMA,
+            "command": "limits",
+            "table": "gap",
+            "family": label,
+            "columns": ["N", "largest", "smallest", "largest_mult", "smallest_mult", "bulk_max"],
+            "rows": [
+                [r.n, r.largest, r.smallest, r.largest_mult, r.smallest_mult, r.bulk_max]
+                for r in rows
+            ],
+        }
+    elif args.table == "beta":
         table = beta_table(args.n)
         payload = {
             "schema": SCHEMA,
@@ -298,7 +300,7 @@ def cmd_limits(args) -> int:
             "columns": ["n", "partial_sum"],
             "rows": [[n + 1, s] for n, s in enumerate(partial)],
         }
-    elif args.table == "clt":
+    else:  # clt
         from .limits import clt_report
 
         base, label = _parse_graph_arg([args.family])
@@ -320,9 +322,6 @@ def cmd_limits(args) -> int:
             "columns": ["k", "N", "omega_value", "phi_limit", "omega_limit"],
             "rows": rows,
         }
-    else:
-        print(f"error: unknown limits table {args.table!r}", file=sys.stderr)
-        return EXIT_USAGE
     _emit(args, payload)
     return EXIT_OK
 
@@ -360,11 +359,17 @@ def cmd_idcheck(args) -> int:
     return EXIT_OK
 
 
-def _vertex_count(text: str) -> int:
-    n = int(text)
-    if n < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2, got {n}")
-    return n
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than low."""
+
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,8 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     vf = sub.add_parser("verify", help="run a randomized identity suite", parents=[shared])
     vf.add_argument("suite", choices=sorted(SUITES))
-    vf.add_argument("--trials", type=int, default=100)
-    vf.add_argument("--max-vertices", type=_vertex_count, default=8)
+    vf.add_argument("--trials", type=_int_at_least(1), default=100)
+    vf.add_argument("--max-vertices", type=_int_at_least(2), default=8)
     vf.add_argument("--seed", type=int, default=0)
     vf.add_argument("--certificate", help="where to write the mismatch certificate")
     vf.set_defaults(func=cmd_verify)

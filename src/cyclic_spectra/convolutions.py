@@ -8,17 +8,10 @@ failing identity pinpoints the mismatching object.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exact import Polynomial, RationalFunction, TruncatedSeries
-from .transforms import (
-    RootedSpectralData,
-    green,
-    h_transform,
-    laurent_at_infinity,
-    renormalized_cauchy,
-)
+from .exact import Polynomial, RationalFunction, homogeneous_compose
+from .transforms import RootedSpectralData, green, h_transform, renormalized_cauchy
 
 _Z = RationalFunction.x()
 _ONE_OVER_Z = RationalFunction(Polynomial.one(), Polynomial.x())
@@ -86,13 +79,6 @@ def star_char_poly(
 # ----------------------------------------------------------------------
 # comb product / ordered convolution
 
-def monotone_f_compose(
-    f1: RationalFunction, f2: RationalFunction
-) -> RationalFunction:
-    """F1 o F2: the reciprocal Green function of the comb product."""
-    return f1.compose(f2)
-
-
 def comb_char_poly(
     sd_g: RootedSpectralData, sd_h: RootedSpectralData
 ) -> RootedSpectralData:
@@ -102,22 +88,12 @@ def comb_char_poly(
     the root-deleted polynomial follows the splitting recursion, which trades
     phi_g for phi_{g-root} and appends one more root-deleted copy of h.
     """
-    phi = _poly_at_f(sd_g.phi, sd_h)
-    phi_minus = _poly_at_f(sd_g.phi_minus_root, sd_h) * sd_h.phi_minus_root
+    phi = homogeneous_compose(sd_g.phi, sd_h.phi, sd_h.phi_minus_root)
+    phi_minus = (
+        homogeneous_compose(sd_g.phi_minus_root, sd_h.phi, sd_h.phi_minus_root)
+        * sd_h.phi_minus_root
+    )
     return RootedSpectralData(phi, phi_minus, sd_g.dim * sd_h.dim)
-
-
-def _poly_at_f(p: Polynomial, sd_h: RootedSpectralData) -> Polynomial:
-    """phi_{h-root}^deg(p) * p(phi_h / phi_{h-root}), expanded exactly."""
-    if p.is_zero():
-        return Polynomial.zero()
-    d = p.degree
-    acc = Polynomial.constant(p.coeffs[d])
-    for k in range(d - 1, -1, -1):
-        acc = acc * sd_h.phi + Polynomial.constant(p.coeffs[k]) * (
-            sd_h.phi_minus_root ** (d - k)
-        )
-    return acc
 
 
 def cyclic_monotone_sum(
@@ -157,27 +133,6 @@ def nfold_comb_transforms(sd: RootedSpectralData, n: int) -> TransformPair:
         f_cur = f_cur.compose(f)
         dim_cur *= sd.dim
     return TransformPair(rc_cur, f_cur.reciprocal())
-
-
-def k_transform(rc: RationalFunction, order: int) -> TruncatedSeries:
-    """Antiderivative-style series -sum w_n / (n z^n), as a series in 1/z.
-
-    Coefficient n of the result is -w_n/n for 1 <= n <= order, where w_n is
-    the n-th trace moment carried by rc.
-    """
-    series = laurent_at_infinity(rc, order + 1)
-    coeffs = [Fraction(0)] * (order + 1)
-    for n in range(1, order + 1):
-        coeffs[n] = -series.coefficient(n + 1) / n
-    return TruncatedSeries(coeffs, order + 1)
-
-
-def k_transform_sum(
-    k_a: TruncatedSeries, k_b: TruncatedSeries, f_b: RationalFunction
-) -> TruncatedSeries:
-    """K_b + K_a o F_b, with the composition done on 1/z-series."""
-    inner = laurent_at_infinity(f_b.reciprocal(), min(k_a.order, k_b.order) - 1)
-    return k_b + k_a.compose(inner)
 
 
 # ----------------------------------------------------------------------

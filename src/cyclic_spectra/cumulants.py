@@ -1,5 +1,6 @@
-"""Cyclic-Boolean cumulants: generating-function transforms, partitioned
-moments on the free-product word algebra, and Moebius-defined cumulants.
+"""Cyclic-Boolean cumulants: univariate cumulants by coefficient recurrences,
+partitioned moments on the free-product word algebra, and Moebius-defined
+cumulants.
 
 Multivariate cumulants are computed by the defining lattice sum; the
 interval / rotation case split is kept as an independent cross-check.
@@ -11,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import TruncatedSeries
 from .models import MixedWord, _merge_runs, eval_cyclic_boolean_word, table_moments
 from .partitions import (
     SetPartition,
@@ -46,44 +46,38 @@ class MomentData:
         return len(self.phi)
 
 
-def _moment_series(values: Sequence[Fraction]) -> TruncatedSeries:
-    return TruncatedSeries([Fraction(0), *values], len(values) + 1)
-
-
-def moment_generating_series(m: MomentData) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """(state series M, trace series M-hat), both with zero constant term."""
-    return _moment_series(m.phi), _moment_series(m.omega)
-
-
-def boolean_cumulant_series(m: MomentData) -> TruncatedSeries:
-    """B = M / (1 + M)."""
-    series_m, _ = moment_generating_series(m)
-    return series_m * series_m.reciprocal_of_one_plus()
-
-
-def cyclic_cumulant_series(m: MomentData) -> TruncatedSeries:
-    """C = M-hat - z M B', the linearizing trace-side transform."""
-    series_m, series_mhat = moment_generating_series(m)
-    b = boolean_cumulant_series(m)
-    return series_mhat - series_m * b.derivative_times_z()
-
-
 def boolean_cumulants(m: MomentData) -> list[Fraction]:
-    """b_1..b_K."""
-    b = boolean_cumulant_series(m)
-    return [b.coefficient(n) for n in range(1, m.order + 1)]
+    """b_1..b_K, the coefficients of B = M / (1 + M).
+
+    Comparing coefficients in B (1 + M) = M gives
+    b_n = m_n - sum_{j<n} b_j m_{n-j}.
+    """
+    bs: list[Fraction] = []
+    for n, m_n in enumerate(m.phi, start=1):
+        bs.append(m_n - sum(bs[j - 1] * m.phi[n - j - 1] for j in range(1, n)))
+    return bs
+
+
+def _cyclic_from_boolean(m: MomentData, bs: Sequence[Fraction]) -> list[Fraction]:
+    # coefficients of C = M-hat - z M B': c_n = omega_n - sum_{j<n} j b_j m_{n-j}
+    return [
+        w_n - sum(j * bs[j - 1] * m.phi[n - j - 1] for j in range(1, n))
+        for n, w_n in enumerate(m.omega, start=1)
+    ]
 
 
 def cyclic_boolean_cumulants(m: MomentData) -> list[Fraction]:
-    """c_1..c_K; c_1 is the first trace moment, c_2 the trace variance."""
-    c = cyclic_cumulant_series(m)
-    return [c.coefficient(n) for n in range(1, m.order + 1)]
+    """c_1..c_K of the linearizing trace-side transform C = M-hat - z M B'.
+
+    c_1 is the first trace moment, c_2 the trace variance.
+    """
+    return _cyclic_from_boolean(m, boolean_cumulants(m))
 
 
 def h_coefficients(m: MomentData) -> list[Fraction]:
     """Expansion coefficients of the additive transform: h_n = c_n - n b_n."""
     bs = boolean_cumulants(m)
-    cs = cyclic_boolean_cumulants(m)
+    cs = _cyclic_from_boolean(m, bs)
     return [c - n * b for n, (b, c) in enumerate(zip(bs, cs), start=1)]
 
 

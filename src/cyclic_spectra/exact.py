@@ -1,4 +1,4 @@
-"""Exact arithmetic: dense rational polynomials, rational functions, truncated series.
+"""Exact arithmetic: dense rational polynomials and rational functions.
 
 Coefficients are `fractions.Fraction` throughout, so every identity in the
 calculus is checked exactly and results are bit-reproducible.  Floating point
@@ -9,12 +9,9 @@ enters only when an isolated irrational eigenvalue is reported (see
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
-
-#: default truncation order for generating-function work
-DEFAULT_ORDER = 32
 
 
 def _coerce(value: Scalar) -> Fraction:
@@ -332,11 +329,17 @@ class RationalFunction:
         Raises ZeroDivisionError("pole at composition point") when the inner
         function is a constant at which the outer has a pole.
         """
-        num = compose_poly_ratfun(self.num, inner)
-        den = compose_poly_ratfun(self.den, inner)
+        num = homogeneous_compose(self.num, inner.num, inner.den)
+        den = homogeneous_compose(self.den, inner.num, inner.den)
         if den.is_zero():
             raise ZeroDivisionError("pole at composition point")
-        return num / den
+        # p(f)/q(f) = inner.den^(deg q - deg p) * num / den
+        shift = self.den.degree - self.num.degree
+        if shift >= 0:
+            num = num * inner.den**shift
+        else:
+            den = den * inner.den**-shift
+        return RationalFunction(num, den)
 
     def __call__(self, x):
         d = self.den(x)
@@ -378,129 +381,13 @@ class RationalFunction:
         return cls(num, den)
 
 
-def compose_poly_ratfun(p: Polynomial, f: RationalFunction) -> RationalFunction:
-    """p(f) for a polynomial p and rational f, without forming powers of f."""
+def homogeneous_compose(p: Polynomial, num: Polynomial, den: Polynomial) -> Polynomial:
+    """den^deg(p) * p(num/den) = sum_k c_k num^k den^(d-k), assembled by Horner."""
     if p.is_zero():
-        return RationalFunction.zero()
-    d = p.degree
-    # p(num/den) = sum_k c_k num^k den^(d-k) / den^d, assembled by Horner
-    acc = Polynomial.constant(p.coeffs[d])
-    for k in range(d - 1, -1, -1):
-        acc = acc * f.num + Polynomial.constant(p.coeffs[k]) * (f.den ** (d - k))
-    return RationalFunction(acc, f.den**d)
-
-
-class TruncatedSeries:
-    """Power series truncated to a fixed number of coefficients.
-
-    ``coeffs[i]`` is the coefficient of ``t**i`` for ``i < order``.  Binary
-    operations truncate the result to the smaller operand order.
-    """
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, coeffs: Sequence[Scalar], order: int | None = None):
-        if order is None:
-            order = len(coeffs)
-        if order < 1:
-            raise ValueError("order must be positive")
-        cs = [_coerce(c) for c in coeffs[:order]]
-        cs.extend(Fraction(0) for _ in range(order - len(cs)))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
-
-    @classmethod
-    def zero(cls, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
-        return cls((), order)
-
-    @classmethod
-    def one(cls, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
-        return cls((1,), order)
-
-    def coefficient(self, k: int) -> Fraction:
-        if not 0 <= k < self.order:
-            raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
-        return self.coeffs[k]
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        return TruncatedSeries(self.coeffs, min(order, self.order))
-
-    # ------------------------------------------------------------------
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        k = min(self.order, other.order)
-        return TruncatedSeries(
-            [self.coeffs[i] + other.coeffs[i] for i in range(k)], k
-        )
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-c for c in self.coeffs], self.order)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        k = min(self.order, other.order)
-        cs = [Fraction(0)] * k
-        for i in range(k):
-            ai = self.coeffs[i]
-            if ai:
-                for j in range(k - i):
-                    cs[i + j] += ai * other.coeffs[j]
-        return TruncatedSeries(cs, k)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def scale(self, c: Scalar) -> "TruncatedSeries":
-        c = _coerce(c)
-        return TruncatedSeries([c * a for a in self.coeffs], self.order)
-
-    def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """self(inner(t)); requires inner constant term zero."""
-        k = min(self.order, inner.order)
-        if inner.coeffs[0] != 0:
-            raise ValueError("composition requires zero constant term")
-        acc = TruncatedSeries.zero(k)
-        small = inner.truncate(k)
-        for c in reversed(self.coeffs[:k]):
-            acc = acc * small + TruncatedSeries((c,), k)
-        return acc
-
-    def reciprocal_of_one_plus(self) -> "TruncatedSeries":
-        """1 / (1 + self); requires constant term != -1."""
-        if self.coeffs[0] == -1:
-            raise ZeroDivisionError("reciprocal at constant term -1")
-        k = self.order
-        lead = 1 + self.coeffs[0]
-        rs = [Fraction(1) / lead]
-        for n in range(1, k):
-            s = Fraction(0)
-            for j in range(1, n + 1):
-                s += self.coeffs[j] * rs[n - j]
-            rs.append(-s / lead)
-        return TruncatedSeries(rs, k)
-
-    def derivative_times_z(self) -> "TruncatedSeries":
-        """t * d/dt: multiplies the n-th coefficient by n."""
-        return TruncatedSeries(
-            [n * c for n, c in enumerate(self.coeffs)], self.order
-        )
-
-    # ------------------------------------------------------------------
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries({list(self.coeffs)!r})"
+        return Polynomial.zero()
+    acc = Polynomial.constant(p.leading())
+    den_power = Polynomial.one()
+    for c in reversed(p.coeffs[:-1]):
+        den_power = den_power * den
+        acc = acc * num + den_power.scale(c)
+    return acc

@@ -70,12 +70,12 @@ def clt_report(
     alpha = None
     if k == 2:
         rc = renormalized_cauchy(sd)
-        alpha = laurent_at_infinity(rc, 3).coefficient(3) / root_degree
+        alpha = laurent_at_infinity(rc, 3)[3] / root_degree
     phi_limit, omega_limit = cb_clt_limits(k, alpha=alpha)
     rows = []
     for n in n_values:
         pair = nfold_star_transforms(sd, n)
-        moment = laurent_at_infinity(pair.rc, k + 1).coefficient(k + 1)
+        moment = laurent_at_infinity(pair.rc, k + 1)[k + 1]
         rows.append((n, float(moment) / (root_degree * n) ** (k / 2)))
     return CLTLimitReport(k, phi_limit, omega_limit, tuple(rows))
 

@@ -16,13 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import (
-    Polynomial,
-    RationalFunction,
-    TruncatedSeries,
-    poly_gcd,
-    square_free_part,
-)
+from .exact import Polynomial, RationalFunction, poly_gcd, square_free_part
 from .graphs import RootedGraph, adjacency_rows, delete_root
 
 #: exact characteristic polynomials only up to this size; beyond it use the
@@ -111,14 +105,14 @@ def h_transform(sd: RootedSpectralData) -> RationalFunction:
     return renormalized_cauchy(sd) + one_over_z + green(sd).log_derivative()
 
 
-def laurent_at_infinity(f: RationalFunction, order: int) -> TruncatedSeries:
+def laurent_at_infinity(f: RationalFunction, order: int) -> tuple[Fraction, ...]:
     """Expansion of f at infinity in w = 1/z.
 
-    Returns a series whose coefficient k is the coefficient of z**(-k),
-    for k = 0..order (order+1 coefficients).  Requires deg num <= deg den.
+    Returns order+1 coefficients; index k holds the coefficient of z**(-k).
+    Requires deg num <= deg den.
     """
     if f.is_zero():
-        return TruncatedSeries.zero(order + 1)
+        return (Fraction(0),) * (order + 1)
     m, p = f.den.degree, f.num.degree
     if p > m:
         raise ValueError("not proper at infinity")
@@ -139,7 +133,7 @@ def laurent_at_infinity(f: RationalFunction, order: int) -> TruncatedSeries:
         for j in range(1, n + 1):
             s -= den_w[j] * out[n - j]
         out[n] = s / lead
-    return TruncatedSeries(out, k)
+    return tuple(out)
 
 
 # ----------------------------------------------------------------------

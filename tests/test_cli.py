@@ -1,7 +1,9 @@
 """Command-line interface: output schemas, exit codes, determinism."""
 
+import hashlib
 import json
 import math
+import random
 
 from cyclic_spectra.cli import main
 
@@ -124,6 +126,14 @@ class TestVerify:
         code, _ = run(capsys, "verify", "nonsense")
         assert code == 2
 
+    def test_trials_below_one_exit_2(self, capsys):
+        for bad in ("0", "-3"):
+            code = main(["verify", "h-additivity", "--trials", bad])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert "--trials: must be at least 1" in captured.err
+
     def test_max_vertices_below_two_exit_2(self, capsys):
         for bad in ("1", "0"):
             code = main(["verify", "h-additivity", "--trials", "2", "--max-vertices", bad])
@@ -141,6 +151,16 @@ class TestCumulants:
         rows = {n: (c, h, b) for n, c, h, b in data["rows"]}
         assert rows[2] == ("2", "0", "1")
         assert all(rows[n][0] == "0" for n in (1, 3, 4, 5, 6, 7, 8))
+
+    def test_order_64_digest(self, capsys):
+        # pins the whole exact table, digits and formatting included
+        code, out = run(
+            capsys, "cumulants", "--phi", "1,2,5", "--omega", "3,1", "--order", "64",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ca1cabfd9f4f8b24973db65ca44bdcaae17767786c57f947619926c6a9414d30"
+        )
 
     def test_csv_format(self, capsys):
         code, out = run(
@@ -242,6 +262,11 @@ class TestLimitsTables:
         assert code == 0
         assert all(r[5] <= 2 / math.sqrt(2 * r[0]) + 1e-12 for r in data["rows"])
 
+    def test_gap_root_of_degree_0_exit_2(self, capsys):
+        code = main(["limits", "gap", "--family", "complete:1", "--n-max", "2"])
+        assert code == 2
+        assert "root must have positive degree" in capsys.readouterr().err
+
 
 class TestGraphFileInput:
     def test_spectrum_from_text_file(self, capsys, tmp_path):
@@ -293,21 +318,39 @@ class TestCertificates:
         assert captured.out == ""
         assert "non-integer residue" in captured.err
 
+    def test_gap_extraction_failure_exit_3(self, capsys, monkeypatch):
+        from cyclic_spectra import limits as limits_mod
+
+        def failing_extract(rc, dim):
+            raise ValueError("non-integer residue 0.5 at pole 1.0")
+
+        monkeypatch.setattr(limits_mod, "extract_spectrum", failing_extract)
+        code = main(["limits", "gap", "--family", "star:3", "--n-max", "2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "non-integer residue" in captured.err
+
     def test_mismatch_certificate_parses(self, tmp_path, capsys, monkeypatch):
-        # corrupt one suite on purpose by registering a failing trial
+        # corrupt one suite on purpose by registering a failing trial that
+        # records its first random draw, so the replay can be checked
         from cyclic_spectra import verify as verify_mod
 
         def always_fail(rng, mv):
-            return {"ok": False, "detail": "synthetic failure"}
+            return {"ok": False, "detail": repr(rng.random())}
 
         monkeypatch.setitem(verify_mod.SUITES, "synthetic", always_fail)
         cert = tmp_path / "cert.json"
         code = main([
-            "verify", "synthetic", "--trials", "3",
-            "--certificate", str(cert),
+            "verify", "synthetic", "--trials", "3", "--seed", "5",
+            "--max-vertices", "4", "--certificate", str(cert),
         ])
         capsys.readouterr()
         assert code == 3
         data = json.loads(cert.read_text())
         assert data["suite"] == "synthetic"
+        assert (data["seed"], data["trials"], data["max_vertices"]) == (5, 3, 4)
         assert len(data["failures"]) == 3
+        for failure in data["failures"]:
+            rng = random.Random(data["seed"] * 1_000_003 + failure["trial"])
+            assert failure["detail"] == repr(rng.random())

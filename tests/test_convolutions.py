@@ -1,7 +1,6 @@
 """Convolution identities against the exact graph oracle."""
 
 import random
-from fractions import Fraction
 
 from cyclic_spectra.convolutions import (
     comb_char_poly,
@@ -10,9 +9,6 @@ from cyclic_spectra.convolutions import (
     cyclic_boolean_sum,
     cyclic_monotone_sum,
     h_additivity_check,
-    k_transform,
-    k_transform_sum,
-    monotone_f_compose,
     nfold_comb_transforms,
     nfold_star_transforms,
     schwenk_comb_check,
@@ -37,13 +33,10 @@ from cyclic_spectra.transforms import (
     RootedSpectralData,
     f_transform,
     green,
-    laurent_at_infinity,
     renormalized_cauchy,
     spectral_data,
 )
 from cyclic_spectra.verify import random_rooted_graph
-
-F = Fraction
 
 
 def poly(*coeffs):
@@ -148,18 +141,18 @@ class TestStarCharPoly:
 class TestMonotoneCompose:
     def test_p4(self):
         f = f_transform(sd_k2())
-        composed = monotone_f_compose(f, f)
+        composed = f.compose(f)
         p4 = comb_product(complete(2), complete(2))
         assert composed == f_transform(spectral_data(p4))
 
     def test_identity(self):
         f = f_transform(sd_k2())
-        assert monotone_f_compose(f, RationalFunction.x()) == f
+        assert f.compose(RationalFunction.x()) == f
 
     def test_associativity(self):
         f = f_transform(sd_k2())
-        lhs = monotone_f_compose(monotone_f_compose(f, f), f)
-        rhs = monotone_f_compose(f, monotone_f_compose(f, f))
+        lhs = f.compose(f).compose(f)
+        rhs = f.compose(f.compose(f))
         assert lhs == rhs
 
 
@@ -229,44 +222,6 @@ class TestCyclicMonotoneSum:
             lhs = comb_trace_transform(spectral_data(g1), spectral_data(g2))
             rhs = renormalized_cauchy(spectral_data(comb_product(g1, g2)))
             assert lhs == rhs
-
-
-class TestKTransform:
-    def test_k2_series(self):
-        k = k_transform(renormalized_cauchy(sd_k2()), 8)
-        for n in range(1, 9):
-            expected = F(-2, n) if n % 2 == 0 else F(0)
-            assert k.coefficient(n) == expected
-
-    def test_zero_inner(self):
-        kb = k_transform(renormalized_cauchy(sd_k2()), 8)
-        zero = k_transform(RationalFunction.zero(), 8)
-        out = k_transform_sum(zero, kb, f_transform(sd_k2()))
-        assert out == kb
-
-    def test_matches_cyclic_monotone_sum(self):
-        rng = random.Random(45)
-        for _ in range(15):
-            g1 = random_rooted_graph(rng, 5)
-            g2 = random_rooted_graph(rng, 4)
-            sd1, sd2 = spectral_data(g1), spectral_data(g2)
-            order = 10
-            k_a = k_transform(renormalized_cauchy(sd1), order)
-            k_b = k_transform(renormalized_cauchy(sd2), order)
-            summed = k_transform_sum(k_a, k_b, f_transform(sd2))
-            direct_rc = cyclic_monotone_sum(
-                renormalized_cauchy(sd1), transform_pair(sd2)
-            )
-            direct_k = k_transform(direct_rc, order)
-            assert summed.truncate(order) == direct_k.truncate(order)
-
-    def test_derivative_recovers_moment_series(self):
-        rc = renormalized_cauchy(sd_k2())
-        k = k_transform(rc, 8)
-        mhat = -k.derivative_times_z()
-        series = laurent_at_infinity(rc, 9)
-        for n in range(1, 9):
-            assert mhat.coefficient(n) == series.coefficient(n + 1)
 
 
 class TestIdentityCheckers:

@@ -11,14 +11,13 @@ from cyclic_spectra.cumulants import (
     boolean_cumulants,
     boolean_partition_cumulant,
     cyclic_boolean_cumulants,
-    cyclic_cumulant_series,
     h_coefficients,
     moment_cumulant_check,
-    moment_generating_series,
     partition_cumulant,
     partition_cumulant_case_split,
     partitioned_moment,
 )
+from cyclic_spectra.exact import Polynomial
 from cyclic_spectra.models import (
     OperatorModel,
     matrix_power_moments,
@@ -47,6 +46,15 @@ def random_moment_data(rng, order=8, bound=4):
     phi = [F(rng.randint(-bound, bound)) for _ in range(order)]
     omega = [F(rng.randint(-bound, bound)) for _ in range(order)]
     return MomentData(phi, omega)
+
+
+def _series(values):
+    """The generating polynomial sum_n values[n-1] z^n."""
+    return Polynomial([0, *values])
+
+
+def _truncate(p, order):
+    return Polynomial(p.coeffs[: order + 1])
 
 
 class TestUnivariate:
@@ -88,15 +96,17 @@ class TestUnivariate:
             assert cyclic_boolean_cumulants(m) == list(m.omega)
 
     def test_generating_function_identity(self):
-        # M-hat = C + z M B' coefficientwise to the default truncation order,
-        # for arbitrary rational inputs
+        # B (1 + M) = M and M-hat = C + z M B' coefficientwise up to z^K, for
+        # arbitrary rational inputs, with the products formed as polynomials
         rng = random.Random(3)
         for _ in range(25):
             m = random_moment_data(rng, order=32)
-            series_m, series_mhat = moment_generating_series(m)
-            b = series_m * series_m.reciprocal_of_one_plus()
-            c = cyclic_cumulant_series(m)
-            assert series_mhat == c + series_m * b.derivative_times_z()
+            series_m, series_mhat = _series(m.phi), _series(m.omega)
+            b = _series(boolean_cumulants(m))
+            c = _series(cyclic_boolean_cumulants(m))
+            z_b_prime = Polynomial.x() * b.derivative()
+            assert _truncate(b * (Polynomial.one() + series_m), m.order) == series_m
+            assert series_mhat == _truncate(c + series_m * z_b_prime, m.order)
 
 
 class TestPartitionedMoments:

@@ -1,4 +1,4 @@
-"""Exact arithmetic layer: polynomials, rational functions, truncated series."""
+"""Exact arithmetic layer: polynomials and rational functions."""
 
 from fractions import Fraction
 
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from cyclic_spectra.exact import (
     Polynomial,
     RationalFunction,
-    TruncatedSeries,
     poly_gcd,
     square_free_part,
 )
@@ -112,6 +111,35 @@ def test_canonical_form_idempotent(p, q):
     assert f.den.is_zero() or f.den.leading() == 1
 
 
+tiny_polys = st.builds(
+    Polynomial,
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=0, max_size=4),
+)
+
+
+def _at(p: Polynomial, f: RationalFunction) -> RationalFunction:
+    acc = RationalFunction.zero()
+    for c in reversed(p.coeffs):
+        acc = acc * f + RationalFunction.constant(c)
+    return acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=tiny_polys, q=tiny_polys, r=tiny_polys, s=tiny_polys)
+def test_compose_matches_horner_in_rational_functions(p, q, r, s):
+    # homogeneous composition must give the canonical form of num(g) / den(g)
+    # whatever the degrees of the outer numerator and denominator
+    if q.is_zero() or s.is_zero():
+        return
+    outer, inner = RationalFunction(p, q), RationalFunction(r, s)
+    den_at = _at(outer.den, inner)
+    if den_at.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            outer.compose(inner)
+        return
+    assert outer.compose(inner) == _at(outer.num, inner) / den_at
+
+
 class TestRationalFunction:
     def test_reciprocal(self):
         f = RationalFunction(poly(0, 1), poly(-1, 0, 1))  # z / (z^2 - 1)
@@ -141,6 +169,11 @@ class TestRationalFunction:
         f = RationalFunction(poly(1, 2), poly(-3, 0, 1))
         assert f.compose(RationalFunction.x()) == f
 
+    def test_compose_geometric(self):
+        # f(t) = t/(1-t) composed with itself: t/(1-2t)
+        f = RationalFunction(poly(0, 1), poly(1, -1))
+        assert f.compose(f) == RationalFunction(poly(0, 1), poly(1, -2))
+
     def test_compose_pole_at_constant(self):
         outer = RationalFunction(Polynomial.one(), poly(-1, 1))  # 1/(z-1)
         with pytest.raises(ZeroDivisionError):
@@ -168,43 +201,3 @@ class TestRationalFunction:
     def test_json_round_trip(self):
         f = RationalFunction(poly(F(1, 2), 1), poly(-1, 0, 1))
         assert RationalFunction.from_json(f.to_json()) == f
-
-
-class TestTruncatedSeries:
-    def test_boolean_transform_of_arcsine_moments(self):
-        # M = z^2 + z^4 + ...  ->  B = M/(1+M) = z^2 exactly
-        m = TruncatedSeries([0, 0, 1, 0, 1, 0], 6)
-        b = m * m.reciprocal_of_one_plus()
-        assert b == TruncatedSeries([0, 0, 1, 0, 0, 0], 6)
-
-    def test_reciprocal_of_one_plus_zero(self):
-        assert TruncatedSeries.zero(5).reciprocal_of_one_plus() == TruncatedSeries.one(5)
-
-    def test_reciprocal_at_minus_one_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            TruncatedSeries([-1, 1], 4).reciprocal_of_one_plus()
-
-    def test_derivative_times_z(self):
-        s = TruncatedSeries([0, 0, 1], 3)
-        assert s.derivative_times_z() == TruncatedSeries([0, 0, 2], 3)
-
-    def test_compose_requires_zero_constant(self):
-        with pytest.raises(ValueError):
-            TruncatedSeries([0, 1], 4).compose(TruncatedSeries([1, 1], 4))
-
-    def test_compose_geometric(self):
-        # f(t) = t/(1-t) composed with itself: t/(1-2t)
-        f = TruncatedSeries([0, 1, 1, 1, 1, 1], 6)
-        expected = TruncatedSeries([0, 1, 2, 4, 8, 16], 6)
-        assert f.compose(f) == expected
-
-    def test_min_order_carried(self):
-        a = TruncatedSeries([1, 1, 1], 3)
-        b = TruncatedSeries([1, 1], 2)
-        assert (a + b).order == 2
-        assert (a * b).order == 2
-
-    def test_reciprocal_inverse(self):
-        a = TruncatedSeries([0, 2, -1, 3, 0, 1], 6)
-        prod = a.reciprocal_of_one_plus() * (TruncatedSeries.one(6) + a)
-        assert prod == TruncatedSeries.one(6)

@@ -56,7 +56,7 @@ class TestCltLimits:
         for n in list(range(1, 21)) + [50, 100, 200, 400]:
             pair = nfold_star_transforms(sd, n)
             series = laurent_at_infinity(pair.rc, 5)
-            w4 = series.coefficient(5)
+            w4 = series[5]
             scaled = w4 / (deg * n) ** 2
             assert abs(scaled - 2) <= F(5, n)
             assert scaled - 2 == F(5, 2 * n)
@@ -73,7 +73,7 @@ class TestCltLimits:
                 p.append(p[-1] + 2 * n * p[-2])
             for k in range(1, 9):
                 bulk = n * (-1) ** k + (n - 1)
-                assert series.coefficient(k + 1) == p[k] + bulk
+                assert series[k + 1] == p[k] + bulk
 
 
 class TestCltReport:
@@ -375,4 +375,4 @@ class TestNthRoot:
         for _ in range(2, 7):
             p.append(root.sum_exact * p[-1] - root.product_exact * p[-2])
         for k in range(1, 7):
-            assert series.coefficient(k + 1) == p[k]
+            assert series[k + 1] == p[k]

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cyclic_spectra.convolutions import nfold_comb_transforms
+from cyclic_spectra.convolutions import nfold_comb_transforms, nfold_star_transforms
 from cyclic_spectra.exact import Polynomial, RationalFunction
 from cyclic_spectra.graphs import (
     Graph,
@@ -18,6 +18,7 @@ from cyclic_spectra.graphs import (
     friendship,
     named,
     nfold_comb,
+    nfold_star,
     star,
 )
 from cyclic_spectra.models import eigensolve, trace_moment, vacuum_moment
@@ -127,24 +128,37 @@ class TestHTransform:
             w1, w2 = int(a.trace()), int((a @ a).trace())
             m1 = int(a[g.root, g.root])
             m2 = int((a @ a)[g.root, g.root])
-            assert series.coefficient(2) == w1 - m1
-            assert series.coefficient(3) == w2 + m1 * m1 - 2 * m2
+            assert series[2] == w1 - m1
+            assert series[3] == w2 + m1 * m1 - 2 * m2
+
+
+def _assert_laurent_ring_ops(f, g, order):
+    """Expansions at infinity add and multiply (the product truncated) like f, g."""
+    sf, sg = laurent_at_infinity(f, order), laurent_at_infinity(g, order)
+    product = [sum(sf[i] * sg[n - i] for i in range(n + 1)) for n in range(order + 1)]
+    assert laurent_at_infinity(f + g, order) == tuple(a + b for a, b in zip(sf, sg))
+    assert laurent_at_infinity(f * g, order) == tuple(product)
 
 
 class TestLaurent:
     def test_geometric(self):
         f = ratfun(poly(0, 1), poly(-1, 0, 1))
         series = laurent_at_infinity(f, 6)
-        assert [series.coefficient(k) for k in range(7)] == [0, 1, 0, 1, 0, 1, 0]
+        assert [series[k] for k in range(7)] == [0, 1, 0, 1, 0, 1, 0]
 
     def test_rc_k2_trace_moments(self):
         sd = spectral_data(complete(2))
         series = laurent_at_infinity(renormalized_cauchy(sd), 6)
-        assert [series.coefficient(k) for k in range(2, 7)] == [0, 2, 0, 2, 0]
+        assert [series[k] for k in range(2, 7)] == [0, 2, 0, 2, 0]
 
     def test_one_over_z(self):
         series = laurent_at_infinity(ratfun(Polynomial.one(), poly(0, 1)), 4)
-        assert [series.coefficient(k) for k in range(5)] == [0, 1, 0, 0, 0]
+        assert [series[k] for k in range(5)] == [0, 1, 0, 0, 0]
+
+    def test_past_order_raises(self):
+        series = laurent_at_infinity(ratfun(Polynomial.one(), poly(0, 1)), 4)
+        with pytest.raises(IndexError):
+            series[5]
 
     def test_improper_rejected(self):
         with pytest.raises(ValueError):
@@ -157,13 +171,7 @@ class TestLaurent:
             g2 = random_rooted_graph(rng, 6)
             f1 = green(spectral_data(g1))
             f2 = green(spectral_data(g2))
-            k = 10
-            assert laurent_at_infinity(f1 + f2, k) == laurent_at_infinity(
-                f1, k
-            ) + laurent_at_infinity(f2, k)
-            assert laurent_at_infinity(f1 * f2, k) == laurent_at_infinity(
-                f1, k
-            ) * laurent_at_infinity(f2, k)
+            _assert_laurent_ring_ops(f1, f2, 10)
 
     def test_green_moments_are_walk_counts(self):
         rng = random.Random(10)
@@ -173,7 +181,7 @@ class TestLaurent:
             series = laurent_at_infinity(green(sd), 13)
             a = np.array(adjacency(g.graph), dtype=object)
             for n in range(1, 13):
-                assert series.coefficient(n + 1) == vacuum_moment(a, n, g.root)
+                assert series[n + 1] == vacuum_moment(a, n, g.root)
 
     def test_rc_moments_are_traces(self):
         rng = random.Random(14)
@@ -183,7 +191,7 @@ class TestLaurent:
             series = laurent_at_infinity(renormalized_cauchy(sd), 13)
             a = np.array(adjacency(g.graph), dtype=object)
             for n in range(1, 13):
-                assert series.coefficient(n + 1) == trace_moment(a, n)
+                assert series[n + 1] == trace_moment(a, n)
 
 
 class TestSchurIdentity:
@@ -240,6 +248,15 @@ class TestRootIsolation:
         assert not root.lo <= inside <= root.hi
 
 
+def _assert_matches_oracle(rc, g):
+    """The spectrum read from rc has the multiplicities and eigenvalues of g."""
+    report = extract_spectrum(rc, g.n)
+    oracle = eigensolve(adjacency(g.graph).astype(float))
+    assert [m for _, m in report.entries] == [m for _, m in oracle.entries]
+    for (a, _), (b, _) in zip(report.entries, oracle.entries):
+        assert abs(a - b) < 1e-9
+
+
 class TestExtractSpectrum:
     def test_star_graphs(self):
         for n in (2, 4, 9, 25):
@@ -269,12 +286,7 @@ class TestExtractSpectrum:
         rng = random.Random(21)
         for _ in range(40):
             g = random_rooted_graph(rng, 10)
-            sd = spectral_data(g)
-            report = extract_spectrum(renormalized_cauchy(sd), g.n)
-            oracle = eigensolve(adjacency(g.graph).astype(float))
-            assert [m for _, m in report.entries] == [m for _, m in oracle.entries]
-            for (a, _), (b, _) in zip(report.entries, oracle.entries):
-                assert abs(a - b) < 1e-9
+            _assert_matches_oracle(renormalized_cauchy(spectral_data(g)), g)
 
     def test_non_integer_residue_rejected(self):
         rc = ratfun(poly(F(1, 2)), poly(-1, 1))  # residue 1/2 at pole 1
@@ -306,11 +318,23 @@ class TestExtractSpectrum:
         # these folds once failed with a float residue check
         base = named(family)
         rc = nfold_comb_transforms(spectral_data(base), fold).rc
-        report = extract_spectrum(rc, base.n**fold)
-        oracle = eigensolve(adjacency(nfold_comb(base, fold).graph).astype(float))
-        assert [m for _, m in report.entries] == [m for _, m in oracle.entries]
-        for (a, _), (b, _) in zip(report.entries, oracle.entries):
-            assert abs(a - b) < 1e-9
+        _assert_matches_oracle(rc, nfold_comb(base, fold))
+
+    def test_random_star_and_comb_powers_match_oracle(self):
+        # seeded random factors of at most 5 vertices; every star and comb
+        # power of at most 27 vertices must match the dense eigensolver
+        rng = random.Random(27)
+        for _ in range(50):
+            base = random_rooted_graph(rng, 5)
+            sd = spectral_data(base)
+            for transforms, build, dim in (
+                (nfold_star_transforms, nfold_star, lambda k: k * (base.n - 1) + 1),
+                (nfold_comb_transforms, nfold_comb, lambda k: base.n**k),
+            ):
+                fold = 1
+                while dim(fold) <= 27:
+                    _assert_matches_oracle(transforms(sd, fold).rc, build(base, fold))
+                    fold += 1
 
 
 class TestFactorizeGreen:
@@ -360,7 +384,4 @@ class TestSeriesVsRational:
         sd = spectral_data(star(3))
         g = green(sd)
         f = renormalized_cauchy(sd)
-        k = 12
-        sg, sf = laurent_at_infinity(g, k), laurent_at_infinity(f, k)
-        assert laurent_at_infinity(g * f, k) == sg * sf
-        assert laurent_at_infinity(g + f, k) == sg + sf
+        _assert_laurent_ring_ops(g, f, 12)
