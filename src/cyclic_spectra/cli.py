@@ -231,6 +231,8 @@ def _limits_comb_payload(args) -> dict:
     import numpy as np
 
     base, label = _parse_graph_arg([args.family])
+    if base.n < 2:
+        raise ValueError("comb base must have at least 2 vertices")
     mat = np.array(graphs.adjacency(base.graph), dtype=object)
     if base.root != 0:  # state moments are read at coordinate 0
         perm = [base.root] + [v for v in range(base.n) if v != base.root]
@@ -254,17 +256,22 @@ def _limits_comb_payload(args) -> dict:
     }
 
 
+def _star_base(family: str) -> tuple[graphs.RootedGraph, str, int]:
+    """Base graph of a star-power table, its label and its root degree."""
+    base, label = _parse_graph_arg([family])
+    deg = base.root_degree()
+    if deg < 1:
+        raise ValueError("root must have positive degree")
+    return base, label, deg
+
+
 def cmd_limits(args) -> int:
     if args.table == "comb":
         payload = _limits_comb_payload(args)
     elif args.table == "gap":
         from .limits import spectral_gap_report
 
-        base, label = _parse_graph_arg([args.family])
-        deg = base.root_degree()
-        if deg < 1:
-            print("error: root must have positive degree", file=sys.stderr)
-            return EXIT_USAGE
+        base, label, deg = _star_base(args.family)
         try:
             rows = spectral_gap_report(spectral_data(base), deg, args.n_max)
         except ValueError as exc:
@@ -303,9 +310,8 @@ def cmd_limits(args) -> int:
     else:  # clt
         from .limits import clt_report
 
-        base, label = _parse_graph_arg([args.family])
+        base, label, deg = _star_base(args.family)
         sd = spectral_data(base)
-        deg = base.root_degree()
         sizes = [n for n in (1, 2, 4, 8, 16, 32, 64, 128, 256) if n <= args.n_max]
         rows = []
         for k in range(1, args.n + 1):
@@ -330,7 +336,10 @@ def _parse_spectrum(text: str) -> SpectrumReport:
     entries = []
     for chunk in text.split(","):
         value, _, mult = chunk.partition(":")
-        entries.append((float(Fraction(value)), int(mult)))
+        m = int(mult)
+        if m < 1:
+            raise ValueError(f"multiplicity must be at least 1, got {m}")
+        entries.append((float(Fraction(value)), m))
     entries.sort()
     dim = sum(m for _, m in entries)
     return SpectrumReport(tuple(entries), dim)
@@ -414,11 +423,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     lm = sub.add_parser("limits", help="limit tables", parents=[shared])
     lm.add_argument("table", choices=("beta", "carleman", "clt", "comb", "gap"))
-    lm.add_argument("--n", type=int, default=7)
+    lm.add_argument("--n", type=_int_at_least(1), default=7)
     lm.add_argument("--family", default="complete:2",
                     help="base rooted graph for comb/gap tables")
-    lm.add_argument("--k-max", type=int, default=6)
-    lm.add_argument("--n-max", type=int, default=12)
+    lm.add_argument("--k-max", type=_int_at_least(1), default=6)
+    lm.add_argument("--n-max", type=_int_at_least(1), default=12)
     lm.set_defaults(func=cmd_limits)
 
     ic = sub.add_parser("idcheck", help="classify a spectrum for divisibility", parents=[shared])
@@ -457,7 +466,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

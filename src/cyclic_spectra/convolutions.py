@@ -149,9 +149,6 @@ class IdentityCheck:
     def __bool__(self) -> bool:
         return self.ok
 
-    def to_json(self) -> dict:
-        return {"identity": self.name, "ok": self.ok, "detail": self.detail}
-
 
 def _compare(name: str, lhs, rhs) -> IdentityCheck:
     if lhs == rhs:
@@ -193,18 +190,22 @@ def h_additivity_check(
     return _compare("h-additivity", lhs, rhs)
 
 
+def _compare_char_polys(
+    name: str, predicted: RootedSpectralData, product_sd: RootedSpectralData
+) -> IdentityCheck:
+    if predicted.phi != product_sd.phi:
+        return IdentityCheck(
+            name, False, detail=f"phi mismatch: {predicted.phi} vs {product_sd.phi}"
+        )
+    return _compare(name, predicted.phi_minus_root, product_sd.phi_minus_root)
+
+
 def schwenk_star_check(
     sd1: RootedSpectralData,
     sd2: RootedSpectralData,
     product_sd: RootedSpectralData,
 ) -> IdentityCheck:
-    predicted = star_char_poly(sd1, sd2)
-    if predicted.phi != product_sd.phi:
-        return IdentityCheck(
-            "schwenk-star", False,
-            detail=f"phi mismatch: {predicted.phi} vs {product_sd.phi}",
-        )
-    return _compare("schwenk-star", predicted.phi_minus_root, product_sd.phi_minus_root)
+    return _compare_char_polys("schwenk-star", star_char_poly(sd1, sd2), product_sd)
 
 
 def schwenk_comb_check(
@@ -212,13 +213,7 @@ def schwenk_comb_check(
     sd_h: RootedSpectralData,
     product_sd: RootedSpectralData,
 ) -> IdentityCheck:
-    predicted = comb_char_poly(sd_g, sd_h)
-    if predicted.phi != product_sd.phi:
-        return IdentityCheck(
-            "schwenk-comb", False,
-            detail=f"phi mismatch: {predicted.phi} vs {product_sd.phi}",
-        )
-    return _compare("schwenk-comb", predicted.phi_minus_root, product_sd.phi_minus_root)
+    return _compare_char_polys("schwenk-comb", comb_char_poly(sd_g, sd_h), product_sd)
 
 
 def comb_trace_check(

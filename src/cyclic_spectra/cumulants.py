@@ -41,10 +41,6 @@ class MomentData:
         if not self.phi:
             raise ValueError("need at least one moment")
 
-    @property
-    def order(self) -> int:
-        return len(self.phi)
-
 
 def boolean_cumulants(m: MomentData) -> list[Fraction]:
     """b_1..b_K, the coefficients of B = M / (1 + M).

@@ -136,12 +136,6 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def compose(self, inner: "Polynomial") -> "Polynomial":
-        acc = Polynomial.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Polynomial.constant(c)
-        return acc
-
     def monic(self) -> "Polynomial":
         if self.is_zero():
             return self
@@ -255,30 +249,11 @@ class RationalFunction:
 
     # ------------------------------------------------------------------
     @classmethod
-    def zero(cls) -> "RationalFunction":
-        return cls(Polynomial.zero())
-
-    @classmethod
-    def one(cls) -> "RationalFunction":
-        return cls(Polynomial.one())
-
-    @classmethod
     def x(cls) -> "RationalFunction":
         return cls(Polynomial.x())
 
-    @classmethod
-    def constant(cls, c: Scalar) -> "RationalFunction":
-        return cls(Polynomial.constant(c))
-
-    @classmethod
-    def from_poly(cls, p: Polynomial) -> "RationalFunction":
-        return cls(p)
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return self.den.degree == 0
 
     # ------------------------------------------------------------------
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
@@ -362,7 +337,7 @@ class RationalFunction:
         return f"RationalFunction({self.num!r}, {self.den!r})"
 
     def __str__(self) -> str:
-        if self.is_polynomial():
+        if self.den.degree == 0:
             return str(self.num)
         return f"({self.num}) / ({self.den})"
 

@@ -89,11 +89,6 @@ def delete_root(g: RootedGraph) -> Graph:
     return Graph(g.n - 1, edges)
 
 
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    edges = list(g1.edges) + [(i + g1.n, j + g1.n) for i, j in g2.edges]
-    return Graph(g1.n + g2.n, edges)
-
-
 # ----------------------------------------------------------------------
 # products
 
@@ -237,5 +232,11 @@ def graph_to_json(g: RootedGraph) -> dict:
 def graph_from_json(data: dict | str) -> RootedGraph:
     if isinstance(data, str):
         data = json.loads(data)
-    edges = [(int(i), int(j)) for i, j in data["edges"]]
-    return RootedGraph(Graph(int(data["n"]), edges), int(data["root"]))
+    try:
+        edges = [(int(i), int(j)) for i, j in data["edges"]]
+        n, root = int(data["n"]), int(data["root"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(
+            f"graph JSON must be an object with n, root and edges: {exc!r}"
+        ) from exc
+    return RootedGraph(Graph(n, edges), root)

@@ -31,11 +31,11 @@ BETA_CAP = 200
 # ----------------------------------------------------------------------
 # central limit behavior of star powers
 
-def cb_clt_limits(k: int, alpha=None):
+def cb_clt_limits(k: int, alpha: Fraction) -> tuple[int, Fraction]:
     """Limiting (state, trace) moments of order k for normalized sums.
 
-    The trace limit of the variance is the summand's own trace variance,
-    reported as the string 'alpha' unless a value is supplied.
+    The trace limit of the variance is alpha, the summand's own trace
+    variance.
     """
     if k < 1:
         raise ValueError("moment order must be >= 1")
@@ -43,7 +43,7 @@ def cb_clt_limits(k: int, alpha=None):
     if k % 2 == 1:
         omega_limit = Fraction(0)
     elif k == 2:
-        omega_limit = "alpha" if alpha is None else alpha
+        omega_limit = alpha
     else:
         omega_limit = Fraction(2)
     return phi_limit, omega_limit
@@ -55,7 +55,7 @@ class CLTLimitReport:
 
     k: int
     phi_limit: int
-    omega_limit: object  # Fraction, or 'alpha' when k = 2 and none supplied
+    omega_limit: Fraction
     finite_n_values: tuple[tuple[int, float], ...]
 
 
@@ -67,11 +67,8 @@ def clt_report(
     Moments come from the exact convolution pipeline, so the sample sizes can
     reach the hundreds; only the final normalization is floating point.
     """
-    alpha = None
-    if k == 2:
-        rc = renormalized_cauchy(sd)
-        alpha = laurent_at_infinity(rc, 3)[3] / root_degree
-    phi_limit, omega_limit = cb_clt_limits(k, alpha=alpha)
+    alpha = laurent_at_infinity(renormalized_cauchy(sd), 3)[3] / root_degree
+    phi_limit, omega_limit = cb_clt_limits(k, alpha)
     rows = []
     for n in n_values:
         pair = nfold_star_transforms(sd, n)

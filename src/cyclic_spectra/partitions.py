@@ -1,5 +1,5 @@
 """Set partitions, interval and cyclic-interval partitions, ordered set
-partitions, kernels, and Moebius inversion on the partition lattice.
+partitions, and Moebius inversion on the partition lattice.
 
 Ground sets are {1, .., n}.  Blocks of a SetPartition are canonically ordered
 by their minima, so equality is structural.
@@ -38,28 +38,9 @@ class SetPartition:
     def __len__(self) -> int:
         return len(self.blocks)
 
-    def encode(self) -> str:
-        """Text form: elements joined by ',', blocks by '/'."""
-        return "/".join(",".join(str(x) for x in sorted(b)) for b in self.blocks)
-
-    @classmethod
-    def parse(cls, text: str, n: int | None = None) -> "SetPartition":
-        blocks = [
-            [int(x) for x in chunk.split(",")] for chunk in text.split("/") if chunk
-        ]
-        size = max((x for b in blocks for x in b), default=0)
-        return cls(n if n is not None else size, blocks)
-
-    def __str__(self) -> str:
-        return self.encode()
-
 
 def top(n: int) -> SetPartition:
     return SetPartition(n, [range(1, n + 1)])
-
-
-def bottom(n: int) -> SetPartition:
-    return SetPartition(n, [[i] for i in range(1, n + 1)])
 
 
 def refines(rho: SetPartition, pi: SetPartition) -> bool:
@@ -90,43 +71,6 @@ class OrderedSetPartition:
 
     def __len__(self) -> int:
         return len(self.blocks)
-
-    def unordered(self) -> SetPartition:
-        return SetPartition(self.n, self.blocks)
-
-
-# ----------------------------------------------------------------------
-# kernels and packed words
-
-def kernel(values: Sequence[int]) -> SetPartition:
-    """Equal-value classes of a tuple, as an (unordered) set partition."""
-    if not values:
-        raise ValueError("empty tuple")
-    classes: dict[int, list[int]] = {}
-    for pos, v in enumerate(values, start=1):
-        classes.setdefault(v, []).append(pos)
-    return SetPartition(len(values), classes.values())
-
-
-def ordered_kernel(values: Sequence[int]) -> OrderedSetPartition:
-    """Equal-value classes ordered by increasing value."""
-    if not values:
-        raise ValueError("empty tuple")
-    classes: dict[int, list[int]] = {}
-    for pos, v in enumerate(values, start=1):
-        classes.setdefault(v, []).append(pos)
-    return OrderedSetPartition(
-        len(values), [classes[v] for v in sorted(classes)]
-    )
-
-
-def packed_word(pi: OrderedSetPartition) -> tuple[int, ...]:
-    """The unique tuple over 1..|pi| whose ordered kernel is pi."""
-    word = [0] * pi.n
-    for label, block in enumerate(pi.blocks, start=1):
-        for x in block:
-            word[x - 1] = label
-    return tuple(word)
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Spectral transforms of rooted graphs as exact rational functions.
 
-The symbolic layer (characteristic polynomials, Green function, reciprocal
-Green function, trace resolvent and its renormalized form, additive transform)
-is exact over the rationals, and so is the step that turns a transform into
-a spectrum: roots are isolated in exact rational intervals and multiplicities
-are certified by exact gcds.  Floating point enters only when an irrational
+The symbolic layer (characteristic polynomials, Green function, trace
+resolvent and its renormalized form, additive transform) is exact over the
+rationals, and so is the step that turns a transform into a spectrum: roots
+are isolated in exact rational intervals and multiplicities are certified by
+exact gcds.  Floating point enters only when an irrational
 eigenvalue is reported as the float of its interval midpoint.
 """
 
@@ -82,14 +82,9 @@ def green(sd: RootedSpectralData) -> RationalFunction:
     return RationalFunction(sd.phi_minus_root, sd.phi)
 
 
-def f_transform(sd: RootedSpectralData) -> RationalFunction:
-    """Reciprocal Green function phi / phi_minus_root."""
-    return RationalFunction(sd.phi, sd.phi_minus_root)
-
-
 def cauchy(sd: RootedSpectralData) -> RationalFunction:
     """Trace of the resolvent: phi' / phi."""
-    return RationalFunction.from_poly(sd.phi).log_derivative()
+    return RationalFunction(sd.phi).log_derivative()
 
 
 def renormalized_cauchy(sd: RootedSpectralData) -> RationalFunction:
@@ -305,22 +300,6 @@ class SpectrumReport:
         if any(b - a <= 0 for a, b in zip(values, values[1:])):
             raise ValueError("eigenvalues must be strictly increasing")
 
-    def multiplicity_of(self, value: float, tol: float = 1e-9) -> int:
-        for v, m in self.entries:
-            if abs(v - value) <= tol:
-                return m
-        return 0
-
-    def nonzero_entries(self, tol: float = 1e-9) -> list[tuple[float, int]]:
-        return [(v, m) for v, m in self.entries if abs(v) > tol]
-
-
-def _residue(f: RationalFunction, root: IsolatedRoot) -> Fraction:
-    """f.num / f.den' at a simple pole of f: the exact residue at a rational
-    pole, its value at the interval midpoint at an irrational one."""
-    x = root.midpoint
-    return f.num(x) / f.den.derivative()(x)
-
 
 def extract_spectrum(rc: RationalFunction, dim: int) -> SpectrumReport:
     """Recover eigenvalues and multiplicities from a renormalized trace resolvent.
@@ -343,7 +322,7 @@ def extract_spectrum(rc: RationalFunction, dim: int) -> SpectrumReport:
     gcds: dict[int, Polynomial] = {}
     entries = []
     for root in roots:
-        residue = _residue(t, root)
+        residue = t.num(root.midpoint) / den_prime(root.midpoint)
         m = round(residue)
         if root.exact is not None:
             certified = residue == m
@@ -358,48 +337,3 @@ def extract_spectrum(rc: RationalFunction, dim: int) -> SpectrumReport:
         entries.append((root.value, m))
     return SpectrumReport(tuple(entries), dim)
 
-
-# ----------------------------------------------------------------------
-# Green function factorization
-
-@dataclass(frozen=True)
-class GreenFactorization:
-    """Poles with state weights, and interlacing zeros, of a Green function.
-
-    Weights are exact at rational poles and floats at irrational ones.
-    """
-
-    poles: tuple[tuple[float, Fraction | float], ...]
-    zeros: tuple[float, ...]
-
-
-def factorize_green(g: RationalFunction) -> GreenFactorization:
-    """Partial-fraction data of a Green function; checks weights and interlacing."""
-    if g.is_zero():
-        raise ValueError("not a Green function: zero")
-    if g.num.degree != g.den.degree - 1:
-        raise ValueError("not a Green function: wrong degree at infinity")
-    # the weights sum to the coefficient of 1/z at infinity (den is monic)
-    if g.num.leading() != 1:
-        raise ValueError(f"not a Green function: weights sum to {g.num.leading()}")
-    pole_roots = isolate_real_roots(g.den)
-    if len(pole_roots) < g.den.degree:
-        raise ValueError("not a Green function: non-real poles")
-    poles = []
-    for root in pole_roots:
-        w = _residue(g, root)
-        if w <= 0:
-            raise ValueError(f"not a Green function: weight {w} at pole {root.value}")
-        poles.append((root.value, w if root.exact is not None else float(w)))
-    if g.num.degree >= 1:
-        zero_roots = isolate_real_roots(g.num)
-    else:
-        zero_roots = []
-    if len(zero_roots) != g.num.degree:
-        raise ValueError("not a Green function: non-real zeros")
-    zeros = [r.value for r in zero_roots]
-    pole_values = [v for v, _ in poles]
-    for lo, hi, z in zip(pole_values, pole_values[1:], zeros):
-        if not lo < z < hi:
-            raise ValueError("not a Green function: zeros do not interlace poles")
-    return GreenFactorization(tuple(poles), tuple(zeros))

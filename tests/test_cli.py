@@ -4,6 +4,10 @@ import hashlib
 import json
 import math
 import random
+import shlex
+from pathlib import Path
+
+import pytest
 
 from cyclic_spectra.cli import main
 
@@ -220,6 +224,13 @@ class TestIdcheck:
         code, _ = run(capsys, "idcheck", "--spectrum", "-1:1,1:1", "--weights", "0.9,0.9")
         assert code == 2
 
+    @pytest.mark.parametrize("spectrum", ["-1:0,1:1", "-1:-1,1:2"])
+    def test_multiplicity_below_one_exit_2(self, capsys, spectrum):
+        code = main(["idcheck", "--spectrum", spectrum, "--weights", "0,1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "multiplicity must be at least 1" in captured.err
+
 
 class TestDeterminism:
     def test_verify_byte_identical(self, capsys):
@@ -240,6 +251,12 @@ class TestDeterminism:
         assert code == 0 and out == ""
         data = json.loads(target.read_text())
         assert data["schema"] == "cyclic-spectra/1"
+
+    def test_output_into_missing_directory_exit_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "out.json"
+        code = main(["limits", "beta", "--n", "3", "--output", str(target)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestLimitsTables:
@@ -267,6 +284,32 @@ class TestLimitsTables:
         assert code == 2
         assert "root must have positive degree" in capsys.readouterr().err
 
+    def test_clt_root_of_degree_0_exit_2(self, capsys):
+        code = main(["limits", "clt", "--family", "complete:1"])
+        assert code == 2
+        assert "root must have positive degree" in capsys.readouterr().err
+
+    def test_comb_base_of_one_vertex_exit_2(self, capsys):
+        code = main(["limits", "comb", "--family", "complete:1"])
+        assert code == 2
+        assert "at least 2 vertices" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["carleman", "--n", "0"],
+            ["clt", "--n", "0"],
+            ["gap", "--n-max", "0"],
+            ["comb", "--k-max", "0", "--n-max", "0"],
+            ["beta", "--n", "0"],
+        ],
+    )
+    def test_empty_range_exit_2(self, capsys, argv):
+        code = main(["limits", *argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "must be at least 1" in captured.err
+
 
 class TestGraphFileInput:
     def test_spectrum_from_text_file(self, capsys, tmp_path):
@@ -288,6 +331,29 @@ class TestGraphFileInput:
         code, data = run_json(capsys, "spectrum", "--family", str(target))
         assert code == 0
         assert [m for _, m, _ in data["rows"]] == [1, 3, 1]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1, 2]",
+            '{"root": 0, "edges": []}',
+            '{"n": 2, "edges": [[0, 1]]}',
+            '{"n": 2, "root": 0}',
+        ],
+    )
+    def test_malformed_json_exit_2(self, capsys, tmp_path, text):
+        target = tmp_path / "g.json"
+        target.write_text(text)
+        code = main(["spectrum", "--family", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "graph JSON must be an object" in captured.err
+
+    def test_directory_family_exit_2(self, capsys, tmp_path):
+        code = main(["spectrum", "--family", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 class TestCertificates:
@@ -354,3 +420,17 @@ class TestCertificates:
         for failure in data["failures"]:
             rng = random.Random(data["seed"] * 1_000_003 + failure["trial"])
             assert failure["detail"] == repr(rng.random())
+
+
+class TestReadme:
+    def test_every_example_exits_0(self, capsys):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        examples = [
+            shlex.split(line)[1:]
+            for line in readme.read_text().splitlines()
+            if line.startswith("cyclic-spectra ")
+        ]
+        assert examples
+        for argv in examples:
+            code, _ = run(capsys, *argv)
+            assert code == 0, argv

@@ -31,7 +31,6 @@ from cyclic_spectra.graphs import (
 )
 from cyclic_spectra.transforms import (
     RootedSpectralData,
-    f_transform,
     green,
     renormalized_cauchy,
     spectral_data,
@@ -62,7 +61,7 @@ class TestBooleanFSum:
     def test_neutral_element(self):
         pair = transform_pair(sd_k2())
         total = cyclic_boolean_sum(pair, transform_pair(sd_vertex()))
-        assert total.green.reciprocal() == f_transform(sd_k2())
+        assert total.green.reciprocal() == green(sd_k2()).reciprocal()
 
     def test_nfold_closed_form(self):
         pair = transform_pair(sd_k2())
@@ -140,17 +139,17 @@ class TestStarCharPoly:
 
 class TestMonotoneCompose:
     def test_p4(self):
-        f = f_transform(sd_k2())
+        f = green(sd_k2()).reciprocal()
         composed = f.compose(f)
         p4 = comb_product(complete(2), complete(2))
-        assert composed == f_transform(spectral_data(p4))
+        assert composed == green(spectral_data(p4)).reciprocal()
 
     def test_identity(self):
-        f = f_transform(sd_k2())
+        f = green(sd_k2()).reciprocal()
         assert f.compose(RationalFunction.x()) == f
 
     def test_associativity(self):
-        f = f_transform(sd_k2())
+        f = green(sd_k2()).reciprocal()
         lhs = f.compose(f).compose(f)
         rhs = f.compose(f.compose(f))
         assert lhs == rhs
@@ -193,7 +192,7 @@ class TestCyclicMonotoneSum:
 
     def test_inner_zero(self):
         outer = transform_pair(sd_k2())
-        assert cyclic_monotone_sum(RationalFunction.zero(), outer) == outer.rc
+        assert cyclic_monotone_sum(RationalFunction(poly()), outer) == outer.rc
 
     def test_outer_trivial(self):
         inner = renormalized_cauchy(sd_k2())
@@ -208,7 +207,7 @@ class TestCyclicMonotoneSum:
         sd_g = spectral_data(complete(3))
         sd_h = sd_k2()
         product = spectral_data(comb_product(complete(3), complete(2)))
-        f_h = f_transform(sd_h)
+        f_h = green(sd_h).reciprocal()
         rc_g = renormalized_cauchy(sd_g)
         wrong = sd_g.dim * rc_g + f_h.derivative() * rc_g.compose(f_h)
         assert wrong != renormalized_cauchy(product)
@@ -238,7 +237,7 @@ class TestIdentityCheckers:
         outcome = star_cauchy_identity_check(good, bad, product_sd)
         assert not outcome
         assert outcome.detail
-        assert outcome.to_json()["identity"] == "star-cauchy"
+        assert outcome.name == "star-cauchy"
 
     def test_h_additivity_on_corpus(self):
         rng = random.Random(46)

@@ -25,9 +25,9 @@ from cyclic_spectra.models import (
     vacuum_moment,
 )
 from cyclic_spectra.partitions import (
+    SetPartition,
     enumerate_partitions,
     is_cyclic_interval,
-    kernel,
     top,
 )
 from cyclic_spectra.verify import random_symmetric_int_matrix
@@ -105,8 +105,9 @@ class TestUnivariate:
             b = _series(boolean_cumulants(m))
             c = _series(cyclic_boolean_cumulants(m))
             z_b_prime = Polynomial.x() * b.derivative()
-            assert _truncate(b * (Polynomial.one() + series_m), m.order) == series_m
-            assert series_mhat == _truncate(c + series_m * z_b_prime, m.order)
+            order = len(m.phi)
+            assert _truncate(b * (Polynomial.one() + series_m), order) == series_m
+            assert series_mhat == _truncate(c + series_m * z_b_prime, order)
 
 
 class TestPartitionedMoments:
@@ -121,18 +122,18 @@ class TestPartitionedMoments:
             assert got == self.oracle.omega_table[n - 1]
 
     def test_alternating_ends_differ(self):
-        pi = kernel([1, 2, 3])
+        pi = SetPartition(3, [[1], [2], [3]])
         got = partitioned_moment(self.oracle, pi)
         assert got == self.oracle.phi_table[0] ** 3
 
     def test_cyclic_wrap_case(self):
-        # kernel (1,2,1): ends share a copy, so the trace joins them
-        pi = kernel([1, 2, 1])
+        # word (1,2,1): ends share a copy, so the trace joins them
+        pi = SetPartition(3, [[1, 3], [2]])
         got = partitioned_moment(self.oracle, pi)
         assert got == self.oracle.phi_table[1] * self.oracle.phi_table[0]
 
     def test_phi_functional(self):
-        pi = kernel([1, 2, 1])
+        pi = SetPartition(3, [[1, 3], [2]])
         got = partitioned_moment(self.oracle, pi, functional="phi")
         assert got == self.oracle.phi_table[0] ** 3
 

@@ -37,10 +37,6 @@ class TestPolynomial:
     def test_eval_exact_fraction(self):
         assert poly(1, 1)(F(1, 2)) == F(3, 2)
 
-    def test_compose(self):
-        # (x^2 - 1) o (x + 1) = x^2 + 2x
-        assert poly(-1, 0, 1).compose(poly(1, 1)) == poly(0, 2, 1)
-
     def test_divmod(self):
         q, r = poly(-1, 0, 0, 1).divmod(poly(-1, 1))
         assert q == poly(1, 1, 1)
@@ -118,9 +114,9 @@ tiny_polys = st.builds(
 
 
 def _at(p: Polynomial, f: RationalFunction) -> RationalFunction:
-    acc = RationalFunction.zero()
+    acc = RationalFunction(Polynomial.zero())
     for c in reversed(p.coeffs):
-        acc = acc * f + RationalFunction.constant(c)
+        acc = acc * f + RationalFunction(Polynomial.constant(c))
     return acc
 
 
@@ -177,7 +173,7 @@ class TestRationalFunction:
     def test_compose_pole_at_constant(self):
         outer = RationalFunction(Polynomial.one(), poly(-1, 1))  # 1/(z-1)
         with pytest.raises(ZeroDivisionError):
-            outer.compose(RationalFunction.constant(1))
+            outer.compose(RationalFunction(Polynomial.constant(1)))
 
     def test_log_derivative_of_poly(self):
         f = RationalFunction(poly(-1, 0, 1))
@@ -192,11 +188,11 @@ class TestRationalFunction:
         assert zg.log_derivative() == expected
 
     def test_log_derivative_constant(self):
-        assert RationalFunction.constant(5).log_derivative() == RationalFunction.zero()
+        assert RationalFunction(poly(5)).log_derivative() == RationalFunction(poly())
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            RationalFunction.one() / RationalFunction.zero()
+            RationalFunction(poly(1)) / RationalFunction(poly())
 
     def test_json_round_trip(self):
         f = RationalFunction(poly(F(1, 2), 1), poly(-1, 0, 1))

@@ -12,7 +12,6 @@ from cyclic_spectra.graphs import (
     comb_product,
     complete,
     delete_root,
-    disjoint_union,
     format_graph_text,
     friendship,
     graph_from_json,
@@ -171,8 +170,10 @@ class TestDeleteRoot:
             g1 = random_rooted_graph(rng, 6)
             g2 = random_rooted_graph(rng, 6)
             left = delete_root(star_product(g1, g2))
-            right = disjoint_union(delete_root(g1), delete_root(g2))
-            assert left.n == right.n and left.edges == right.edges
+            h1, h2 = delete_root(g1), delete_root(g2)
+            # the disjoint union, with the vertices of h2 shifted past h1
+            edges = h1.edges | {(i + h1.n, j + h1.n) for i, j in h2.edges}
+            assert left.n == h1.n + h2.n and left.edges == edges
 
 
 class TestIO:

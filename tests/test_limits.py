@@ -37,15 +37,14 @@ K2_TR = [2 * x for x in K2_PSI]
 
 class TestCltLimits:
     def test_odd(self):
-        assert cb_clt_limits(3) == (0, 0)
-        assert cb_clt_limits(7) == (0, 0)
+        assert cb_clt_limits(3, F(3)) == (0, 0)
+        assert cb_clt_limits(7, F(3)) == (0, 0)
 
     def test_even_beyond_two(self):
-        assert cb_clt_limits(4) == (1, 2)
-        assert cb_clt_limits(10) == (1, 2)
+        assert cb_clt_limits(4, F(3)) == (1, 2)
+        assert cb_clt_limits(10, F(3)) == (1, 2)
 
     def test_variance_keeps_summand_trace(self):
-        assert cb_clt_limits(2) == (1, "alpha")
         assert cb_clt_limits(2, alpha=F(3)) == (1, F(3))
 
     def test_finite_n_fourth_moment_rate(self):

@@ -1,4 +1,4 @@
-"""Partition families, kernels, cyclic-interval structure, Moebius function."""
+"""Partition families, cyclic-interval structure, Moebius function."""
 
 import math
 
@@ -6,17 +6,12 @@ import pytest
 
 from cyclic_spectra.partitions import (
     CircularSeparatorSet,
-    OrderedSetPartition,
     SetPartition,
-    bottom,
     enumerate_partitions,
     is_cyclic_interval,
     is_interval_partition,
-    kernel,
     maximal_arcs,
     moebius,
-    ordered_kernel,
-    packed_word,
     refinements,
     refines,
     rotate_partition,
@@ -67,32 +62,6 @@ class TestCounts:
         for n in range(1, 17):
             count = 1 + sum(math.comb(n, k) for k in range(2, n + 1))
             assert count == 2**n - n
-
-
-class TestKernels:
-    def test_kernel_example(self):
-        assert kernel([6, 3, 2, 3, 6]) == sp(5, [3], [2, 4], [1, 5])
-
-    def test_ordered_kernel_example(self):
-        ok = ordered_kernel([2, 7, 4, 7, 4, 2, 4])
-        assert ok.blocks == ((1, 6), (3, 5, 7), (2, 4))
-
-    def test_constant_tuple(self):
-        assert kernel([1, 1, 1]) == top(3)
-
-    def test_packed_word_examples(self):
-        assert packed_word(OrderedSetPartition(3, [(1, 3), (2,)])) == (1, 2, 1)
-        assert packed_word(
-            OrderedSetPartition(6, [(3,), (2, 4, 6), (1, 5)])
-        ) == (3, 2, 1, 2, 3, 2)
-
-    def test_single_block(self):
-        assert packed_word(OrderedSetPartition(4, [(1, 2, 3, 4)])) == (1, 1, 1, 1)
-
-    def test_packed_word_round_trip(self):
-        for n in range(1, 8):
-            for op in enumerate_partitions(n, "OP"):
-                assert ordered_kernel(packed_word(op)) == op
 
 
 class TestCyclicIntervals:
@@ -163,14 +132,14 @@ class TestMaximalArcs:
 
 class TestMoebius:
     def test_full_interval(self):
-        assert moebius(bottom(3), top(3)) == 2
+        assert moebius(sp(3, [1], [2], [3]), top(3)) == 2
 
     def test_reflexive(self):
         p = sp(4, [1, 2], [3, 4])
         assert moebius(p, p) == 1
 
     def test_two_elements(self):
-        assert moebius(bottom(2), top(2)) == -1
+        assert moebius(sp(2, [1], [2]), top(2)) == -1
 
     def test_incomparable_rejected(self):
         with pytest.raises(ValueError):
@@ -193,15 +162,3 @@ class TestMoebius:
         for n in range(1, 7):
             assert set(refinements(top(n))) == set(enumerate_partitions(n, "SP"))
 
-
-class TestEncoding:
-    def test_encode_parse(self):
-        p = sp(5, [1, 2], [3], [4, 5])
-        assert p.encode() == "1,2/3/4,5"
-        assert SetPartition.parse(p.encode()) == p
-
-    def test_parse_figure_style(self):
-        text = "1,2,15/3,4,5,6,7/8/9/10/11/12/13/14"
-        p = SetPartition.parse(text)
-        assert p.n == 15 and len(p) == 9
-        assert p.encode() == text
