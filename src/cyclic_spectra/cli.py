@@ -313,13 +313,11 @@ def cmd_limits(args) -> int:
         base, label, deg = _star_base(args.family)
         sd = spectral_data(base)
         sizes = [n for n in (1, 2, 4, 8, 16, 32, 64, 128, 256) if n <= args.n_max]
-        rows = []
-        for k in range(1, args.n + 1):
-            report = clt_report(sd, deg, k, sizes)
-            for n, value in report.finite_n_values:
-                rows.append(
-                    [k, n, value, report.phi_limit, str(report.omega_limit)]
-                )
+        rows = [
+            [report.k, n, value, report.phi_limit, str(report.omega_limit)]
+            for report in clt_report(sd, deg, args.n, sizes)
+            for n, value in report.finite_n_values
+        ]
         payload = {
             "schema": SCHEMA,
             "command": "limits",

@@ -72,9 +72,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
-
     # ------------------------------------------------------------------
     # ring operations
     def __add__(self, other: "Polynomial") -> "Polynomial":

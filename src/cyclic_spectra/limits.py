@@ -60,21 +60,26 @@ class CLTLimitReport:
 
 
 def clt_report(
-    sd: RootedSpectralData, root_degree: int, k: int, n_values: Sequence[int]
-) -> CLTLimitReport:
+    sd: RootedSpectralData, root_degree: int, k_max: int, n_values: Sequence[int]
+) -> tuple[CLTLimitReport, ...]:
     """Finite-size trace moments of normalized star-power sums against their limit.
 
-    Moments come from the exact convolution pipeline, so the sample sizes can
+    One report per order k = 1..k_max.  Moments come from the exact
+    convolution pipeline, one star power per sample size, so the sizes can
     reach the hundreds; only the final normalization is floating point.
     """
     alpha = laurent_at_infinity(renormalized_cauchy(sd), 3)[3] / root_degree
-    phi_limit, omega_limit = cb_clt_limits(k, alpha)
-    rows = []
-    for n in n_values:
-        pair = nfold_star_transforms(sd, n)
-        moment = laurent_at_infinity(pair.rc, k + 1)[k + 1]
-        rows.append((n, float(moment) / (root_degree * n) ** (k / 2)))
-    return CLTLimitReport(k, phi_limit, omega_limit, tuple(rows))
+    series = [
+        laurent_at_infinity(nfold_star_transforms(sd, n).rc, k_max + 1) for n in n_values
+    ]
+    reports = []
+    for k in range(1, k_max + 1):
+        rows = tuple(
+            (n, float(moments[k + 1]) / (root_degree * n) ** (k / 2))
+            for n, moments in zip(n_values, series)
+        )
+        reports.append(CLTLimitReport(k, *cb_clt_limits(k, alpha), rows))
+    return tuple(reports)
 
 
 @dataclass(frozen=True)

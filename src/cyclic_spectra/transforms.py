@@ -4,13 +4,14 @@ The symbolic layer (characteristic polynomials, Green function, trace
 resolvent and its renormalized form, additive transform) is exact over the
 rationals, and so is the step that turns a transform into a spectrum: roots
 are isolated in exact rational intervals and multiplicities are certified by
-exact gcds.  Floating point enters only when an irrational
-eigenvalue is reported as the float of its interval midpoint.
+exact gcds.  Floating point enters only when an eigenvalue that is not
+dyadic is reported as the float of its interval midpoint.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,8 +20,7 @@ import numpy as np
 from .exact import Polynomial, RationalFunction, poly_gcd, square_free_part
 from .graphs import RootedGraph, adjacency_rows, delete_root
 
-#: exact characteristic polynomials only up to this size; beyond it use the
-#: float eigensolver in `models`
+#: largest matrix `char_poly` accepts; larger inputs raise ValueError
 EXACT_CHARPOLY_CAP = 512
 
 
@@ -132,75 +132,11 @@ def laurent_at_infinity(f: RationalFunction, order: int) -> tuple[Fraction, ...]
 
 
 # ----------------------------------------------------------------------
-# exact real root isolation (square-free input)
-
-def _divisors(n: int, cap: int = 10**9) -> list[int] | None:
-    n = abs(n)
-    if n == 0 or n > cap:
-        return None
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
-
-
-def _rational_roots(p: Polynomial) -> list[Fraction]:
-    """All rational roots of p, found by the rational root theorem."""
-    roots = []
-    if p.coefficient(0) == 0:
-        roots.append(Fraction(0))
-        while p.coefficient(0) == 0 and p.degree > 0:
-            p = p // Polynomial.x()
-    if p.degree <= 0:
-        return roots
-    # clear denominators to a primitive integer polynomial
-    lcm = 1
-    for c in p.coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in p.coeffs]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
-    ints = [c // g for c in ints]
-    nums = _divisors(ints[0])
-    dens = _divisors(ints[-1])
-    if nums is None or dens is None:
-        return roots  # constants too large; bisection finds the rest
-    seen = set()
-    for a in nums:
-        for b in dens:
-            for cand in (Fraction(a, b), Fraction(-a, b)):
-                if cand not in seen:
-                    seen.add(cand)
-                    if p(cand) == 0:
-                        roots.append(cand)
-    return sorted(roots)
-
-
-def _sturm_chain(p: Polynomial) -> list[Polynomial]:
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero():
-        chain.append(-(chain[-2] % chain[-1]))
-    chain.pop()
-    return chain
-
-
-def _variations(chain: list[Polynomial], x: Fraction) -> int:
-    signs = []
-    for q in chain:
-        v = q(x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
+# exact real root isolation: Descartes bisection over the integers
 
 @dataclass(frozen=True)
 class IsolatedRoot:
-    """A real root in the exact interval [lo, hi]; lo == hi for a rational root."""
+    """A real root in the exact interval [lo, hi]; lo == hi for a dyadic root."""
 
     lo: Fraction
     hi: Fraction
@@ -221,66 +157,105 @@ class IsolatedRoot:
 def isolate_real_roots(p: Polynomial) -> list[IsolatedRoot]:
     """All real roots of p, each reported once (input need not be square-free).
 
-    Rational roots are found exactly.  Each irrational root gets an interval,
-    found by Sturm bisection, whose ends round to the same double, that holds
-    no other root of p and has no root of p at either end.
+    Vincent-Collins-Akritas bisection: the square-free part of p, scaled to
+    integer coefficients a, has its roots in (-2^k, 2^k), and each side is
+    halved until Descartes' rule of signs isolates every root.  A dyadic root,
+    so every integer root, lands on a bisection point and is found exactly.
+    Each other root gets an interval whose ends round to the same double, that
+    holds no other root of p and has no root of p at either end.
     """
     if p.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
     p = square_free_part(p)
     if p.degree <= 0:
         return []
-    rational = _rational_roots(p)
-    for r in rational:
-        p = p // Polynomial((-r, 1))
-    roots = [IsolatedRoot(r, r) for r in rational]
-    if p.degree >= 1:
-        roots.extend(_isolate_irrational(p, rational))
+    lcm = math.lcm(*(c.denominator for c in p.coeffs))
+    a = [int(c * lcm) for c in p.coeffs]
+    # Cauchy's bound: |x| < 1 + max |a_i / a_d| <= 2^k
+    k = max(c.bit_length() for c in a) - a[-1].bit_length() + 2
+    roots = [IsolatedRoot(Fraction(0), Fraction(0))] if a[0] == 0 else []
+    for sign in (1, -1):
+        q = [(c * sign**i) << (k * i) for i, c in enumerate(a)]  # p(sign 2^k x)
+        for c, j, exact in _descartes_bisect(q):
+            if exact:
+                x = Fraction((sign * c) << k, 1 << j)
+                roots.append(IsolatedRoot(x, x))
+            else:
+                lo, hi = sorted(((sign * c) << k, (sign * (c + 1)) << k))
+                roots.append(_refine(a, lo, hi, j))
     return sorted(roots, key=lambda r: r.lo)
 
 
-def _isolate_irrational(p: Polynomial, rational: list[Fraction]) -> list[IsolatedRoot]:
-    # p square-free; Sturm counts the roots in half-open intervals (a, b]
-    chain = _sturm_chain(p)
-    bound = Fraction(1) + max(abs(c) for c in p.coeffs) / abs(p.leading())
-    lo, hi = -bound, bound
-    total = _variations(chain, lo) - _variations(chain, hi)
-    stack = [(lo, hi, total)]
-    isolated: list[tuple[Fraction, Fraction]] = []
-    while stack:
-        a, b, count = stack.pop()
-        if count == 0:
-            continue
-        if count == 1:
-            isolated.append((a, b))
-            continue
-        mid = (a + b) / 2
-        left = _variations(chain, a) - _variations(chain, mid)
-        stack.append((a, mid, left))
-        stack.append((mid, b, count - left))
-    return [_refine(p, a, b, rational) for a, b in isolated]
+def _descartes_bisect(q: list[int]) -> Iterator[tuple[int, int, bool]]:
+    """The roots of the square-free q in (0, 1).
 
-
-def _refine(p: Polynomial, a: Fraction, b: Fraction, avoid: list[Fraction]) -> IsolatedRoot:
-    """Bisect (a, b], which holds one root of p, on the sign of p.
-
-    Stops once both ends round to the same double, so the root does too, a
-    is not a root of p and no point of `avoid` lies in [a, b].  Zero hits are
-    rational roots the scan in `_rational_roots` skipped.
+    Yields (c, j, False) for an interval (c/2^j, (c+1)/2^j) that holds exactly
+    one root and (c, j, True) for a root at c/2^j.  Each node keeps q mapped
+    so that its interval is (0, 1); the roots there are counted by the sign
+    variations of (x + 1)^d q(1/(x + 1)), exactly when the count is 0 or 1.
+    The count is the same for q and for q divided by x or by 1 - x, so a root
+    at an end of the interval needs no division.
     """
-    fa, fb = p(a), p(b)
-    if fb == 0:
-        return IsolatedRoot(b, b)
-    while float(a) != float(b) or fa == 0 or any(a <= r <= b for r in avoid):
-        mid = (a + b) / 2
-        fm = p(mid)
-        if fm == 0:
-            return IsolatedRoot(mid, mid)
-        if (fm > 0) == (fb > 0):
-            b, fb = mid, fm
+    stack = [(q, 0, 0)]
+    while stack:
+        q, c, j = stack.pop()
+        count = _sign_variations(_taylor_shift(q[::-1]))
+        if count == 1:
+            yield c, j, False
+        elif count > 1:
+            d = len(q) - 1
+            left = [b << (d - i) for i, b in enumerate(q)]  # 2^d q(x/2)
+            right = _taylor_shift(left)  # 2^d q((x + 1)/2)
+            if right[0] == 0:
+                yield 2 * c + 1, j + 1, True
+            stack.append((left, 2 * c, j + 1))
+            stack.append((right, 2 * c + 1, j + 1))
+
+
+def _taylor_shift(a: list[int]) -> list[int]:
+    """Coefficients of a(x + 1), by O(d^2) integer additions."""
+    a = list(a)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += a[j + 1]
+    return a
+
+
+def _sign_variations(a: list[int]) -> int:
+    signs = [c > 0 for c in a if c]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _sign_at(a: list[int], n: int, e: int) -> int:
+    """Sign of sum a_i x^i at x = n/2^e, by Horner on the 2^(e d) multiple."""
+    acc = 0
+    for i, c in enumerate(reversed(a)):
+        acc = acc * n + (c << (e * i))
+    return (acc > 0) - (acc < 0)
+
+
+def _refine(a: list[int], lo: int, hi: int, e: int) -> IsolatedRoot:
+    """Bisect (lo/2^e, hi/2^e), which holds one root of p = sum a_i x^i.
+
+    Stops once both ends round to the same double, so the root does too, and
+    neither end is a root of p.  s is the sign of p just right of lo; at a
+    root lo that is the sign of p'(lo), which is not 0 as p is square-free.
+    """
+    s = _sign_at(a, lo, e)
+    lo_root, hi_root = s == 0, _sign_at(a, hi, e) == 0
+    if lo_root:
+        s = _sign_at([i * c for i, c in enumerate(a)][1:], lo, e)
+    while lo_root or hi_root or lo / (1 << e) != hi / (1 << e):
+        mid, lo, hi, e = lo + hi, 2 * lo, 2 * hi, e + 1
+        sm = _sign_at(a, mid, e)
+        if sm == 0:
+            x = Fraction(mid, 1 << e)
+            return IsolatedRoot(x, x)
+        if sm == s:
+            lo, lo_root = mid, False
         else:
-            a, fa = mid, fm
-    return IsolatedRoot(a, b)
+            hi, hi_root = mid, False
+    return IsolatedRoot(Fraction(lo, 1 << e), Fraction(hi, 1 << e))
 
 
 # ----------------------------------------------------------------------
@@ -306,11 +281,11 @@ def extract_spectrum(rc: RationalFunction, dim: int) -> SpectrumReport:
 
     t = rc + dim/z is the trace resolvent phi'/phi = sum of m/(z - lambda):
     its poles are the eigenvalues, 0 included, and the residue at each is the
-    multiplicity m.  The residue is read exactly at a rational pole and at the
-    interval midpoint of an irrational one, rounded to m, and certified
-    exactly: at a rational pole it must equal m; an irrational pole must be a
-    root of gcd(t.den, t.num - m t.den'), whose roots are the poles with
-    residue m (Rothstein-Trager).  The multiplicities must sum to dim.
+    multiplicity m.  The residue is read exactly at a pole found exactly and
+    at the interval midpoint of any other, rounded to m, and certified
+    exactly: at an exact pole it must equal m; any other pole must be a root
+    of gcd(t.den, t.num - m t.den'), whose roots are the poles with residue m
+    (Rothstein-Trager).  The multiplicities must sum to dim.
     """
     t = rc + RationalFunction(Polynomial.constant(dim), Polynomial.x())
     if t.num.degree >= t.den.degree:

@@ -7,7 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cyclic_spectra import transforms
 from cyclic_spectra.convolutions import nfold_comb_transforms, nfold_star_transforms
 from cyclic_spectra.exact import Polynomial, RationalFunction
 from cyclic_spectra.graphs import (
@@ -23,7 +26,6 @@ from cyclic_spectra.graphs import (
 )
 from cyclic_spectra.models import eigensolve, trace_moment, vacuum_moment
 from cyclic_spectra.transforms import (
-    _refine,
     char_poly,
     cauchy,
     extract_spectrum,
@@ -226,20 +228,88 @@ class TestRootIsolation:
         assert pos.lo**2 < 2 < pos.hi**2 and neg.hi**2 < 2 < neg.lo**2
         assert pos.value == math.sqrt(2) == -neg.value  # correctly rounded
 
-    def test_refined_interval_leaves_a_root_at_its_left_end(self):
-        # p has roots 1 and 1 +- d, d = sqrt(2) 1e-17; (1, 1 + 1e-16] holds
-        # 1 + d, rounds to the double 1.0 and has the root 1 at its left end
+    def test_close_roots_beside_an_exact_root_exclude_it(self):
+        # p has roots 1 and 1 +- d, d = sqrt(2) 1e-17: all three round to the
+        # double 1.0, and only the root 1 itself may touch the point 1
         p = poly(-1, 1) * poly(1 - F(2, 10**34), -2, 1)
-        root = _refine(p, F(1), 1 + F(1, 10**16), [])
-        assert 1 < root.lo and (root.lo - 1) ** 2 < F(2, 10**34) < (root.hi - 1) ** 2
+        below, one, above = isolate_real_roots(p)
+        assert one.exact == 1
+        assert below.hi < 1 and (1 - below.hi) ** 2 < F(2, 10**34) < (1 - below.lo) ** 2
+        assert 1 < above.lo and (above.lo - 1) ** 2 < F(2, 10**34) < (above.hi - 1) ** 2
 
-    def test_refined_interval_excludes_avoided_points(self):
-        # avoid holds the rational roots split off p; none may share an interval
-        p = poly(-2, 0, 1)
-        inside = _refine(p, F(1), F(2), []).midpoint
-        root = _refine(p, F(1), F(2), [inside])
-        assert root.lo**2 < 2 < root.hi**2
-        assert not root.lo <= inside <= root.hi
+    def test_no_interval_ends_on_a_root(self):
+        # bisection isolates sqrt 2 in (1, 2) and -sqrt 2 in (-16, 0),
+        # intervals with the dyadic roots 0, 1 and 2 at their ends
+        p = poly(0, 1) * poly(-1, 1) * poly(-2, 1) * poly(-2, 0, 1)
+        roots = isolate_real_roots(p)
+        assert [r.exact for r in roots] == [None, 0, 1, None, 2]
+        for root in (roots[0], roots[3]):
+            assert p(root.lo) * p(root.hi) < 0
+            assert (root.lo**2 - 2) * (root.hi**2 - 2) < 0
+
+    def test_non_dyadic_rational_root_gets_an_interval(self):
+        p = poly(-1, 3) * poly(-2, 0, 1)
+        _, third, _ = isolate_real_roots(p)
+        assert third.exact is None and third.lo < F(1, 3) < third.hi
+        assert third.value == float(F(1, 3))
+
+
+def _irreducible(b: int, c: int) -> bool:
+    disc = b * b - 4 * c
+    return disc < 0 or math.isqrt(disc) ** 2 != disc
+
+
+def _above(root, y: Fraction) -> bool:
+    """Whether a known root, a Fraction or (b, c, s) for the root
+    (-b + s sqrt(b^2 - 4c)) / 2 of x^2 + b x + c, lies above y."""
+    if isinstance(root, Fraction):
+        return root > y
+    b, c, s = root
+    t, disc = 2 * y + b, b * b - 4 * c  # root > y  <=>  s sqrt(disc) > t
+    if s > 0:
+        return t < 0 or disc > t * t
+    return t < 0 and disc < t * t
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rationals=st.sets(
+        st.builds(
+            Fraction,
+            st.integers(-40, 40),
+            st.sampled_from([1, 2, 4, 8, 16, 3, 5, 6, 7, 9, 12]),
+        ),
+        max_size=6,
+    ),
+    quadratics=st.sets(
+        st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(lambda bc: _irreducible(*bc)),
+        max_size=3,
+    ),
+)
+def test_isolation_finds_every_known_root(rationals, quadratics):
+    p = Polynomial.one()
+    for r in rationals:
+        p = p * poly(-r, 1)
+    for b, c in quadratics:
+        p = p * poly(c, b, 1)
+    known = list(rationals) + [
+        (b, c, s) for b, c in quadratics if b * b > 4 * c for s in (-1, 1)
+    ]
+    roots = isolate_real_roots(p)
+    assert len(roots) == len(known)
+    assert all(a.hi <= b.lo for a, b in zip(roots, roots[1:]))
+    for root in roots:
+        if root.exact is not None:
+            assert root.exact in rationals
+            continue
+        inside = [k for k in known if _above(k, root.lo) and not _above(k, root.hi)]
+        assert len(inside) == 1
+        assert p(root.lo) != 0 and p(root.hi) != 0
+        if isinstance(inside[0], Fraction):
+            assert inside[0].denominator & (inside[0].denominator - 1)  # not dyadic
+            assert root.value == float(inside[0])
+        else:  # both ends round to one double, so the root does too
+            assert float(root.lo) == float(root.hi) == root.value
 
 
 def _assert_matches_oracle(rc, g):
@@ -298,6 +368,25 @@ class TestExtractSpectrum:
         with pytest.raises(ValueError, match="non-integer residue"):
             extract_spectrum(rc, 3)
 
+    def test_pole_at_a_non_dyadic_rational_is_certified_by_gcd(self, monkeypatch):
+        # t = rc + 2/z = 1/z + 1/(z - 1/3); 1/3 is not a bisection point
+        calls, poly_gcd = [], transforms.poly_gcd
+
+        def gcd(*args):
+            calls.append(args)
+            return poly_gcd(*args)
+
+        monkeypatch.setattr(transforms, "poly_gcd", gcd)
+        report = extract_spectrum(ratfun(poly(F(1, 3)), poly(0, F(-1, 3), 1)), 2)
+        assert report.entries == ((0.0, 1), (float(F(1, 3)), 1))
+        assert len(calls) == 1
+
+    def test_non_integer_residue_at_non_dyadic_rational_pole_rejected(self):
+        # t = rc + 1/z = 1/z + (1/2)/(z - 1/3)
+        rc = ratfun(poly(F(1, 2)), poly(F(-1, 3), 1))
+        with pytest.raises(ValueError, match="non-integer residue"):
+            extract_spectrum(rc, 1)
+
     def test_non_real_poles_rejected(self):
         # t = rc + 1/z = 1/z - 2/(z^2 + 1) has residue 1 at its only real pole
         rc = ratfun(poly(-2), poly(1, 0, 1))
@@ -305,10 +394,20 @@ class TestExtractSpectrum:
             extract_spectrum(rc, 1)
 
     @pytest.mark.parametrize(
-        "family, fold", [("complete:2", 6), ("path:3", 4), ("path:4", 3)]
+        "family, fold",
+        [
+            (family, fold)
+            for family, n in (
+                ("complete:2", 2), ("complete:3", 3), ("path:3", 3), ("path:4", 4), ("star:3", 4)
+            )
+            for fold in range(1, 7)
+            if n**fold <= 81
+        ],
     )
     def test_comb_powers_match_oracle(self, family, fold):
-        # these folds once failed with a float residue check
+        # every comb power of these factors with at most 81 vertices; the
+        # folds complete:2 ^ 6, path:3 ^ 4 and path:4 ^ 3 once failed with a
+        # float residue check
         base = named(family)
         rc = nfold_comb_transforms(spectral_data(base), fold).rc
         _assert_matches_oracle(rc, nfold_comb(base, fold))
