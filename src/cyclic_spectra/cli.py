@@ -23,8 +23,13 @@ from .cumulants import (
 )
 from .limits import beta_table, carleman_check, cb_id_classify
 from .models import eigensolve
-from .transforms import SpectrumReport, extract_spectrum, spectral_data
-from .verify import SUITES, run_suite
+from .transforms import (
+    EXACT_CHARPOLY_CAP,
+    SpectrumReport,
+    extract_spectrum,
+    spectral_data,
+)
+from .verify import STAR_FACTOR_CAP, STAR_SUITES, SUITES, run_suite
 
 SCHEMA = "cyclic-spectra/1"
 ORACLE_VERTEX_LIMIT = 512
@@ -460,6 +465,13 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         args = parser.parse_args(_join_negative_values(list(argv)))
+        star_suite = args.command == "verify" and args.suite in STAR_SUITES
+        if star_suite and args.max_vertices > STAR_FACTOR_CAP:
+            parser.error(
+                f"argument --max-vertices: must be at most {STAR_FACTOR_CAP} for "
+                f"{args.suite}, whose star products must stay within the exact "
+                f"cap of {EXACT_CHARPOLY_CAP} vertices"
+            )
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

@@ -8,7 +8,9 @@ from typing import Iterable
 
 import numpy as np
 
-#: hard cap keeping the dense oracle feasible
+#: hard cap on the vertices of any graph, products included; it bounds only
+#: the graph objects (the oracle is capped by `spectrum --oracle-max`, exact
+#: characteristic polynomials by `transforms.EXACT_CHARPOLY_CAP`)
 VERTEX_CAP = 20_000
 
 

@@ -276,23 +276,20 @@ def beta_table(n_max: int) -> BetaTable:
     """
     if not 0 <= n_max <= BETA_CAP:
         raise ValueError(f"n_max out of range 0..{BETA_CAP}")
+    # weights[n][el] is the recursion weight of beta_el in beta_n, el < n
+    weights = [[_beta_coefficient(n, el) for el in range(n)] for n in range(n_max + 1)]
     beta = [1]
     for n in range(1, n_max + 1):
-        beta.append(sum(_beta_coefficient(n, el) * beta[el] for el in range(n)))
+        beta.append(sum(w * b for w, b in zip(weights[n], beta)))
+    # gamma[n][k - 1] refines beta_n by block count k; gamma[n][0] = 2
     gamma: list[tuple[int, ...]] = [()]
-    table: dict[tuple[int, int], int] = {}
     for n in range(1, n_max + 1):
-        row = [0] * (n + 1)
-        row[1] = 2
-        table[(n, 1)] = 2
-        for k in range(2, n + 1):
-            val = sum(
-                _beta_coefficient(n, el) * table[(el, k - 1)]
-                for el in range(k - 1, n)
-            )
-            row[k] = val
-            table[(n, k)] = val
-        gamma.append(tuple(row[1:]))
+        w = weights[n]
+        row = [2] + [
+            sum(w[el] * gamma[el][k - 2] for el in range(k - 1, n))
+            for k in range(2, n + 1)
+        ]
+        gamma.append(tuple(row))
         if sum(row) != beta[n]:
             raise AssertionError(
                 f"recursion routes disagree at n={n}: {sum(row)} vs {beta[n]}"

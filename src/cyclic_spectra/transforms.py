@@ -23,31 +23,98 @@ from .graphs import RootedGraph, adjacency_rows, delete_root
 #: largest matrix `char_poly` accepts; larger inputs raise ValueError
 EXACT_CHARPOLY_CAP = 512
 
+#: the primes of `char_poly` lie below this, so that with every residue in
+#: [0, p) a float64 dot product of length n <= EXACT_CHARPOLY_CAP is at most
+#: n (p - 1)^2 < 2^53, an integer that float64 holds exactly
+_PRIME_LIMIT = 1 << 22
+
+#: residue matrices (primes x n x n) held at once by `char_poly`
+_BATCH_ENTRIES = 1 << 16
+
 
 # ----------------------------------------------------------------------
 # characteristic polynomials
 
 def char_poly(rows: list[list[int]]) -> Polynomial:
-    """det(xI - A) for an integer matrix, by exact Faddeev-LeVerrier."""
+    """det(xI - A) for an integer matrix, by multimodular Faddeev-LeVerrier.
+
+    With D the largest absolute row sum of A, each k x k principal minor is
+    at most D^k in absolute value (Hadamard), so the coefficient of x^(n-k)
+    is at most binom(n, k) D^k.  The recurrence runs modulo primes whose
+    product exceeds twice that bound, and the coefficients are joined by the
+    CRT.  They must also agree modulo one more prime that the CRT did not
+    use; otherwise ArithmeticError is raised.
+    """
     n = len(rows)
     if n > EXACT_CHARPOLY_CAP:
         raise ValueError(f"matrix size {n} exceeds exact cap {EXACT_CHARPOLY_CAP}")
     if n == 0:
         return Polynomial.one()
-    a = np.array(rows, dtype=object)
-    m = np.zeros((n, n), dtype=object)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    c = 1
-    ident = np.identity(n, dtype=object)
-    for k in range(1, n + 1):
-        m = a.dot(m) + c * ident
-        t = int((a * m.T).sum())
-        if t % k:
-            raise ArithmeticError("Faddeev-LeVerrier divisibility failed")
-        c = -(t // k)
-        coeffs[n - k] = c
+    delta = max(sum(abs(v) for v in row) for row in rows)
+    bound = max(math.comb(n, k) * delta**k for k in range(n + 1))
+    primes, modulus = [], 1
+    for check in _primes_below(_PRIME_LIMIT):  # the first prime not needed checks
+        if modulus > 2 * bound:
+            break
+        primes.append(check)
+        modulus *= check
+    else:
+        raise ValueError("matrix entries too large for the primes of char_poly")
+    residues = _leverrier_residues(rows, primes + [check])
+    weights = [(modulus // p) * pow(modulus // p, -1, p) for p in primes]
+    coeffs = []
+    for column in zip(*residues):
+        c = sum(w * r for w, r in zip(weights, column)) % modulus
+        if c > modulus // 2:
+            c -= modulus
+        if (c - column[-1]) % check:
+            raise ArithmeticError("Faddeev-LeVerrier residues disagree modulo the check prime")
+        coeffs.append(c)
     return Polynomial(coeffs)
+
+
+def _primes_below(limit: int) -> Iterator[int]:
+    """The primes q = 3 mod 4 between limit/2 and limit, largest first.
+
+    limit is a power of two.  As q - 1 = 2d with d odd, q passes the strong
+    probable-prime test to base b when b^d = +-1 mod q; to the bases 2, 3, 5
+    the test is exact below 25,326,001.
+    """
+    for q in range(limit - 1, limit // 2, -4):
+        if all(pow(b, q // 2, q) in (1, q - 1) for b in (2, 3, 5)):
+            yield q
+
+
+def _leverrier_residues(rows: list[list[int]], primes: list[int]) -> list[list[int]]:
+    """Coefficients of det(xI - A) modulo each prime, constant term first.
+
+    Faddeev-LeVerrier: with P = A M_k, c_k = -tr(P)/k and M_(k+1) = P + c_k I,
+    starting from M_1 = I.  Each batch of primes runs as stacked float64
+    matrices with entries in [0, p), so a matrix product, and tr(P) times the
+    inverse of k, stays below n (p - 1)^2.
+    """
+    n = len(rows)
+    a = np.array(rows)
+    out = []
+    step = max(1, _BATCH_ENTRIES // (n * n))
+    for i in range(0, len(primes), step):
+        batch = primes[i : i + step]
+        ps = np.array(batch, dtype=np.float64)
+        inverses = np.array(
+            [[pow(k, -1, p) for p in batch] for k in range(1, n + 1)], dtype=np.float64
+        )
+        am = (a % np.array(batch)[:, None, None]).astype(np.float64)
+        prod = am.copy()
+        coeffs = np.ones((len(batch), n + 1))
+        for k in range(1, n + 1):
+            diagonal = prod.reshape(len(batch), n * n)[:, :: n + 1]  # a view
+            c = -diagonal.sum(axis=1) * inverses[k - 1] % ps
+            coeffs[:, n - k] = c
+            if k < n:
+                diagonal[:] = (diagonal + c[:, None]) % ps[:, None]
+                prod = np.matmul(am, prod) % ps[:, None, None]
+        out.extend(coeffs.astype(np.int64).tolist())
+    return out
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from .models import (
     eval_cyclic_monotone_word,
     model_tables,
 )
-from .transforms import spectral_data
+from .transforms import EXACT_CHARPOLY_CAP, spectral_data
 
 
 def random_rooted_graph(rng: random.Random, max_vertices: int, min_vertices: int = 2) -> RootedGraph:
@@ -65,6 +65,11 @@ class SuiteResult:
 # the comb product multiplies vertex counts, so keep its factors small enough
 # for the exact characteristic polynomial of the product
 COMB_FACTOR_CAPS = (5, 4)
+
+# the star product of two factors of this many vertices has EXACT_CHARPOLY_CAP
+# vertices or fewer; its suites reject a larger max_vertices up front
+STAR_SUITES = ("h-additivity", "schwenk-star", "star-cauchy")
+STAR_FACTOR_CAP = (EXACT_CHARPOLY_CAP + 1) // 2
 
 
 def _pair_trial(

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from cyclic_spectra import cli
 from cyclic_spectra.cli import main
+from cyclic_spectra.verify import STAR_SUITES, SUITES, SuiteResult
 
 
 def run(capsys, *args):
@@ -145,6 +147,41 @@ class TestVerify:
             assert code == 2
             assert "--max-vertices: must be at least 2" in err
 
+    @pytest.fixture
+    def suite_calls(self, monkeypatch):
+        # stands in for run_suite: a trial at the cap would take minutes
+        calls = []
+
+        def fake(name, trials, max_vertices, seed):
+            calls.append((name, max_vertices))
+            return SuiteResult(name, trials, passed=trials)
+
+        monkeypatch.setattr(cli, "run_suite", fake)
+        return calls
+
+    @pytest.mark.parametrize("suite", STAR_SUITES)
+    def test_max_vertices_at_star_cap(self, capsys, suite_calls, suite):
+        # two factors of 256 vertices star into 511 <= EXACT_CHARPOLY_CAP
+        code, data = run_json(capsys, "verify", suite, "--trials", "1", "--max-vertices", "256")
+        assert code == 0 and data["passed"] == 1
+        assert suite_calls == [(suite, 256)]
+
+    @pytest.mark.parametrize("suite", STAR_SUITES)
+    def test_max_vertices_above_star_cap_exit_2(self, capsys, suite_calls, suite):
+        code = main(["verify", suite, "--trials", "1", "--max-vertices", "257"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "--max-vertices: must be at most 256" in captured.err
+        assert "exact cap of 512 vertices" in captured.err
+        assert suite_calls == []
+
+    def test_suites_without_star_products_ignore_the_cap(self, capsys, suite_calls):
+        others = sorted(set(SUITES) - set(STAR_SUITES))
+        for suite in others:
+            code, _ = run(capsys, "verify", suite, "--trials", "1", "--max-vertices", "257")
+            assert code == 0
+        assert suite_calls == [(suite, 257) for suite in others]
+
 
 class TestCumulants:
     def test_k2_table(self, capsys):
@@ -203,6 +240,13 @@ class TestLimits:
     def test_carleman(self, capsys):
         code, data = run_json(capsys, "limits", "carleman", "--n", "20")
         assert code == 0 and data["bound_holds"]
+
+    def test_beta_at_cap_digest(self, capsys):
+        code, out = run(capsys, "limits", "beta", "--n", "200")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "501bf61a94fab0bd1166259ffff7258eebe3f82234be6a91dd627be72e700c6d"
+        )
 
 
 class TestIdcheck:

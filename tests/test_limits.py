@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cyclic_spectra import limits
 from cyclic_spectra.convolutions import nfold_star_transforms
 from cyclic_spectra.graphs import complete
 from cyclic_spectra.limits import (
@@ -291,6 +292,37 @@ class TestBetaTable:
         assert ok
         assert len(partial) == BETA_CAP == 200
         assert all(a < b for a, b in zip(partial, partial[1:]))
+
+    def test_matches_per_term_weights_to_60(self):
+        # the two recursions as first written, each weight a fresh math.comb
+        def weight(n, el):
+            return math.comb(n + el, n - el) * 2 * n // (n + el)
+
+        beta = [1]
+        for n in range(1, 61):
+            beta.append(sum(weight(n, el) * beta[el] for el in range(n)))
+        table = {}
+        for n in range(1, 61):
+            table[(n, 1)] = 2
+            for k in range(2, n + 1):
+                table[(n, k)] = sum(
+                    weight(n, el) * table[(el, k - 1)] for el in range(k - 1, n)
+                )
+        got = beta_table(60)
+        assert got.values == tuple(beta)
+        for n in range(1, 61):
+            assert got.gamma[n] == tuple(table[(n, k)] for k in range(1, n + 1))
+
+    def test_routes_disagreeing_raise(self, monkeypatch):
+        # the direct route alone weighs beta_0, so this corrupts only it
+        exact = limits._beta_coefficient
+        monkeypatch.setattr(
+            limits, "_beta_coefficient",
+            lambda n, el: exact(n, el) + (n == 3 and el == 0),
+        )
+        with pytest.raises(AssertionError, match="routes disagree at n=3"):
+            beta_table(5)
+        assert beta_table(2).values == (1, 2, 10)
 
     def test_bounds_small_cases(self):
         table = beta_table(7)

@@ -17,6 +17,7 @@ from cyclic_spectra.graphs import (
     Graph,
     RootedGraph,
     adjacency,
+    adjacency_rows,
     complete,
     friendship,
     named,
@@ -36,7 +37,7 @@ from cyclic_spectra.transforms import (
     renormalized_cauchy,
     spectral_data,
 )
-from cyclic_spectra.verify import random_rooted_graph
+from cyclic_spectra.verify import random_rooted_graph, random_symmetric_int_matrix
 
 F = Fraction
 
@@ -68,6 +69,138 @@ class TestSpectralData:
 
     def test_char_poly_empty(self):
         assert char_poly([]) == Polynomial.one()
+
+
+def _reference_char_poly(rows):
+    """det(xI - A) by Faddeev-LeVerrier over object-dtype Python ints."""
+    n = len(rows)
+    if n == 0:
+        return Polynomial.one()
+    a = np.array(rows, dtype=object)
+    m = np.zeros((n, n), dtype=object)
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    c = 1
+    ident = np.identity(n, dtype=object)
+    for k in range(1, n + 1):
+        m = a.dot(m) + c * ident
+        t = int((a * m.T).sum())
+        assert t % k == 0
+        c = -(t // k)
+        coeffs[n - k] = c
+    return Polynomial(coeffs)
+
+
+def _path_char_poly(n):
+    """phi(P_n) = x phi(P_(n-1)) - phi(P_(n-2)), from phi(P_0) = 1."""
+    prev, cur = Polynomial.one(), Polynomial.x()
+    if n == 0:
+        return prev
+    for _ in range(n - 1):
+        prev, cur = cur, Polynomial.x() * cur - prev
+    return cur
+
+
+def _graph_rows(n, edges):
+    return adjacency_rows(Graph(n, edges))
+
+
+class TestCharPoly:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 40), st.integers(1, 5), st.randoms(use_true_random=False))
+    def test_matches_reference_on_symmetric_matrices(self, n, bound, rng):
+        rows = random_symmetric_int_matrix(rng, n, bound)
+        assert char_poly(rows) == _reference_char_poly(rows)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 17, 40])
+    def test_complete_graph(self, n):
+        # spectrum {n - 1, -1 x (n - 1)}
+        rows = _graph_rows(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+        expected = poly(-(n - 1), 1) * poly(1, 1) ** (n - 1)
+        assert char_poly(rows) == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 12, 40])
+    def test_path(self, n):
+        rows = _graph_rows(n, [(i, i + 1) for i in range(n - 1)])
+        assert char_poly(rows) == _path_char_poly(n)
+
+    @pytest.mark.parametrize("n", [3, 4, 9, 40])
+    def test_cycle(self, n):
+        # phi(C_n) = phi(P_n) - phi(P_(n-2)) - 2, from 2 T_n(x/2) - 2
+        rows = _graph_rows(n, [(i, (i + 1) % n) for i in range(n)])
+        expected = _path_char_poly(n) - _path_char_poly(n - 2) - poly(2)
+        assert char_poly(rows) == expected
+
+    @pytest.mark.parametrize("n", [1, 7, 40])
+    def test_empty_graph(self, n):
+        assert char_poly(_graph_rows(n, [])) == Polynomial.x() ** n
+
+    def test_one_dimension(self):
+        # n = 0 is TestSpectralData.test_char_poly_empty
+        assert char_poly([[0]]) == poly(0, 1)
+        assert char_poly([[-7]]) == poly(7, 1)
+        assert char_poly([[2**70]]) == poly(-(2**70), 1)
+
+    def test_dense_plus_minus_two_needs_most_primes(self, monkeypatch):
+        # every row sum is 80, so the bound is binom(40, 40) 80^40 ~ 2^253:
+        # twelve primes below 2^22 and the check prime
+        rng = random.Random(7)
+        rows = [[0] * 40 for _ in range(40)]
+        for i in range(40):
+            for j in range(i, 40):
+                rows[i][j] = rows[j][i] = rng.choice((-2, 2))
+        seen = []
+        residues = transforms._leverrier_residues
+
+        def spy(rows, primes):
+            seen.append(len(primes))
+            return residues(rows, primes)
+
+        monkeypatch.setattr(transforms, "_leverrier_residues", spy)
+        assert char_poly(rows) == _reference_char_poly(rows)
+        assert seen == [13]
+
+    @pytest.mark.parametrize("prime_index", [0, 1, 2])
+    def test_corrupt_residue_fails_the_check_prime(self, monkeypatch, prime_index):
+        # the complement of C_9 has row sums 6 and bound 9 * 6^8 ~ 2^24:
+        # two primes for the CRT, then the check prime
+        edges = [(i, j) for i in range(9) for j in range(i + 2, 9) if (i, j) != (0, 8)]
+        rows = _graph_rows(9, edges)
+        assert char_poly(rows) == _reference_char_poly(rows)
+        residues = transforms._leverrier_residues
+
+        def corrupt(rows, primes):
+            assert len(primes) == 3
+            out = residues(rows, primes)
+            out[prime_index][3] = (out[prime_index][3] + 1) % primes[prime_index]
+            return out
+
+        monkeypatch.setattr(transforms, "_leverrier_residues", corrupt)
+        with pytest.raises(ArithmeticError, match="check prime"):
+            char_poly(rows)
+
+    def test_primes_are_every_prime_3_mod_4_in_range(self):
+        # a sieve of Eratosthenes up to the limit; the probable-prime test must
+        # agree on every q = 3 mod 4 in (limit/2, limit), pseudoprimes included
+        limit = transforms._PRIME_LIMIT
+        sieve = np.ones(limit, dtype=bool)
+        sieve[:2] = False
+        for d in range(2, math.isqrt(limit) + 1):
+            if sieve[d]:
+                sieve[d * d :: d] = False
+        expected = [q for q in range(limit - 1, limit // 2, -4) if sieve[q]]
+        assert list(transforms._primes_below(limit)) == expected
+
+    def test_float_products_stay_exact_up_to_the_cap(self):
+        # entries and inverses in [0, p), p < _PRIME_LIMIT: every dot product
+        # and every trace times an inverse is at most n (p - 1)^2 < 2^53
+        p_max = transforms._PRIME_LIMIT - 1
+        assert transforms.EXACT_CHARPOLY_CAP * (p_max - 1) ** 2 < 2**53
+
+    def test_above_cap_raises(self):
+        n = transforms.EXACT_CHARPOLY_CAP + 1
+        with pytest.raises(ValueError, match="exceeds exact cap"):
+            char_poly([[0] * n for _ in range(n)])
 
 
 class TestGreen:
