@@ -479,6 +479,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:  # the exact core failed, e.g. a CRT check prime
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

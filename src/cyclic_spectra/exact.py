@@ -1,6 +1,8 @@
 """Exact arithmetic: dense rational polynomials and rational functions.
 
-Coefficients are `fractions.Fraction` throughout, so every identity in the
+A polynomial is held as a rational content times a primitive integer
+polynomial, so products, quotients and gcds run on integers, and its
+coefficients read back as exact `fractions.Fraction`s.  Every identity in the
 calculus is checked exactly and results are bit-reproducible.  Floating point
 enters only when an isolated irrational eigenvalue is reported (see
 `transforms`).
@@ -8,18 +10,49 @@ enters only when an isolated irrational eigenvalue is reported (see
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
 from fractions import Fraction
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
 
+#: the modular algorithms, `poly_gcd` here and `transforms.char_poly`, work
+#: modulo primes below this; `char_poly` needs them this small so that its
+#: float64 matrix products stay exact
+_PRIME_LIMIT = 1 << 22
 
-def _coerce(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
+
+def _primes_below(limit: int) -> Iterator[int]:
+    """The primes q = 3 mod 4 between limit/2 and limit, largest first.
+
+    limit is a power of two.  As q - 1 = 2d with d odd, q passes the strong
+    probable-prime test to base b when b^d = +-1 mod q; to the bases 2, 3, 5
+    the test is exact below 25,326,001.
+    """
+    for q in range(limit - 1, limit // 2, -4):
+        if all(pow(b, q // 2, q) in (1, q - 1) for b in (2, 3, 5)):
+            yield q
+
+
+def _coerce(value: Scalar) -> Scalar:
+    if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
+
+
+def _split(ints: list[int], scale: Fraction) -> tuple[Fraction, tuple[int, ...]]:
+    """(content, primitive part) of scale * sum ints[i] x^i; ints is consumed."""
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints or not scale:
+        return Fraction(0), ()
+    g = math.gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    if g != 1:
+        ints = [c // g for c in ints]
+    return scale * g, tuple(ints)
 
 
 class Polynomial:
@@ -28,18 +61,37 @@ class Polynomial:
     ``coeffs[i]`` is the coefficient of ``x**i``; the top coefficient is kept
     nonzero.  The zero polynomial has an empty coefficient tuple and degree -1.
     Instances are immutable and hashable.
+
+    The polynomial is stored as ``_content * sum _prim[i] x**i``: the integers
+    ``_prim`` are coprime with a positive last entry, and the zero polynomial
+    has content 0 and no entries.  ``coeffs`` multiplies them out on demand.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_content", "_prim")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [_coerce(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = math.lcm(*(c.denominator for c in cs))
+        content, prim = _split(
+            [c.numerator * (den // c.denominator) for c in cs], Fraction(1, den)
+        )
+        object.__setattr__(self, "_content", content)
+        object.__setattr__(self, "_prim", prim)
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("Polynomial is immutable")
+
+    @classmethod
+    def _make(cls, content: Fraction, prim: tuple[int, ...]) -> "Polynomial":
+        """The polynomial content * prim, for a prim already primitive."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "_content", content)
+        object.__setattr__(p, "_prim", prim)
+        return p
+
+    @classmethod
+    def _from_ints(cls, ints: list[int], scale: Fraction) -> "Polynomial":
+        return cls._make(*_split(ints, scale))
 
     # ------------------------------------------------------------------
     # constructors
@@ -61,46 +113,60 @@ class Polynomial:
 
     # ------------------------------------------------------------------
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        c = self._content
+        return tuple(c * a for a in self._prim)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._prim) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._prim
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self._prim:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self._content * self._prim[-1]
 
     # ------------------------------------------------------------------
     # ring operations
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
+    def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign * other, over the common denominator of the contents."""
+        if not other._prim:
+            return self
+        ca, cb = self._content, sign * other._content
+        if not self._prim:
+            return Polynomial._make(cb, other._prim)
+        den = math.lcm(ca.denominator, cb.denominator)
+        fa = ca.numerator * (den // ca.denominator)
+        fb = cb.numerator * (den // cb.denominator)
+        a, b = self._prim, other._prim
         if len(a) < len(b):
-            a, b = b, a
-        cs = list(a)
+            fa, fb, a, b = fb, fa, b, a
+        out = [fa * c for c in a]
         for i, c in enumerate(b):
-            cs[i] += c
-        return Polynomial(cs)
+            out[i] += fb * c
+        return Polynomial._from_ints(out, Fraction(1, den))
+
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        return self._plus(other, 1)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return Polynomial._make(-self._content, self._prim)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
+        if not self._prim or not other._prim:
             return Polynomial.zero()
-        cs = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    cs[i + j] += ai * bj
-        return Polynomial(cs)
+        # Gauss's lemma: a product of primitive polynomials is primitive
+        return Polynomial._make(
+            self._content * other._content, tuple(_mul_ints(self._prim, other._prim))
+        )
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -109,7 +175,7 @@ class Polynomial:
         c = _coerce(c)
         if c == 0:
             return Polynomial.zero()
-        return Polynomial(tuple(c * a for a in self.coeffs))
+        return Polynomial._make(self._content * c, self._prim)
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -124,39 +190,38 @@ class Polynomial:
         return result
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
+        ints = [k * c for k, c in enumerate(self._prim)][1:]
+        return Polynomial._from_ints(ints, self._content)
 
     def __call__(self, x: Scalar) -> Scalar:
-        """Evaluate exactly by Horner's rule."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Evaluate exactly: for x = n/d, Horner on d^deg p(n/d) in integers."""
+        x = _coerce(x)
+        if not self._prim:
+            return 0
+        n, d = x.numerator, x.denominator
+        acc, d_power = 0, 1
+        for c in reversed(self._prim):
+            acc = acc * n + c * d_power
+            d_power *= d
+        c = self._content
+        return Fraction(c.numerator * acc, c.denominator * (d_power // d))
 
     def monic(self) -> "Polynomial":
         if self.is_zero():
             return self
-        lc = self.leading()
-        return self if lc == 1 else self.scale(1 / lc)
+        return Polynomial._make(Fraction(1, self._prim[-1]), self._prim)
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(self.degree - other.degree + 1, 0)
-        rem = list(self.coeffs)
-        d, lc = other.degree, other.leading()
-        while len(rem) - 1 >= d and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            factor = rem[-1] / lc
-            q[k] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= factor * c
-            rem.pop()
-        return Polynomial(q), Polynomial(rem)
+        if self.degree < other.degree:
+            return Polynomial.zero(), self
+        q, r, f = _pseudo_divmod(self._prim, other._prim)
+        ca, cb = self._content, other._content
+        return (
+            Polynomial._from_ints(q, ca / (cb * f)),
+            Polynomial._from_ints(r, ca / f),
+        )
 
     def __mod__(self, other: "Polynomial") -> "Polynomial":
         return self.divmod(other)[1]
@@ -166,7 +231,11 @@ class Polynomial:
 
     # ------------------------------------------------------------------
     def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
+        return (
+            isinstance(other, Polynomial)
+            and self._prim == other._prim
+            and self._content == other._content
+        )
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
@@ -177,9 +246,10 @@ class Polynomial:
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
+        cs = self.coeffs
         parts = []
         for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
+            c = cs[k]
             if c == 0:
                 continue
             mag = abs(c)
@@ -195,14 +265,116 @@ class Polynomial:
         return " ".join(parts)
 
 
+# ----------------------------------------------------------------------
+# integer polynomials as coefficient lists, constant term first
+
+def _mul_ints(a, b) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, e in enumerate(b):
+                out[i + j] += c * e
+    return out
+
+
+def _pseudo_divmod(a, b) -> tuple[list[int], list[int], int]:
+    """Integers q, r and f > 0 with f a = q b + r and deg r < deg b.
+
+    Long division over the integers: when the top of the remainder is not a
+    multiple of lc(b), the remainder and quotient so far are multiplied by the
+    least factor that makes it one, so an exact division never scales.
+    """
+    n, lc = len(b) - 1, b[-1]
+    rem, q, f = list(a), [0] * (len(a) - n), 1
+    for k in range(len(q) - 1, -1, -1):
+        t = rem.pop()
+        if t % lc:
+            s = lc // math.gcd(t, lc)
+            rem, q, f, t = [s * c for c in rem], [s * c for c in q], f * s, t * s
+        t //= lc
+        q[k] = t
+        if t:
+            rem[k:] = [c - t * e for c, e in zip(rem[k:], b)]
+    return q, rem, f
+
+
+def _divides(b, a) -> bool:
+    """Whether b divides a in Z[x]: then the long division never scales."""
+    _, r, f = _pseudo_divmod(a, b)
+    return f == 1 and not any(r)
+
+
+# ----------------------------------------------------------------------
+# greatest common divisors
+
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Monic greatest common divisor by the Euclidean algorithm."""
+    """Monic greatest common divisor, by Brown's modular algorithm over Z.
+
+    The gcd of the primitive parts a, b is found modulo primes that do not
+    divide gamma = gcd(lc a, lc b); for those, the degree of the gcd mod p is
+    at least that of the gcd over Q.  A constant gcd mod p therefore proves
+    the gcd 1.  Otherwise each monic image, scaled to leading coefficient
+    gamma, is joined to the earlier ones by the CRT, a prime whose image has
+    too high a degree is dropped, and a lower degree restarts the join.  The
+    candidate, the primitive part of the symmetric lift, is returned once
+    trial division over Z proves that it divides a and b.  ArithmeticError is
+    raised if the primes run out.
+    """
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd undefined for two zero polynomials")
-    a, b = p, q
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    if p.is_zero() or q.is_zero():
+        return (p + q).monic()
+    a, b = p._prim, q._prim
+    if len(a) == 1 or len(b) == 1:
+        return Polynomial.one()
+    gamma = math.gcd(a[-1], b[-1])
+    size, image, modulus = min(len(a), len(b)) + 1, [], 1
+    for prime in _primes_below(_PRIME_LIMIT):
+        if gamma % prime == 0:
+            continue
+        g = _gcd_mod(a, b, prime)
+        if len(g) == 1:
+            return Polynomial.one()
+        if len(g) > size:
+            continue
+        g = [gamma * c % prime for c in g]
+        if len(g) < size:
+            size, image, modulus = len(g), g, prime
+        else:
+            inverse = pow(modulus, -1, prime)
+            image = [h + modulus * ((c - h) * inverse % prime) for h, c in zip(image, g)]
+            modulus *= prime
+        _, candidate = _split(
+            [c - modulus if 2 * c > modulus else c for c in image], Fraction(1)
+        )
+        if all(_divides(candidate, c) for c in (a, b)):
+            return Polynomial._make(Fraction(1, candidate[-1]), candidate)
+    raise ArithmeticError("poly_gcd ran out of primes")
+
+
+def _gcd_mod(a, b, p: int) -> list[int]:
+    """Monic gcd of a and b modulo the prime p, constant term first.
+
+    Neither a nor b may vanish modulo p, which holds for primitive inputs.
+    """
+    a, b = [c % p for c in a], [c % p for c in b]
+    while not a[-1]:
+        a.pop()
+    while not b[-1]:
+        b.pop()
+    while b:
+        inverse = pow(b[-1], -1, p)
+        b = [c * inverse % p for c in b]
+        n = len(b) - 1
+        while len(a) > n:
+            t = a.pop()
+            if t:
+                k = len(a) - n
+                a[k:] = [(c - t * e) % p for c, e in zip(a[k:], b)]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return a
 
 
 def square_free_part(p: Polynomial) -> Polynomial:

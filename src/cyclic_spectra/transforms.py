@@ -17,16 +17,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import Polynomial, RationalFunction, poly_gcd, square_free_part
+from .exact import (
+    _PRIME_LIMIT,
+    Polynomial,
+    RationalFunction,
+    _primes_below,
+    poly_gcd,
+    square_free_part,
+)
 from .graphs import RootedGraph, adjacency_rows, delete_root
 
 #: largest matrix `char_poly` accepts; larger inputs raise ValueError
 EXACT_CHARPOLY_CAP = 512
-
-#: the primes of `char_poly` lie below this, so that with every residue in
-#: [0, p) a float64 dot product of length n <= EXACT_CHARPOLY_CAP is at most
-#: n (p - 1)^2 < 2^53, an integer that float64 holds exactly
-_PRIME_LIMIT = 1 << 22
 
 #: residue matrices (primes x n x n) held at once by `char_poly`
 _BATCH_ENTRIES = 1 << 16
@@ -73,25 +75,14 @@ def char_poly(rows: list[list[int]]) -> Polynomial:
     return Polynomial(coeffs)
 
 
-def _primes_below(limit: int) -> Iterator[int]:
-    """The primes q = 3 mod 4 between limit/2 and limit, largest first.
-
-    limit is a power of two.  As q - 1 = 2d with d odd, q passes the strong
-    probable-prime test to base b when b^d = +-1 mod q; to the bases 2, 3, 5
-    the test is exact below 25,326,001.
-    """
-    for q in range(limit - 1, limit // 2, -4):
-        if all(pow(b, q // 2, q) in (1, q - 1) for b in (2, 3, 5)):
-            yield q
-
-
 def _leverrier_residues(rows: list[list[int]], primes: list[int]) -> list[list[int]]:
     """Coefficients of det(xI - A) modulo each prime, constant term first.
 
     Faddeev-LeVerrier: with P = A M_k, c_k = -tr(P)/k and M_(k+1) = P + c_k I,
     starting from M_1 = I.  Each batch of primes runs as stacked float64
     matrices with entries in [0, p), so a matrix product, and tr(P) times the
-    inverse of k, stays below n (p - 1)^2.
+    inverse of k, stays below n (p - 1)^2, which is below 2^53, so exact in
+    float64, for p < _PRIME_LIMIT and n <= EXACT_CHARPOLY_CAP.
     """
     n = len(rows)
     a = np.array(rows)

@@ -441,6 +441,30 @@ class TestCertificates:
         assert captured.out == ""
         assert "non-integer residue" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--family", "complete:3"],
+        ["verify", "h-additivity", "--trials", "2"],
+    ])
+    def test_exact_core_failure_exit_3(self, capsys, monkeypatch, argv):
+        # an ArithmeticError raised after parsing is a pipeline failure
+        from cyclic_spectra import transforms
+
+        residues = transforms._leverrier_residues
+
+        def corrupt(rows, primes):
+            out = residues(rows, primes)
+            out[0][0] = (out[0][0] + 1) % primes[0]
+            return out
+
+        monkeypatch.setattr(transforms, "_leverrier_residues", corrupt)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "error: Faddeev-LeVerrier residues disagree modulo the check prime\n"
+        )
+
     def test_mismatch_certificate_parses(self, tmp_path, capsys, monkeypatch):
         # corrupt one suite on purpose by registering a failing trial that
         # records its first random draw, so the replay can be checked

@@ -1,14 +1,17 @@
 """Exact arithmetic layer: polynomials and rational functions."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclic_spectra import exact
 from cyclic_spectra.exact import (
     Polynomial,
     RationalFunction,
+    homogeneous_compose,
     poly_gcd,
     square_free_part,
 )
@@ -71,6 +74,158 @@ class TestGcd:
     def test_square_free_part(self):
         p = poly(-1, 1) ** 3 * poly(1, 1)
         assert square_free_part(p) == (poly(-1, 1) * poly(1, 1)).monic()
+
+
+def _reference_divmod(a, b):
+    """Long division of Fraction coefficient lists, constant term first."""
+    a, q = list(a), [F(0)] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        f = a[-1] / b[-1]
+        k = len(a) - len(b)
+        q[k] = f
+        for i, c in enumerate(b):
+            a[k + i] -= f * c
+        a.pop()
+        while a and a[-1] == 0:
+            a.pop()
+    return q, a
+
+
+def _reference_poly_gcd(p, q):
+    """Monic gcd by the Euclidean algorithm over the rationals."""
+    if p.is_zero() and q.is_zero():
+        raise ValueError("gcd undefined for two zero polynomials")
+    a, b = list(p.coeffs), list(q.coeffs)
+    while b:
+        a, b = b, _reference_divmod(a, b)[1]
+    return Polynomial(c / a[-1] for c in a)
+
+
+def _first_prime():
+    return next(exact._primes_below(exact._PRIME_LIMIT))
+
+
+def _primes_used(monkeypatch):
+    """Record every prime that poly_gcd draws."""
+    drawn, primes_below = [], exact._primes_below
+
+    def spy(limit):
+        for prime in primes_below(limit):
+            drawn.append(prime)
+            yield prime
+
+    monkeypatch.setattr(exact, "_primes_below", spy)
+    return drawn
+
+
+class TestModularGcd:
+    def test_both_leading_coefficients_divisible_by_the_first_prime(self, monkeypatch):
+        # modulo p both factors p x + 1 vanish to constants, so the images
+        # x + 2 and x + 3 are coprime; p divides gamma and must be skipped
+        p = _first_prime()
+        drawn = _primes_used(monkeypatch)
+        a = poly(1, p) * poly(2, 1)
+        b = poly(1, p) * poly(3, 1)
+        assert poly_gcd(a, b) == poly(F(1, p), 1)
+        assert drawn[0] == p and len(drawn) >= 2
+
+    def test_one_leading_coefficient_divisible_by_the_first_prime(self, monkeypatch):
+        # p divides lc(a) only, so p is not skipped; one prime suffices
+        p = _first_prime()
+        drawn = _primes_used(monkeypatch)
+        a = poly(1, p) * poly(-5, 1)
+        b = poly(-5, 1) * poly(7, 2, 1)
+        assert poly_gcd(a, b) == poly(-5, 1)
+        assert drawn == [p]
+
+    def test_congruent_roots_have_gcd_one(self):
+        # x - a and x - b with a = b mod p share a root modulo p only
+        p = _first_prime()
+        assert poly_gcd(poly(-3, 1), poly(-3 - p, 1)) == Polynomial.one()
+
+    def test_unlucky_first_prime_restarts_on_the_lower_degree(self, monkeypatch):
+        # modulo p the gcd is (x - 3)(x - 5), of degree 2; over Q it is x - 5
+        p = _first_prime()
+        drawn = _primes_used(monkeypatch)
+        a = poly(-3, 1) * poly(-5, 1) * poly(1, 0, 1)
+        b = poly(-3 - p, 1) * poly(-5, 1)
+        assert poly_gcd(a, b) == poly(-5, 1)
+        assert drawn[0] == p and len(drawn) >= 2
+
+    def test_large_coefficients_need_four_primes(self, monkeypatch):
+        # lifting a coefficient of 2^70 takes a modulus above 2^71: four
+        # primes below 2^22, each image but the last failing trial division
+        drawn = _primes_used(monkeypatch)
+        g = poly(3**44, -(2**70), 1)
+        assert poly_gcd(g * poly(1, 1), g * poly(-1, 0, 7)) == g
+        assert len(drawn) == 4
+
+    def test_unlucky_later_prime_is_dropped(self, monkeypatch):
+        # the first image has the right degree but cannot be lifted yet; the
+        # second prime has a spurious common root and must not join the CRT
+        p, q = list(itertools.islice(exact._primes_below(exact._PRIME_LIMIT), 2))
+        drawn = _primes_used(monkeypatch)
+        g = poly(3**44, -(2**70), 1)
+        assert poly_gcd(g * poly(-3, 1), g * poly(-3 - q, 1)) == g
+        assert drawn[:2] == [p, q] and len(drawn) == 5
+
+    def test_large_coefficients_and_content(self):
+        g = poly(F(3**44, 5), 2**70 + 1, F(7, 3))
+        a = g * poly(F(1, 2), 1) * poly(0, 1)
+        b = g * poly(-9, 0, 1) * 11
+        assert poly_gcd(a, b) == g.monic()
+        assert poly_gcd(a, b) == _reference_poly_gcd(a, b)
+
+
+fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+fraction_polys = st.builds(Polynomial, st.lists(fractions, min_size=0, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=fraction_polys, q=fraction_polys, r=fraction_polys, same=st.booleans())
+def test_gcd_matches_euclid(p, q, r, same):
+    # a planted common factor r; zero, constant and equal inputs included
+    a, b = p * r, (p if same else q) * r
+    if a.is_zero() and b.is_zero():
+        with pytest.raises(ValueError):
+            poly_gcd(a, b)
+        return
+    assert poly_gcd(a, b) == _reference_poly_gcd(a, b)
+
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.lists(fractions, max_size=7), b=st.lists(fractions, max_size=5), x=fractions)
+def test_arithmetic_matches_fraction_lists(a, b, x):
+    # the integer core against schoolbook arithmetic on Fraction coefficients
+    pa, pb = Polynomial(a), Polynomial(b)
+    assert pa.coeffs == _trim(a) and pb.coeffs == _trim(b)
+    n = max(len(a), len(b))
+    a_pad, b_pad = a + [F(0)] * (n - len(a)), b + [F(0)] * (n - len(b))
+    assert (pa + pb).coeffs == _trim(s + t for s, t in zip(a_pad, b_pad))
+    assert (pa - pb).coeffs == _trim(s - t for s, t in zip(a_pad, b_pad))
+    prod = [F(0)] * (len(a) + len(b))
+    for i, s in enumerate(a):
+        for j, t in enumerate(b):
+            prod[i + j] += s * t
+    assert (pa * pb).coeffs == _trim(prod)
+    assert pa.scale(x).coeffs == _trim(x * s for s in a)
+    assert pa.derivative().coeffs == _trim(k * s for k, s in enumerate(a))[1:]
+    assert pa(x) == sum(s * x**k for k, s in enumerate(a))
+    if not pb.is_zero():
+        q, r = _reference_divmod(list(pa.coeffs), list(pb.coeffs))
+        assert tuple(p.coeffs for p in pa.divmod(pb)) == (_trim(q), _trim(r))
+    num, den = Polynomial(b[:3]), Polynomial(b[2:5])
+    expected = Polynomial.zero()
+    for k, c in enumerate(pa.coeffs):
+        expected = expected + num**k * den ** (pa.degree - k) * c
+    assert homogeneous_compose(pa, num, den) == expected
 
 
 small_polys = st.builds(

@@ -1,6 +1,7 @@
 """Transforms: characteristic polynomials, Green functions, Laurent expansion
 and spectrum extraction."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclic_spectra import transforms
+from cyclic_spectra import cli, transforms
 from cyclic_spectra.convolutions import nfold_comb_transforms, nfold_star_transforms
 from cyclic_spectra.exact import Polynomial, RationalFunction
 from cyclic_spectra.graphs import (
@@ -560,6 +561,21 @@ class TestExtractSpectrum:
                 while dim(fold) <= 27:
                     _assert_matches_oracle(transforms(sd, fold).rc, build(base, fold))
                     fold += 1
+
+    def test_erdos_renyi_file_graph_through_the_cli(self, tmp_path, capsys):
+        # a generic graph of 22 vertices: the gcds of its trace resolvent, with
+        # large coefficients, dominate the pipeline
+        rng = random.Random(2204)
+        n = 22
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+        path = tmp_path / "er_22.txt"
+        path.write_text("\n".join([f"n {n} root 0"] + [f"{i} {j}" for i, j in edges]) + "\n")
+        assert cli.main(["spectrum", "--family", str(path)]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        oracle = eigensolve(adjacency(Graph(n, edges)).astype(float))
+        assert [m for _, m, _ in rows] == [m for _, m in oracle.entries]
+        for (a, _, _), (b, _) in zip(rows, oracle.entries):
+            assert abs(a - b) < 1e-9
 
 
 class TestSeriesVsRational:
