@@ -23,16 +23,33 @@ Scalar = Union[int, Fraction]
 _PRIME_LIMIT = 1 << 22
 
 
+#: the primes `_primes_below(limit)` has found so far, per limit.  A list
+#: grows only when a generator reads past its end, so nothing is built at
+#: import; its entries depend only on the limit, so sharing it changes no result
+_PRIMES: dict[int, list[int]] = {}
+
+
 def _primes_below(limit: int) -> Iterator[int]:
     """The primes q = 3 mod 4 between limit/2 and limit, largest first.
 
     limit is a power of two.  As q - 1 = 2d with d odd, q passes the strong
     probable-prime test to base b when b^d = +-1 mod q; to the bases 2, 3, 5
-    the test is exact below 25,326,001.
+    the test is exact below 25,326,001.  Every generator reads one shared list
+    per limit, so a prime is found once per process, not once per call.
     """
-    for q in range(limit - 1, limit // 2, -4):
-        if all(pow(b, q // 2, q) in (1, q - 1) for b in (2, 3, 5)):
-            yield q
+    primes = _PRIMES.setdefault(limit, [])
+    i = 0
+    while True:
+        if i == len(primes):
+            start = primes[-1] - 4 if primes else limit - 1
+            for q in range(start, limit // 2, -4):
+                if all(pow(b, q // 2, q) in (1, q - 1) for b in (2, 3, 5)):
+                    primes.append(q)
+                    break
+            else:
+                return
+        yield primes[i]
+        i += 1
 
 
 def _coerce(value: Scalar) -> Scalar:

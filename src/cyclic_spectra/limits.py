@@ -9,6 +9,7 @@ recursions, and the classification of additively divisible trace spectra.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -276,19 +277,20 @@ def beta_table(n_max: int) -> BetaTable:
     """
     if not 0 <= n_max <= BETA_CAP:
         raise ValueError(f"n_max out of range 0..{BETA_CAP}")
-    # weights[n][el] is the recursion weight of beta_el in beta_n, el < n
-    weights = [[_beta_coefficient(n, el) for el in range(n)] for n in range(n_max + 1)]
     beta = [1]
-    for n in range(1, n_max + 1):
-        beta.append(sum(w * b for w, b in zip(weights[n], beta)))
     # gamma[n][k - 1] refines beta_n by block count k; gamma[n][0] = 2
     gamma: list[tuple[int, ...]] = [()]
+    columns: list[list[int]] = []  # columns[j] = [gamma[j + 1][j], gamma[j + 2][j], ...]
     for n in range(1, n_max + 1):
-        w = weights[n]
+        # w[el] is the recursion weight of beta_el in beta_n, el < n
+        w = [_beta_coefficient(n, el) for el in range(n)]
+        beta.append(sum(map(operator.mul, w, beta)))
         row = [2] + [
-            sum(w[el] * gamma[el][k - 2] for el in range(k - 1, n))
-            for k in range(2, n + 1)
+            sum(map(operator.mul, w[k - 1 : n], columns[k - 2])) for k in range(2, n + 1)
         ]
+        columns.append([])
+        for column, entry in zip(columns, row):
+            column.append(entry)
         gamma.append(tuple(row))
         if sum(row) != beta[n]:
             raise AssertionError(

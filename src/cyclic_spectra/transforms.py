@@ -25,7 +25,7 @@ from .exact import (
     poly_gcd,
     square_free_part,
 )
-from .graphs import RootedGraph, adjacency_rows, delete_root
+from .graphs import RootedGraph, adjacency_rows
 
 #: largest matrix `char_poly` accepts; larger inputs raise ValueError
 EXACT_CHARPOLY_CAP = 512
@@ -37,21 +37,33 @@ _BATCH_ENTRIES = 1 << 16
 # ----------------------------------------------------------------------
 # characteristic polynomials
 
-def char_poly(rows: list[list[int]]) -> Polynomial:
+def char_poly(
+    rows: list[list[int]], root: int | None = None
+) -> Polynomial | tuple[Polynomial, Polynomial]:
     """det(xI - A) for an integer matrix, by multimodular Faddeev-LeVerrier.
+
+    With a root index, returns the pair (det(xI - A), det(xI - A')), where A'
+    is A without the root's row and column.  By Cramer's rule det(xI - A') is
+    the (root, root) entry of adj(xI - A) = sum_k M_(k+1) x^(n-1-k), and the
+    recurrence forms each M_(k+1) anyway, so one run gives both.
 
     With D the largest absolute row sum of A, each k x k principal minor is
     at most D^k in absolute value (Hadamard), so the coefficient of x^(n-k)
-    is at most binom(n, k) D^k.  The recurrence runs modulo primes whose
-    product exceeds twice that bound, and the coefficients are joined by the
-    CRT.  They must also agree modulo one more prime that the CRT did not
-    use; otherwise ArithmeticError is raised.
+    is at most binom(n, k) D^k.  The coefficients of det(xI - A') are sums of
+    principal minors of A', whose row sums are at most D, so they are at most
+    binom(n - 1, k) D^k and the same bound covers them.  The recurrence runs
+    modulo primes whose product exceeds twice that bound, and both
+    polynomials are joined by the CRT.  They must also agree modulo one more
+    prime that the CRT did not use; otherwise ArithmeticError is raised.
     """
     n = len(rows)
     if n > EXACT_CHARPOLY_CAP:
         raise ValueError(f"matrix size {n} exceeds exact cap {EXACT_CHARPOLY_CAP}")
     if n == 0:
         return Polynomial.one()
+    if root:  # move the root to index 0, whose minor the residues carry
+        order = [root, *range(root), *range(root + 1, n)]
+        rows = [[rows[i][j] for j in order] for i in order]
     delta = max(sum(abs(v) for v in row) for row in rows)
     bound = max(math.comb(n, k) * delta**k for k in range(n + 1))
     primes, modulus = [], 1
@@ -72,17 +84,20 @@ def char_poly(rows: list[list[int]]) -> Polynomial:
         if (c - column[-1]) % check:
             raise ArithmeticError("Faddeev-LeVerrier residues disagree modulo the check prime")
         coeffs.append(c)
-    return Polynomial(coeffs)
+    phi = Polynomial(coeffs[: n + 1])
+    return phi if root is None else (phi, Polynomial(coeffs[n + 1 :]))
 
 
 def _leverrier_residues(rows: list[list[int]], primes: list[int]) -> list[list[int]]:
-    """Coefficients of det(xI - A) modulo each prime, constant term first.
+    """Residues modulo each prime of det(xI - A), then of det(xI - A') for A'
+    without row and column 0, each constant term first.
 
     Faddeev-LeVerrier: with P = A M_k, c_k = -tr(P)/k and M_(k+1) = P + c_k I,
-    starting from M_1 = I.  Each batch of primes runs as stacked float64
-    matrices with entries in [0, p), so a matrix product, and tr(P) times the
-    inverse of k, stays below n (p - 1)^2, which is below 2^53, so exact in
-    float64, for p < _PRIME_LIMIT and n <= EXACT_CHARPOLY_CAP.
+    starting from M_1 = I; (M_(k+1))_00 is the coefficient of x^(n-1-k) in
+    det(xI - A').  Each batch of primes runs as stacked float64 matrices with
+    entries in [0, p), so a matrix product, and tr(P) times the inverse of k,
+    stays below n (p - 1)^2, which is below 2^53, so exact in float64, for
+    p < _PRIME_LIMIT and n <= EXACT_CHARPOLY_CAP.
     """
     n = len(rows)
     a = np.array(rows)
@@ -96,13 +111,14 @@ def _leverrier_residues(rows: list[list[int]], primes: list[int]) -> list[list[i
         )
         am = (a % np.array(batch)[:, None, None]).astype(np.float64)
         prod = am.copy()
-        coeffs = np.ones((len(batch), n + 1))
+        coeffs = np.ones((len(batch), 2 * n + 1))  # M_1 = I gives x^(n-1) in the minor
         for k in range(1, n + 1):
             diagonal = prod.reshape(len(batch), n * n)[:, :: n + 1]  # a view
             c = -diagonal.sum(axis=1) * inverses[k - 1] % ps
             coeffs[:, n - k] = c
             if k < n:
                 diagonal[:] = (diagonal + c[:, None]) % ps[:, None]
+                coeffs[:, 2 * n - k] = prod[:, 0, 0]
                 prod = np.matmul(am, prod) % ps[:, None, None]
         out.extend(coeffs.astype(np.int64).tolist())
     return out
@@ -127,8 +143,7 @@ class RootedSpectralData:
 
 
 def spectral_data(g: RootedGraph) -> RootedSpectralData:
-    phi = char_poly(adjacency_rows(g.graph))
-    phi_minus = char_poly(adjacency_rows(delete_root(g)))
+    phi, phi_minus = char_poly(adjacency_rows(g.graph), g.root)
     return RootedSpectralData(phi, phi_minus, g.n)
 
 

@@ -118,6 +118,24 @@ def _primes_used(monkeypatch):
     return drawn
 
 
+def test_interleaved_prime_generators_read_the_sieve(monkeypatch):
+    # two generators share one list that grows lazily: whichever reads past
+    # its end extends it, and both must give every prime 3 mod 4 in range
+    limit = 1 << 12
+    composite = set()
+    for d in range(2, 64):
+        composite.update(range(d * d, limit, d))
+    expected = [q for q in range(limit - 1, limit // 2, -4) if q not in composite]
+    monkeypatch.setattr(exact, "_PRIMES", {})
+    a, b = exact._primes_below(limit), exact._primes_below(limit)
+    got_a = list(itertools.islice(a, 3))
+    got_b = list(itertools.islice(b, 5))
+    got_a += list(itertools.islice(a, 4))
+    got_b += list(b)
+    got_a += list(a)
+    assert got_a == got_b == expected == exact._PRIMES[limit]
+
+
 class TestModularGcd:
     def test_both_leading_coefficients_divisible_by_the_first_prime(self, monkeypatch):
         # modulo p both factors p x + 1 vanish to constants, so the images

@@ -20,6 +20,7 @@ from cyclic_spectra.graphs import (
     adjacency,
     adjacency_rows,
     complete,
+    delete_root,
     friendship,
     named,
     nfold_comb,
@@ -202,6 +203,60 @@ class TestCharPoly:
         n = transforms.EXACT_CHARPOLY_CAP + 1
         with pytest.raises(ValueError, match="exceeds exact cap"):
             char_poly([[0] * n for _ in range(n)])
+
+
+class TestRootedCharPoly:
+    """spectral_data reads phi_(G-r) off the adjugate of the run for phi_G."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_minor_matches_the_deleted_root(self, data):
+        n = data.draw(st.integers(1, 40))
+        root = data.draw(st.integers(0, n - 1))
+        p = data.draw(st.sampled_from([0.1, 0.5, 0.9]))
+        rng = data.draw(st.randoms(use_true_random=False))
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        g = RootedGraph(Graph(n, edges), root)
+        sd = spectral_data(g)
+        rows = adjacency_rows(delete_root(g))
+        assert sd.phi == char_poly(adjacency_rows(g.graph))
+        assert sd.phi_minus_root == char_poly(rows) == _reference_char_poly(rows)
+
+    def test_one_leverrier_run_per_graph(self, monkeypatch):
+        seen = []
+        residues = transforms._leverrier_residues
+
+        def spy(rows, primes):
+            seen.append(len(rows))
+            return residues(rows, primes)
+
+        monkeypatch.setattr(transforms, "_leverrier_residues", spy)
+        graphs = [RootedGraph(Graph(1), 0), complete(4), friendship(3), nfold_star(star(3), 3)]
+        for g in graphs:
+            spectral_data(g)
+        assert seen == [g.n for g in graphs]
+
+    @pytest.mark.parametrize("prime_index", [0, 1, 2])
+    def test_corrupt_minor_residue_fails_the_check_prime(self, monkeypatch, prime_index):
+        # the complement of C_9, rooted at 4: two primes for the CRT, then the
+        # check prime; columns n + 1 .. 2n hold the minor, constant term first
+        n = 9
+        edges = [(i, j) for i in range(n) for j in range(i + 2, n) if (i, j) != (0, 8)]
+        g = RootedGraph(Graph(n, edges), 4)
+        assert spectral_data(g).phi_minus_root == _reference_char_poly(
+            adjacency_rows(delete_root(g))
+        )
+        residues = transforms._leverrier_residues
+
+        def corrupt(rows, primes):
+            assert len(primes) == 3
+            out = residues(rows, primes)
+            out[prime_index][n + 1 + 3] = (out[prime_index][n + 1 + 3] + 1) % primes[prime_index]
+            return out
+
+        monkeypatch.setattr(transforms, "_leverrier_residues", corrupt)
+        with pytest.raises(ArithmeticError, match="check prime"):
+            spectral_data(g)
 
 
 class TestGreen:
