@@ -402,11 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectrum", help="spectrum of an iterated product", parents=[shared])
     sp.add_argument("--family", nargs="+", required=True,
                     help="graph family 'name:param', a file path, or 'star-of name:param'")
-    sp.add_argument("--fold", type=int, default=1)
+    sp.add_argument("--fold", type=_int_at_least(1), default=1)
     sp.add_argument("--product", choices=("star", "comb"),
                     help="product for a bare family (default star); "
                          "'star-of'/'comb-of' choose it themselves")
-    sp.add_argument("--oracle-max", type=int, default=ORACLE_VERTEX_LIMIT,
+    sp.add_argument("--oracle-max", type=_int_at_least(0), default=ORACLE_VERTEX_LIMIT,
                     help="run the dense eigensolver when the product has at most this many vertices")
     sp.set_defaults(func=cmd_spectrum)
 

@@ -315,14 +315,31 @@ def _pseudo_divmod(a, b) -> tuple[list[int], list[int], int]:
     return q, rem, f
 
 
-def _divides(b, a) -> bool:
-    """Whether b divides a in Z[x]: then the long division never scales."""
-    _, r, f = _pseudo_divmod(a, b)
-    return f == 1 and not any(r)
+def _quotient(a, b) -> list[int] | None:
+    """a / b in Z[x] if b divides a there, else None.
+
+    When b divides a the long division never scales, so f = 1 and r = 0.
+    """
+    q, r, f = _pseudo_divmod(a, b)
+    return q if f == 1 and not any(r) else None
 
 
 # ----------------------------------------------------------------------
 # greatest common divisors
+
+class _Gcd(Polynomial):
+    """A monic gcd g of p and q that carries the cofactors (p/g, q/g)."""
+
+    __slots__ = ("cofactors",)
+
+    @classmethod
+    def _proven(
+        cls, prim: tuple[int, ...], p_over_g: Polynomial, q_over_g: Polynomial
+    ) -> "_Gcd":
+        g = cls._make(Fraction(1, prim[-1]), prim)
+        object.__setattr__(g, "cofactors", (p_over_g, q_over_g))
+        return g
+
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """Monic greatest common divisor, by Brown's modular algorithm over Z.
@@ -336,14 +353,21 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     candidate, the primitive part of the symmetric lift, is returned once
     trial division over Z proves that it divides a and b.  ArithmeticError is
     raised if the primes run out.
+
+    The result also carries, as ``.cofactors``, the exact quotients p/g and
+    q/g; for a nontrivial g they are the quotients of that trial division.
     """
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd undefined for two zero polynomials")
     if p.is_zero() or q.is_zero():
-        return (p + q).monic()
+        s = p + q
+        lc = Polynomial.constant(s.leading())
+        return _Gcd._proven(
+            s._prim, p if p.is_zero() else lc, q if q.is_zero() else lc
+        )
     a, b = p._prim, q._prim
     if len(a) == 1 or len(b) == 1:
-        return Polynomial.one()
+        return _Gcd._proven((1,), p, q)
     gamma = math.gcd(a[-1], b[-1])
     size, image, modulus = min(len(a), len(b)) + 1, [], 1
     for prime in _primes_below(_PRIME_LIMIT):
@@ -351,7 +375,7 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
             continue
         g = _gcd_mod(a, b, prime)
         if len(g) == 1:
-            return Polynomial.one()
+            return _Gcd._proven((1,), p, q)
         if len(g) > size:
             continue
         g = [gamma * c % prime for c in g]
@@ -364,8 +388,17 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
         _, candidate = _split(
             [c - modulus if 2 * c > modulus else c for c in image], Fraction(1)
         )
-        if all(_divides(candidate, c) for c in (a, b)):
-            return Polynomial._make(Fraction(1, candidate[-1]), candidate)
+        a_over = _quotient(a, candidate)
+        b_over = None if a_over is None else _quotient(b, candidate)
+        if b_over is not None:
+            # Gauss's lemma: the quotients of primitive polynomials are
+            # primitive, and their leading coefficients are positive
+            lc = candidate[-1]
+            return _Gcd._proven(
+                candidate,
+                Polynomial._make(p._content * lc, tuple(a_over)),
+                Polynomial._make(q._content * lc, tuple(b_over)),
+            )
     raise ArithmeticError("poly_gcd ran out of primes")
 
 
@@ -400,8 +433,7 @@ def square_free_part(p: Polynomial) -> Polynomial:
         raise ValueError("square-free part of zero polynomial")
     if p.degree <= 0:
         return Polynomial.one()
-    g = poly_gcd(p, p.derivative())
-    return (p // g).monic()
+    return poly_gcd(p, p.derivative()).cofactors[0].monic()
 
 
 class RationalFunction:
@@ -421,9 +453,7 @@ class RationalFunction:
         if num.is_zero():
             num, den = Polynomial.zero(), Polynomial.one()
         else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num // g, den // g
+            num, den = poly_gcd(num, den).cofactors
             lc = den.leading()
             if lc != 1:
                 num, den = num.scale(1 / lc), den.scale(1 / lc)
@@ -432,6 +462,14 @@ class RationalFunction:
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
+
+    @classmethod
+    def _canonical(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """num/den for num, den already coprime with den monic; no gcd is taken."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "num", num)
+        object.__setattr__(f, "den", den)
+        return f
 
     # ------------------------------------------------------------------
     @classmethod
@@ -448,14 +486,16 @@ class RationalFunction:
         )
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._canonical(-self.num, self.den)
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return RationalFunction(self.num.scale(other), self.den)
+            if other == 0:
+                return RationalFunction(Polynomial.zero())
+            return RationalFunction._canonical(self.num.scale(other), self.den)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     def __rmul__(self, other):
@@ -469,7 +509,8 @@ class RationalFunction:
     def reciprocal(self) -> "RationalFunction":
         if self.is_zero():
             raise ZeroDivisionError("reciprocal of zero rational function")
-        return RationalFunction(self.den, self.num)
+        s = 1 / self.num.leading()
+        return RationalFunction._canonical(self.den.scale(s), self.num.scale(s))
 
     def derivative(self) -> "RationalFunction":
         n, d = self.num, self.den

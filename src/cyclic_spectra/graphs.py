@@ -132,12 +132,21 @@ def comb_product(g1: RootedGraph, g2: RootedGraph) -> RootedGraph:
 
 
 def nfold_star(g: RootedGraph, n: int) -> RootedGraph:
+    """The n-fold star power of g, built in one pass.
+
+    Copy c >= 1 of g gets the labels that folding `star_product` n - 1 times
+    gives it: its root is g's root, and vertex v != root becomes
+    m + (c - 1)(m - 1) + v - [v > root] for m = g.n.
+    """
     if n < 1:
         raise ValueError("fold count must be >= 1")
-    out = g
-    for _ in range(n - 1):
-        out = star_product(out, g)
-    return out
+    m, root = g.n, g.root
+    edges = list(g.graph.edges)
+    for c in range(1, n):
+        label = [m + (c - 1) * (m - 1) + v - (v > root) for v in range(m)]
+        label[root] = root
+        edges += [(label[i], label[j]) for i, j in g.graph.edges]
+    return RootedGraph(Graph(n * (m - 1) + 1, edges), root)
 
 
 def nfold_comb(g: RootedGraph, n: int) -> RootedGraph:

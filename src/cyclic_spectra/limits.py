@@ -15,7 +15,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .convolutions import TransformPair, cyclic_boolean_sum, nfold_star_transforms
+from .convolutions import (
+    TransformPair,
+    cyclic_boolean_multisum,
+    cyclic_boolean_sum,
+    transform_pair,
+)
 from .exact import Polynomial, RationalFunction
 from .partitions import OrderedSetPartition, maximal_arcs
 from .transforms import (
@@ -23,7 +28,6 @@ from .transforms import (
     SpectrumReport,
     extract_spectrum,
     laurent_at_infinity,
-    renormalized_cauchy,
 )
 
 BETA_CAP = 200
@@ -69,9 +73,13 @@ def clt_report(
     convolution pipeline, one star power per sample size, so the sizes can
     reach the hundreds; only the final normalization is floating point.
     """
-    alpha = laurent_at_infinity(renormalized_cauchy(sd), 3)[3] / root_degree
+    if min(n_values, default=1) < 1:
+        raise ValueError("fold count must be >= 1")
+    pair = transform_pair(sd)
+    alpha = laurent_at_infinity(pair.rc, 3)[3] / root_degree
     series = [
-        laurent_at_infinity(nfold_star_transforms(sd, n).rc, k_max + 1) for n in n_values
+        laurent_at_infinity(cyclic_boolean_multisum(((pair, n),)).rc, k_max + 1)
+        for n in n_values
     ]
     reports = []
     for k in range(1, k_max + 1):
@@ -104,10 +112,11 @@ def spectral_gap_report(
     if root_degree < 1:
         raise ValueError("root must have positive degree")
     rows = []
+    pair = transform_pair(sd)
     for n in range(1, n_max + 1):
-        pair = nfold_star_transforms(sd, n)
+        power = cyclic_boolean_multisum(((pair, n),))
         dim = n * (sd.dim - 1) + 1
-        report = extract_spectrum(pair.rc, dim)
+        report = extract_spectrum(power.rc, dim)
         scale = 1.0 / math.sqrt(root_degree * n)
         scaled = [(v * scale, m) for v, m in report.entries]
         largest, l_mult = scaled[-1]

@@ -85,6 +85,27 @@ class TestSpectrum:
         code, _ = run(capsys, "spectrum", "--family", "bogus:3")
         assert code == 2
 
+    def test_fold_below_one_exit_2(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("spectral data built for a bad --fold")
+
+        monkeypatch.setattr(cli, "spectral_data", refuse)
+        for bad in ("0", "-2"):
+            code = main(["spectrum", "--family", "complete:3", "--fold", bad])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert "--fold: must be at least 1" in captured.err
+
+    def test_oracle_max_below_zero_exit_2(self, capsys):
+        code = main(["spectrum", "--family", "complete:3", "--oracle-max", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "--oracle-max: must be at least 0" in captured.err
+        code, data = run_json(
+            capsys, "spectrum", "--family", "complete:3", "--oracle-max", "0"
+        )
+        assert code == 0 and "oracle" not in data
+
     def test_family_word_chooses_product(self, capsys):
         code, data = run_json(
             capsys, "spectrum", "--family", "comb-of", "complete:2", "--fold", "3",

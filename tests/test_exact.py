@@ -211,6 +211,67 @@ def test_gcd_matches_euclid(p, q, r, same):
     assert poly_gcd(a, b) == _reference_poly_gcd(a, b)
 
 
+@settings(max_examples=200, deadline=None)
+@given(p=fraction_polys, q=fraction_polys, r=fraction_polys)
+def test_gcd_carries_its_cofactors(p, q, r):
+    # a planted common factor r; g (p/g) = p and g (q/g) = q exactly
+    a, b = p * r, q * r
+    if a.is_zero() and b.is_zero():
+        return
+    g = poly_gcd(a, b)
+    assert g == _reference_poly_gcd(a, b)
+    a_over, b_over = g.cofactors
+    assert g * a_over == a and g * b_over == b
+
+
+def _assert_canonical(f: RationalFunction) -> None:
+    assert f.den.leading() == 1
+    assert poly_gcd(f.num, f.den) == Polynomial.one()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=fraction_polys,
+    q=fraction_polys.filter(lambda q: not q.is_zero()),
+    c=fractions.filter(bool),
+)
+def test_canonical_by_construction_matches_canonical_form(p, q, c):
+    # negation, reciprocal and scaling skip the gcd: each must still give
+    # the canonical form of its raw numerator and denominator
+    f = RationalFunction(p, q)
+    results = [
+        (-f, RationalFunction(-p, q)),
+        (f * c, RationalFunction(p.scale(c), q)),
+        (c * f, RationalFunction(p.scale(c), q)),
+        (f * 0, RationalFunction(Polynomial.zero(), q)),
+    ]
+    if not p.is_zero():
+        results.append((f.reciprocal(), RationalFunction(q, p)))
+    for got, expected in results:
+        assert got == expected
+        _assert_canonical(got)
+
+
+def test_canonical_form_divides_out_no_gcd_again(monkeypatch):
+    # the gcd's trial division already yields p/g and q/g, so canonical forms
+    # and square-free parts need no polynomial division of their own
+    calls = []
+    divmod_ = Polynomial.divmod
+
+    def spy(self, other):
+        calls.append((self, other))
+        return divmod_(self, other)
+
+    g = poly(-5, 1) * poly(2, 0, 1)
+    p, q = poly(1, 0, 1), poly(3, 2)
+    monkeypatch.setattr(Polynomial, "divmod", spy)
+    f = RationalFunction(g * p, g * q)
+    square_free = square_free_part(poly(-1, 1) ** 3 * poly(1, 1))
+    assert calls == []
+    assert f.num == poly(F(1, 2), 0, F(1, 2)) and f.den == poly(F(3, 2), 1)
+    assert square_free == poly(-1, 0, 1)
+
+
 def _trim(cs):
     cs = list(cs)
     while cs and cs[-1] == 0:

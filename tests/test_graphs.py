@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclic_spectra.graphs import (
     Graph,
@@ -112,6 +114,44 @@ class TestStarProduct:
             right = star_product(a, star_product(b, c))
             assert left.graph.edges == right.graph.edges
             assert left.root == right.root
+
+
+def _reference_nfold_star(g, n):
+    """The n-fold star power as n - 1 iterated star products."""
+    out = g
+    for _ in range(n - 1):
+        out = star_product(out, g)
+    return out
+
+
+class TestNfoldStar:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_the_iterated_fold(self, data):
+        m = data.draw(st.integers(1, 8))
+        root = data.draw(st.integers(0, m - 1))
+        p = data.draw(st.floats(0, 1))
+        rng = data.draw(st.randoms(use_true_random=False))
+        n = data.draw(st.integers(1, 12))
+        edges = [(i, j) for i in range(m) for j in range(i + 1, m) if rng.random() < p]
+        g = RootedGraph(Graph(m, edges), root)
+        got, expected = nfold_star(g, n), _reference_nfold_star(g, n)
+        assert (got.n, got.root) == (expected.n, expected.root)
+        assert got.graph.edges == expected.graph.edges
+
+    def test_one_fold_is_the_base_graph(self):
+        g = RootedGraph(Graph(5, [(0, 3), (1, 3), (2, 4), (3, 4)]), 3)
+        assert nfold_star(g, 1) == g
+
+    def test_edge_count(self):
+        rng = random.Random(5)
+        for n in (1, 2, 7, 30):
+            g = random_rooted_graph(rng, 7)
+            assert len(nfold_star(g, n).graph.edges) == n * len(g.graph.edges)
+
+    def test_fold_below_one_rejected(self):
+        with pytest.raises(ValueError, match="fold count"):
+            nfold_star(k2(), 0)
 
 
 class TestCombProduct:

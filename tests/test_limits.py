@@ -92,6 +92,12 @@ class TestCltReport:
         errors = [abs(v - 2) for _, v in report.finite_n_values]
         assert errors == sorted(errors, reverse=True)
 
+    def test_fold_below_one_rejected(self):
+        from cyclic_spectra.limits import clt_report
+
+        with pytest.raises(ValueError, match="fold count"):
+            clt_report(spectral_data(complete(3)), 2, 2, [4, 0])
+
 
 class TestSpectralGap:
     def test_k2_exact(self):
