@@ -479,7 +479,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ArithmeticError as exc:  # the exact core failed, e.g. a CRT check prime
+    # the exact core failed (e.g. a CRT check prime), or an internal identity
+    # check did (e.g. a moment-table weight)
+    except (ArithmeticError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
 

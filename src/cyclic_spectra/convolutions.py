@@ -41,12 +41,25 @@ def cyclic_boolean_multisum(
     F = sum n_i F_i - (N - 1) z, and the renormalized trace resolvent is
     rc = sum n_i (rc_i + G_i'/G_i) - G'/G + (N - 1)/z.
     """
+    return _fold_boolean_pieces([(_boolean_pieces(pair), n) for pair, n in terms])
+
+
+_Pieces = tuple[RationalFunction, RationalFunction]
+
+
+def _boolean_pieces(pair: TransformPair) -> _Pieces:
+    """(F_i, rc_i + G_i'/G_i): what the multisum is linear in, per element."""
+    return pair.green.reciprocal(), pair.rc + pair.green.log_derivative()
+
+
+def _fold_boolean_pieces(terms: Sequence[tuple[_Pieces, int]]) -> TransformPair:
+    """`cyclic_boolean_multisum` of terms whose pieces are already built."""
     count = sum(n for _, n in terms)
     f = -(count - 1) * _Z
     rc = (count - 1) * _ONE_OVER_Z
-    for pair, n in terms:
-        f = f + n * pair.green.reciprocal()
-        rc = rc + n * (pair.rc + pair.green.log_derivative())
+    for (f_i, corrected_rc), n in terms:
+        f = f + n * f_i
+        rc = rc + n * corrected_rc
     g = f.reciprocal()
     return TransformPair(rc - g.log_derivative(), g)
 

@@ -2,22 +2,25 @@
 
 Covers the central-limit behavior of iterated star powers (spectral gap), the
 trace-moment limits of iterated comb powers via ordered set partitions, the
-integer moment table of the two-point comb limit with its two independent
-recursions, and the classification of additively divisible trace spectra.
+integer moment table of the two-point comb limit with every recursion weight
+checked against a Lucas polynomial, and the classification of additively
+divisible trace spectra.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Sequence
+from functools import cached_property, lru_cache
+from typing import Iterator, Sequence
 
 from .convolutions import (
     TransformPair,
-    cyclic_boolean_multisum,
+    _boolean_pieces,
+    _fold_boolean_pieces,
     cyclic_boolean_sum,
     transform_pair,
 )
@@ -77,8 +80,9 @@ def clt_report(
         raise ValueError("fold count must be >= 1")
     pair = transform_pair(sd)
     alpha = laurent_at_infinity(pair.rc, 3)[3] / root_degree
+    pieces = _boolean_pieces(pair)  # built once, folded per size
     series = [
-        laurent_at_infinity(cyclic_boolean_multisum(((pair, n),)).rc, k_max + 1)
+        laurent_at_infinity(_fold_boolean_pieces(((pieces, n),)).rc, k_max + 1)
         for n in n_values
     ]
     reports = []
@@ -112,9 +116,9 @@ def spectral_gap_report(
     if root_degree < 1:
         raise ValueError("root must have positive degree")
     rows = []
-    pair = transform_pair(sd)
+    pieces = _boolean_pieces(transform_pair(sd))  # built once, folded per n
     for n in range(1, n_max + 1):
-        power = cyclic_boolean_multisum(((pair, n),))
+        power = _fold_boolean_pieces(((pieces, n),))
         dim = n * (sd.dim - 1) + 1
         report = extract_spectrum(power.rc, dim)
         scale = 1.0 / math.sqrt(root_degree * n)
@@ -262,11 +266,35 @@ class BetaTable:
     """Even limit moments beta_0..beta_n with the block-count refinement gamma."""
 
     values: tuple[int, ...]
-    gamma: tuple[tuple[int, ...], ...]  # gamma[n][k], 1 <= k <= n
 
     def __post_init__(self):
         if self.values[0] != 1:
             raise ValueError("beta_0 must be 1")
+
+    @cached_property
+    def gamma(self) -> tuple[tuple[int, ...], ...]:
+        """gamma[n][k - 1] refines beta_n by block count k, 1 <= k <= n.
+
+        Weighted subsets of the cycle per block count, built on first read;
+        the block counts must resum to beta_n, or the read raises.
+        """
+        gamma: list[tuple[int, ...]] = [()]
+        columns: list[list[int]] = []  # columns[j] = [gamma[j + 1][j], gamma[j + 2][j], ...]
+        for n in range(1, len(self.values)):
+            w = [_beta_coefficient(n, el) for el in range(n)]
+            row = [2] + [
+                sum(map(operator.mul, w[k - 1 : n], columns[k - 2]))
+                for k in range(2, n + 1)
+            ]
+            columns.append([])
+            for column, entry in zip(columns, row):
+                column.append(entry)
+            gamma.append(tuple(row))
+            if sum(row) != self.values[n]:
+                raise AssertionError(
+                    f"block-count routes disagree at n={n}: {sum(row)} vs {self.values[n]}"
+                )
+        return tuple(gamma)
 
 
 def _beta_coefficient(n: int, el: int) -> int:
@@ -277,35 +305,40 @@ def _beta_coefficient(n: int, el: int) -> int:
     return num // (n + el)
 
 
-def beta_table(n_max: int) -> BetaTable:
-    """Moment table by two independent recursions, which must agree.
+def _lucas_polynomials() -> Iterator[list[int]]:
+    """Coefficient lists, lowest degree first, of L_0 = 2, L_1 = x and
+    L_(m+1) = x L_m + L_(m-1)."""
+    prev, cur = [2], [0, 1]
+    while True:
+        yield prev
+        prev, cur = cur, [a + b for a, b in zip([0] + cur, prev + [0, 0])]
 
-    The direct route convolves earlier values; the refined route counts
-    weighted subsets of the cycle per block count and resums over the block
-    counts.  Disagreement raises, so a returned table is self-consistent.
+
+def beta_table(n_max: int) -> BetaTable:
+    """Moment table by the direct recursion, every weight checked independently.
+
+    beta_n = sum_(el < n) w(n, el) beta_el with w(n, el) from the binomial
+    formula.  The same w(n, el) is the coefficient of x^(2 el) in the Lucas
+    polynomial L_(2n), whose leading coefficient is 1, so the recursion says
+    E[L_(2n)(X)] = 2 beta_n for the limit law.  Every weight is compared with
+    the coefficient that the three-term recurrence builds, and a mismatch
+    raises, so a returned table rests on two routes to each weight.
     """
     if not 0 <= n_max <= BETA_CAP:
         raise ValueError(f"n_max out of range 0..{BETA_CAP}")
     beta = [1]
-    # gamma[n][k - 1] refines beta_n by block count k; gamma[n][0] = 2
-    gamma: list[tuple[int, ...]] = [()]
-    columns: list[list[int]] = []  # columns[j] = [gamma[j + 1][j], gamma[j + 2][j], ...]
-    for n in range(1, n_max + 1):
+    even_lucas = itertools.islice(_lucas_polynomials(), 2, None, 2)  # L_2, L_4, ...
+    for n, lucas in zip(range(1, n_max + 1), even_lucas):
         # w[el] is the recursion weight of beta_el in beta_n, el < n
         w = [_beta_coefficient(n, el) for el in range(n)]
-        beta.append(sum(map(operator.mul, w, beta)))
-        row = [2] + [
-            sum(map(operator.mul, w[k - 1 : n], columns[k - 2])) for k in range(2, n + 1)
-        ]
-        columns.append([])
-        for column, entry in zip(columns, row):
-            column.append(entry)
-        gamma.append(tuple(row))
-        if sum(row) != beta[n]:
+        if w != lucas[0 : 2 * n : 2]:
+            el = next(el for el in range(n) if w[el] != lucas[2 * el])
             raise AssertionError(
-                f"recursion routes disagree at n={n}: {sum(row)} vs {beta[n]}"
+                f"weight routes disagree at n={n}: binomial w({n}, {el}) = {w[el]}, "
+                f"Lucas L_{2 * n} coefficient {lucas[2 * el]}"
             )
-    return BetaTable(tuple(beta), tuple(gamma))
+        beta.append(sum(map(operator.mul, w, beta)))
+    return BetaTable(tuple(beta))
 
 
 def carleman_check(n_max: int) -> tuple[bool, list[float]]:

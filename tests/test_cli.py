@@ -486,6 +486,22 @@ class TestCertificates:
             "error: Faddeev-LeVerrier residues disagree modulo the check prime\n"
         )
 
+    def test_identity_check_failure_exit_3(self, capsys, monkeypatch):
+        # a wrong moment-table weight fails the Lucas check inside beta_table
+        from cyclic_spectra import limits as limits_mod
+
+        exact = limits_mod._beta_coefficient
+        monkeypatch.setattr(
+            limits_mod, "_beta_coefficient",
+            lambda n, el: exact(n, el) + (n == 10 and el == 5),
+        )
+        code = main(["limits", "beta", "--n", "12"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "routes disagree at n=10" in captured.err
+
     def test_mismatch_certificate_parses(self, tmp_path, capsys, monkeypatch):
         # corrupt one suite on purpose by registering a failing trial that
         # records its first random draw, so the replay can be checked

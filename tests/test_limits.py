@@ -1,5 +1,6 @@
 """Limit theorems, comb-power moments, moment tables, divisibility classifier."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -329,6 +330,56 @@ class TestBetaTable:
         with pytest.raises(AssertionError, match="routes disagree at n=3"):
             beta_table(5)
         assert beta_table(2).values == (1, 2, 10)
+
+    @pytest.mark.parametrize("n, el", [(10, 5), (200, 199), (150, 0)])
+    def test_wrong_weight_raises(self, monkeypatch, n, el):
+        # the binomial weights are checked against L_2n, so no weight is free
+        exact = limits._beta_coefficient
+        monkeypatch.setattr(
+            limits, "_beta_coefficient",
+            lambda m, k: exact(m, k) + (m == n and k == el),
+        )
+        with pytest.raises(AssertionError, match=f"routes disagree at n={n}"):
+            beta_table(BETA_CAP)
+
+    def test_weights_are_lucas_coefficients(self):
+        # L_0 = 2, L_1 = x, L_(m+1) = x L_m + L_(m-1), lowest degree first
+        lucas = [(2,), (0, 1)]
+        while len(lucas) <= 2 * BETA_CAP:
+            shifted = (0,) + lucas[-1]
+            lower = lucas[-2] + (0,) * (len(shifted) - len(lucas[-2]))
+            lucas.append(tuple(a + b for a, b in zip(shifted, lower)))
+        for n in range(1, BETA_CAP + 1):
+            assert lucas[2 * n][2 * n] == 1
+            for el in range(n):
+                assert lucas[2 * n][2 * el] == limits._beta_coefficient(n, el)
+                assert lucas[2 * n][2 * el + 1] == 0
+
+    def test_gamma_built_on_first_read(self):
+        # test_matches_per_term_weights_to_60 checks the rows on a fresh table
+        table = beta_table(60)
+        assert "gamma" not in vars(table)
+        assert table.gamma is table.gamma
+        assert len(table.gamma) == 61 and table.gamma[60][0] == 2
+
+    def test_gamma_sum_check_raises(self):
+        # a table whose values do not resum from gamma fails on the read
+        table = limits.BetaTable((1, 2, 11))
+        with pytest.raises(AssertionError, match="routes disagree at n=2"):
+            table.gamma
+
+    def test_table_at_cap_pinned(self):
+        # digests of the table and the Carleman sums when both recursions built it
+        values = beta_table(BETA_CAP).values
+        digest = hashlib.sha256("\n".join(map(str, values)).encode()).hexdigest()
+        assert digest == (
+            "38cc6ba5cd11015487e0a8dc5c87757276bb1d61bac4109809aa175525101ab1"
+        )
+        ok, partial = carleman_check(BETA_CAP)
+        hexes = "\n".join(x.hex() for x in partial)
+        assert ok and hashlib.sha256(hexes.encode()).hexdigest() == (
+            "e4b634f02bfd707c9d9ebdfd7465332555c422ffe6c5d66490c53a80f2492b8d"
+        )
 
     def test_bounds_small_cases(self):
         table = beta_table(7)
