@@ -8,10 +8,10 @@ failing identity pinpoints the mismatching object.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .exact import Polynomial, RationalFunction, homogeneous_compose
-from .transforms import RootedSpectralData, green, h_transform, renormalized_cauchy
+from .transforms import RootedSpectralData, green, renormalized_cauchy
 
 _Z = RationalFunction.x()
 _ONE_OVER_Z = RationalFunction(Polynomial.one(), Polynomial.x())
@@ -31,6 +31,11 @@ def transform_pair(sd: RootedSpectralData) -> TransformPair:
 # ----------------------------------------------------------------------
 # star product / additive convolution
 
+def h_transform(pair: TransformPair) -> RationalFunction:
+    """rc + d/dz log(z G); additive under the star product."""
+    return pair.rc + _ONE_OVER_Z + pair.green.log_derivative()
+
+
 def cyclic_boolean_multisum(
     terms: Sequence[tuple[TransformPair, int]],
 ) -> TransformPair:
@@ -38,8 +43,8 @@ def cyclic_boolean_multisum(
 
     Each term is (pair_i, n_i): n_i independent copies of the element with
     transforms pair_i. With N = sum n_i, the reciprocal Green function is
-    F = sum n_i F_i - (N - 1) z, and the renormalized trace resolvent is
-    rc = sum n_i (rc_i + G_i'/G_i) - G'/G + (N - 1)/z.
+    F = sum n_i F_i - (N - 1) z, and the h-transform is additive,
+    h = sum n_i h_i, so rc = sum n_i h_i - 1/z - G'/G.
     """
     return _fold_boolean_pieces([(_boolean_pieces(pair), n) for pair, n in terms])
 
@@ -48,20 +53,20 @@ _Pieces = tuple[RationalFunction, RationalFunction]
 
 
 def _boolean_pieces(pair: TransformPair) -> _Pieces:
-    """(F_i, rc_i + G_i'/G_i): what the multisum is linear in, per element."""
-    return pair.green.reciprocal(), pair.rc + pair.green.log_derivative()
+    """(F_i, h_i): what the multisum is linear in, per element."""
+    return pair.green.reciprocal(), h_transform(pair)
 
 
 def _fold_boolean_pieces(terms: Sequence[tuple[_Pieces, int]]) -> TransformPair:
     """`cyclic_boolean_multisum` of terms whose pieces are already built."""
     count = sum(n for _, n in terms)
     f = -(count - 1) * _Z
-    rc = (count - 1) * _ONE_OVER_Z
-    for (f_i, corrected_rc), n in terms:
+    h = -_ONE_OVER_Z
+    for (f_i, h_i), n in terms:
         f = f + n * f_i
-        rc = rc + n * corrected_rc
+        h = h + n * h_i
     g = f.reciprocal()
-    return TransformPair(rc - g.log_derivative(), g)
+    return TransformPair(h - g.log_derivative(), g)
 
 
 def cyclic_boolean_sum(a: TransformPair, b: TransformPair) -> TransformPair:
@@ -69,11 +74,21 @@ def cyclic_boolean_sum(a: TransformPair, b: TransformPair) -> TransformPair:
     return cyclic_boolean_multisum(((a, 1), (b, 1)))
 
 
+def star_powers(pair: TransformPair, ns: Sequence[int]) -> Iterator[TransformPair]:
+    """Transforms of the n-fold star power of one element, for each n in ns.
+
+    The element's pieces are built once and folded per n.
+    """
+    if min(ns, default=1) < 1:
+        raise ValueError("fold count must be >= 1")
+    pieces = _boolean_pieces(pair)
+    return (_fold_boolean_pieces(((pieces, n),)) for n in ns)
+
+
 def nfold_star_transforms(sd: RootedSpectralData, n: int) -> TransformPair:
     """Transforms of the n-fold star power, in closed form (no iteration)."""
-    if n < 1:
-        raise ValueError("fold count must be >= 1")
-    return cyclic_boolean_multisum(((transform_pair(sd), n),))
+    (power,) = star_powers(transform_pair(sd), (n,))
+    return power
 
 
 def star_char_poly(
@@ -174,22 +189,15 @@ def star_cauchy_identity_check(
     sd2: RootedSpectralData,
     product_sd: RootedSpectralData | None = None,
 ) -> IdentityCheck:
-    """Trace-resolvent identity for the star product, checked exactly.
+    """Star-product identity for both transforms, checked exactly.
 
-    The log-derivative corrected trace resolvent of the product must equal
-    the sum of the corrected factor resolvents.
+    The (rc, G) pair of the product must equal the cyclic-Boolean sum of the
+    factor pairs, computed by the same fold as the star-power spectra.
     """
-    from .transforms import cauchy  # local import to keep module surface tidy
-
     if product_sd is None:
         product_sd = star_char_poly(sd1, sd2)
-    lhs = cauchy(product_sd) + green(product_sd).log_derivative()
-    rhs = (
-        cauchy(sd1)
-        + cauchy(sd2)
-        + green(sd1).log_derivative()
-        + green(sd2).log_derivative()
-    )
+    lhs = transform_pair(product_sd)
+    rhs = cyclic_boolean_sum(transform_pair(sd1), transform_pair(sd2))
     return _compare("star-cauchy", lhs, rhs)
 
 
@@ -198,8 +206,8 @@ def h_additivity_check(
     sd2: RootedSpectralData,
     product_sd: RootedSpectralData,
 ) -> IdentityCheck:
-    lhs = h_transform(product_sd)
-    rhs = h_transform(sd1) + h_transform(sd2)
+    lhs = h_transform(transform_pair(product_sd))
+    rhs = h_transform(transform_pair(sd1)) + h_transform(transform_pair(sd2))
     return _compare("h-additivity", lhs, rhs)
 
 

@@ -15,6 +15,7 @@ from typing import Sequence
 from .models import MixedWord, _merge_runs, eval_cyclic_boolean_word, table_moments
 from .partitions import (
     SetPartition,
+    enumerate_partitions,
     is_cyclic_interval,
     is_interval_partition,
     moebius,
@@ -159,11 +160,7 @@ def partition_cumulant_case_split(
         return Fraction(0)
     if pi == top(n):
         total = partitioned_moment(oracle, pi, powers, "omega")
-        for rho in (
-            p
-            for p in refinements(top(n))
-            if p != top(n) and is_cyclic_interval(p)
-        ):
+        for rho in _proper_cyclic_intervals(n):
             total -= partition_cumulant_case_split(oracle, rho, powers)
         return total
     if is_interval_partition(pi):
@@ -171,6 +168,12 @@ def partition_cumulant_case_split(
     r, rotated = rotate_to_interval(pi)
     rotated_powers = [powers[(j - 1 + r) % n] for j in range(1, n + 1)]
     return boolean_partition_cumulant(oracle, rotated, rotated_powers)
+
+
+def _proper_cyclic_intervals(n: int) -> list[SetPartition]:
+    """The cyclic-interval partitions of [n] other than top(n)."""
+    whole = top(n)
+    return [pi for pi in enumerate_partitions(n, "CI") if pi != whole]
 
 
 @dataclass(frozen=True)
@@ -206,22 +209,21 @@ def moment_cumulant_check(
         lhs = Fraction(reference_omega[total_power - 1])
     else:
         lhs = Fraction(oracle.omega_table[total_power - 1])
-    rhs = Fraction(0)
-    for pi in refinements(top(n)):
-        if is_cyclic_interval(pi):
-            rhs += partition_cumulant(oracle, pi, powers)
+    proper = _proper_cyclic_intervals(n)
+    rhs = partition_cumulant(oracle, top(n), powers)
+    for pi in proper:
+        rhs += partition_cumulant(oracle, pi, powers)
     if lhs != rhs:
         return MomentCumulantCheck(False, lhs, rhs, "lattice resummation differs")
     if all(p == 1 for p in powers):
         cs = cyclic_boolean_cumulants(oracle.moment_data(n))
         bs = boolean_cumulants(oracle.moment_data(n))
         recursion = cs[n - 1]
-        for pi in refinements(top(n)):
-            if pi != top(n) and is_cyclic_interval(pi):
-                term = Fraction(1)
-                for b in pi.blocks:
-                    term *= bs[len(b) - 1]
-                recursion += term
+        for pi in proper:
+            term = Fraction(1)
+            for b in pi.blocks:
+                term *= bs[len(b) - 1]
+            recursion += term
         if recursion != lhs:
             return MomentCumulantCheck(
                 False, lhs, recursion, "univariate recursion differs"

@@ -228,24 +228,6 @@ class Polynomial:
             return self
         return Polynomial._make(Fraction(1, self._prim[-1]), self._prim)
 
-    def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.degree < other.degree:
-            return Polynomial.zero(), self
-        q, r, f = _pseudo_divmod(self._prim, other._prim)
-        ca, cb = self._content, other._content
-        return (
-            Polynomial._from_ints(q, ca / (cb * f)),
-            Polynomial._from_ints(r, ca / f),
-        )
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return self.divmod(other)[1]
-
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return self.divmod(other)[0]
-
     # ------------------------------------------------------------------
     def __eq__(self, other) -> bool:
         return (

@@ -19,12 +19,11 @@ from typing import Iterator, Sequence
 
 from .convolutions import (
     TransformPair,
-    _boolean_pieces,
-    _fold_boolean_pieces,
-    cyclic_boolean_sum,
+    cyclic_boolean_multisum,
+    star_powers,
     transform_pair,
 )
-from .exact import Polynomial, RationalFunction
+from .exact import Polynomial
 from .partitions import OrderedSetPartition, maximal_arcs
 from .transforms import (
     RootedSpectralData,
@@ -76,14 +75,10 @@ def clt_report(
     convolution pipeline, one star power per sample size, so the sizes can
     reach the hundreds; only the final normalization is floating point.
     """
-    if min(n_values, default=1) < 1:
-        raise ValueError("fold count must be >= 1")
     pair = transform_pair(sd)
     alpha = laurent_at_infinity(pair.rc, 3)[3] / root_degree
-    pieces = _boolean_pieces(pair)  # built once, folded per size
     series = [
-        laurent_at_infinity(_fold_boolean_pieces(((pieces, n),)).rc, k_max + 1)
-        for n in n_values
+        laurent_at_infinity(power.rc, k_max + 1) for power in star_powers(pair, n_values)
     ]
     reports = []
     for k in range(1, k_max + 1):
@@ -116,9 +111,8 @@ def spectral_gap_report(
     if root_degree < 1:
         raise ValueError("root must have positive degree")
     rows = []
-    pieces = _boolean_pieces(transform_pair(sd))  # built once, folded per n
-    for n in range(1, n_max + 1):
-        power = _fold_boolean_pieces(((pieces, n),))
+    ns = range(1, n_max + 1)
+    for n, power in zip(ns, star_powers(transform_pair(sd), ns)):
         dim = n * (sd.dim - 1) + 1
         report = extract_spectrum(power.rc, dim)
         scale = 1.0 / math.sqrt(root_degree * n)
@@ -432,12 +426,9 @@ class NthRootData:
 
 def two_point_transforms(s: Fraction, q: Fraction) -> TransformPair:
     """Exact transform pair of a two-point element with eigenvalue sum s and
-    product q (q < 0), state weights on the divisible line."""
-    z = Polynomial.x()
-    quad = Polynomial((q, -s, 1))
-    rc = RationalFunction(Polynomial((-2 * q, s)), z * quad)
-    g = RationalFunction(z, quad)
-    return TransformPair(rc, g)
+    product q (q < 0), state weights on the divisible line: the element whose
+    characteristic pair is (z^2 - s z + q, z)."""
+    return transform_pair(RootedSpectralData(Polynomial((q, -s, 1)), Polynomial.x(), 2))
 
 
 def cb_id_nth_root(alpha, beta, n: int) -> NthRootData:
@@ -460,10 +451,7 @@ def cb_id_nth_root(alpha, beta, n: int) -> NthRootData:
 def nth_root_round_trip(alpha, beta, n: int) -> bool:
     """Exact check: n-fold self-convolution of the root reproduces the element."""
     root = cb_id_nth_root(alpha, beta, n)
-    pair = root.transforms()
-    acc = pair
-    for _ in range(n - 1):
-        acc = cyclic_boolean_sum(acc, pair)
+    acc = cyclic_boolean_multisum(((root.transforms(), n),))
     expected = two_point_transforms(
         Fraction(alpha) + Fraction(beta), Fraction(alpha) * Fraction(beta)
     )

@@ -1,11 +1,11 @@
 """Spectral transforms of rooted graphs as exact rational functions.
 
 The symbolic layer (characteristic polynomials, Green function, trace
-resolvent and its renormalized form, additive transform) is exact over the
-rationals, and so is the step that turns a transform into a spectrum: roots
-are isolated in exact rational intervals and multiplicities are certified by
-exact gcds.  Floating point enters only when an eigenvalue that is not
-dyadic is reported as the float of its interval midpoint.
+resolvent and its renormalized form) is exact over the rationals, and so is
+the step that turns a transform into a spectrum: roots are isolated in exact
+rational intervals and multiplicities are certified by exact gcds.  Floating
+point enters only when an eigenvalue that is not dyadic is reported as the
+float of its interval midpoint.
 """
 
 from __future__ import annotations
@@ -165,12 +165,6 @@ def renormalized_cauchy(sd: RootedSpectralData) -> RationalFunction:
     return cauchy(sd) - RationalFunction(
         Polynomial.constant(sd.dim), Polynomial.x()
     )
-
-
-def h_transform(sd: RootedSpectralData) -> RationalFunction:
-    """renormalized_cauchy + d/dz log(z G); additive under the star product."""
-    one_over_z = RationalFunction(Polynomial.one(), Polynomial.x())
-    return renormalized_cauchy(sd) + one_over_z + green(sd).log_derivative()
 
 
 def laurent_at_infinity(f: RationalFunction, order: int) -> tuple[Fraction, ...]:

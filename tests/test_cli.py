@@ -324,6 +324,51 @@ class TestDeterminism:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+# sha256 of the stdout of commands whose output holds no BLAS or libm float,
+# so a change to the exact pipeline must leave them byte-identical on every
+# platform
+GOLDEN_STDOUT = {
+    "verify h-additivity --trials 100":
+        "152b501ed49e3ea5ac40de4b5cb82678e9092c471c4c17db1ece9b4237206b2b",
+    "verify schwenk-star --trials 100":
+        "03fa2276613a60430bf32c297653edbcfc72c716ac9fc3481d41932fd01ebb93",
+    "verify schwenk-comb --trials 100":
+        "3481f365295fd94319f5b6fa249091b2301dd2e7aa3ec7d3fd75f2d23f208e8d",
+    "verify comb-trace --trials 100":
+        "49b939cf2af6e771b81e92634bd893fbeede1a665114e03d0ba524ee3b702b11",
+    "verify star-cauchy --trials 100":
+        "f2a95e75bd2b38f157b211f41ea1c3fb1b8adc1013e18fbc07a0d6c8fdbe748c",
+    "verify moment-cumulant --trials 100":
+        "593cc123e352e045b507062ac9c218608fffd42767cf0d22c4c2f248b62cef71",
+    "verify mixed-words --trials 200":
+        "35b8cf81d0c39ae9a23c3d974516c9525c7376aa98d901cae8f293edaceb2c93",
+    "verify schwenk-star --trials 10 --max-vertices 32":
+        "8dddf1c918e4e12ad5bb989a6bdfe7e304a52ab16c1ee1923164ed0cb9621bbb",
+    "limits gap --family complete:3 --n-max 64":
+        "c7a156ef9d0b9fd3c8a7b3065ede6c2c7c24d5abeb6e216509591af2881771fc",
+    "spectrum --family star-of complete:2 --fold 9 --product star --oracle-max 0":
+        "e73a37acd14cb6c09a3a8a8d6f3895f611ed0c4114a213b46e3f84f1d6212e85",
+    "spectrum --family friendship:3 --oracle-max 0":
+        "d5ad579f04cfa3fd323e7c82593dd016ef23a97dbcd3684ef0d3ef732cd1091b",
+    "spectrum --family star-of complete:3 --fold 200 --product star --oracle-max 0":
+        "5f40097416b0a5221e7b4b975055ae48b1f70c1eafcc771f25dc7d51af642892",
+    "spectrum --family star-of star:3 --fold 100 --product star --oracle-max 0":
+        "77f19ad7d0fbda6de79de2aa4e711a186137faafc1d51ffdc4ba9d799a07d1ac",
+    "spectrum --family star-of complete:3 --fold 1000 --product star --oracle-max 0":
+        "0f3a44db404ac37bfcebba6d6c644381550ef2145492054e8b0cf79754f24cce",
+    "spectrum --family star-of friendship:3 --fold 300 --product star --oracle-max 0":
+        "c69369e978eac310094a213bdb25019addb4f3f5524117149aa5b2065f6b6dce",
+}
+
+
+class TestGoldenStdout:
+    @pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
+    def test_stdout_digest(self, capsys, command):
+        code, out = run(capsys, *shlex.split(command))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
+
+
 class TestLimitsTables:
     def test_comb_report_rows(self, capsys):
         code, data = run_json(
@@ -501,6 +546,30 @@ class TestCertificates:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "routes disagree at n=10" in captured.err
+
+    def test_star_cauchy_checks_the_cli_fold(self, tmp_path, capsys, monkeypatch):
+        # spectrum and limits fold star powers with _fold_boolean_pieces, so a
+        # corrupted fold must fail the star-cauchy suite
+        from cyclic_spectra import convolutions
+        from cyclic_spectra.exact import Polynomial, RationalFunction
+
+        fold = convolutions._fold_boolean_pieces
+        offset = RationalFunction(Polynomial.one(), Polynomial((0, 0, 1)))
+
+        def corrupt(terms):
+            pair = fold(terms)
+            return convolutions.TransformPair(pair.rc + offset, pair.green)
+
+        monkeypatch.setattr(convolutions, "_fold_boolean_pieces", corrupt)
+        cert = tmp_path / "cert.json"
+        code = main([
+            "verify", "star-cauchy", "--trials", "5", "--certificate", str(cert),
+        ])
+        capsys.readouterr()
+        assert code == 3
+        data = json.loads(cert.read_text())
+        assert data["suite"] == "star-cauchy"
+        assert [f["identity"] for f in data["failures"]] == ["star-cauchy"] * 5
 
     def test_mismatch_certificate_parses(self, tmp_path, capsys, monkeypatch):
         # corrupt one suite on purpose by registering a failing trial that

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from cyclic_spectra.convolutions import (
     comb_char_poly,
     comb_trace_check,
@@ -15,6 +17,7 @@ from cyclic_spectra.convolutions import (
     schwenk_star_check,
     star_cauchy_identity_check,
     star_char_poly,
+    star_powers,
     transform_pair,
 )
 from cyclic_spectra.exact import Polynomial, RationalFunction
@@ -105,6 +108,19 @@ class TestCyclicBooleanSum:
                 closed = nfold_star_transforms(sd, n)
                 assert acc.rc == closed.rc
                 assert acc.green == closed.green
+
+    def test_star_powers_match_nfold(self):
+        for base in (complete(2), complete(3), star(3), friendship(2)):
+            sd = spectral_data(base)
+            ns = [1, 2, 3, 5, 8, 2]
+            for n, power in zip(ns, star_powers(transform_pair(sd), ns)):
+                assert power == nfold_star_transforms(sd, n)
+
+    def test_star_powers_reject_fold_below_one(self):
+        pair = transform_pair(sd_k2())
+        for ns in ([0], [2, -1], range(0, 3)):
+            with pytest.raises(ValueError, match="fold count"):
+                star_powers(pair, ns)
 
     def test_matches_star_product_on_corpus(self):
         rng = random.Random(42)

@@ -10,6 +10,7 @@ import pytest
 
 from cyclic_spectra import limits
 from cyclic_spectra.convolutions import nfold_star_transforms
+from cyclic_spectra.exact import Polynomial, RationalFunction
 from cyclic_spectra.graphs import complete
 from cyclic_spectra.limits import (
     BETA_CAP,
@@ -25,6 +26,7 @@ from cyclic_spectra.limits import (
     omega_of_ordered_partition,
     ordered_partition_moment_sums,
     spectral_gap_report,
+    two_point_transforms,
 )
 from cyclic_spectra.models import OperatorModel, matrix_power_moments, trace_moment
 from cyclic_spectra.partitions import OrderedSetPartition, enumerate_partitions
@@ -464,3 +466,13 @@ class TestNthRoot:
             p.append(root.sum_exact * p[-1] - root.product_exact * p[-2])
         for k in range(1, 7):
             assert series[k + 1] == p[k]
+
+    def test_two_point_transforms_closed_form(self):
+        # rc = (s z - 2q) / (z (z^2 - s z + q)) and G = z / (z^2 - s z + q)
+        z = Polynomial.x()
+        for s in (F(0), F(1), F(-3, 2), F(5, 7), F(-8)):
+            for q in (F(-1), F(-1, 3), F(-9, 4), F(-12)):
+                quad = Polynomial((q, -s, 1))
+                pair = two_point_transforms(s, q)
+                assert pair.rc == RationalFunction(Polynomial((-2 * q, s)), z * quad)
+                assert pair.green == RationalFunction(z, quad)

@@ -12,7 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclic_spectra import cli, transforms
-from cyclic_spectra.convolutions import nfold_comb_transforms, nfold_star_transforms
+from cyclic_spectra.convolutions import (
+    h_transform,
+    nfold_comb_transforms,
+    nfold_star_transforms,
+    transform_pair,
+)
 from cyclic_spectra.exact import Polynomial, RationalFunction
 from cyclic_spectra.graphs import (
     Graph,
@@ -33,7 +38,6 @@ from cyclic_spectra.transforms import (
     cauchy,
     extract_spectrum,
     green,
-    h_transform,
     isolate_real_roots,
     laurent_at_infinity,
     renormalized_cauchy,
@@ -296,10 +300,10 @@ class TestCauchy:
 
 class TestHTransform:
     def test_k2_vanishes(self):
-        assert h_transform(spectral_data(complete(2))).is_zero()
+        assert h_transform(transform_pair(spectral_data(complete(2)))).is_zero()
 
     def test_single_vertex(self):
-        assert h_transform(spectral_data(RootedGraph(Graph(1), 0))).is_zero()
+        assert h_transform(transform_pair(spectral_data(RootedGraph(Graph(1), 0)))).is_zero()
 
     def test_leading_coefficients(self):
         # h_1 = w_1 - m_1 and h_2 = w_2 + m_1^2 - 2 m_2 for any small graph
@@ -307,7 +311,7 @@ class TestHTransform:
         for _ in range(12):
             g = random_rooted_graph(rng, 6)
             sd = spectral_data(g)
-            h = h_transform(sd)
+            h = h_transform(transform_pair(sd))
             series = laurent_at_infinity(h, 4)
             a = adjacency(g.graph)
             w1, w2 = int(a.trace()), int((a @ a).trace())
