@@ -14,15 +14,26 @@ import os
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import graphs
+from .convolutions import nfold_comb_transforms, nfold_star_transforms
 from .cumulants import (
     MomentData,
     boolean_cumulants,
     cyclic_boolean_cumulants,
     h_coefficients,
 )
-from .limits import beta_table, carleman_check, cb_id_classify
-from .models import eigensolve
+from .limits import (
+    beta_table,
+    carleman_check,
+    cb_id_classify,
+    clt_report,
+    comb_limit_moment,
+    finite_n_comb_moment,
+    spectral_gap_report,
+)
+from .models import eigensolve, matrix_power_moments
 from .transforms import (
     EXACT_CHARPOLY_CAP,
     SpectrumReport,
@@ -103,20 +114,18 @@ def cmd_spectrum(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    from .convolutions import nfold_comb_transforms, nfold_star_transforms
-
     sd = spectral_data(base)
     fold = args.fold
     if product == "star":
-        pair = nfold_star_transforms(sd, fold)
+        rc = nfold_star_transforms(sd, fold).rc
         dim = fold * (sd.dim - 1) + 1
         build_product = graphs.nfold_star
     else:
-        pair = nfold_comb_transforms(sd, fold)
+        rc = nfold_comb_transforms(sd, fold)
         dim = sd.dim**fold
         build_product = graphs.nfold_comb
     try:
-        report = extract_spectrum(pair.rc, dim)
+        report = extract_spectrum(rc, dim)
     except ValueError as exc:
         print(f"error: spectrum extraction failed: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
@@ -179,7 +188,7 @@ def cmd_verify(args) -> int:
                 {
                     "schema": SCHEMA,
                     "suite": args.suite,
-                    # trial t reruns alone from random.Random(seed * 1_000_003 + t)
+                    # trial t reruns alone from random.Random(f"{suite}/{seed}/{t}")
                     "seed": args.seed,
                     "trials": args.trials,
                     "max_vertices": args.max_vertices,
@@ -230,11 +239,6 @@ def cmd_cumulants(args) -> int:
 
 
 def _limits_comb_payload(args) -> dict:
-    from .limits import comb_limit_moment, finite_n_comb_moment
-    from .models import matrix_power_moments
-
-    import numpy as np
-
     base, label = _parse_graph_arg([args.family])
     if base.n < 2:
         raise ValueError("comb base must have at least 2 vertices")
@@ -274,8 +278,6 @@ def cmd_limits(args) -> int:
     if args.table == "comb":
         payload = _limits_comb_payload(args)
     elif args.table == "gap":
-        from .limits import spectral_gap_report
-
         base, label, deg = _star_base(args.family)
         try:
             rows = spectral_gap_report(spectral_data(base), deg, args.n_max)
@@ -313,8 +315,6 @@ def cmd_limits(args) -> int:
             "rows": [[n + 1, s] for n, s in enumerate(partial)],
         }
     else:  # clt
-        from .limits import clt_report
-
         base, label, deg = _star_base(args.family)
         sd = spectral_data(base)
         sizes = [n for n in (1, 2, 4, 8, 16, 32, 64, 128, 256) if n <= args.n_max]

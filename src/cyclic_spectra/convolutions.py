@@ -125,42 +125,28 @@ def comb_char_poly(
 
 
 def cyclic_monotone_sum(
-    inner_rc: RationalFunction, outer: TransformPair
+    rc_g: RationalFunction, d_g: int, pair_h: TransformPair
 ) -> RationalFunction:
-    """Renormalized trace resolvent of a + b for cyclic-monotone (a, b).
+    """Renormalized trace resolvent of the comb product g |> h.
 
-    The lower element contributes through composition with the reciprocal
-    Green function of the upper one: rc_b + F_b' * rc_a(F_b).
+    A cyclic-monotone sum with the base g (d_g vertices) below and d_g copies
+    of the attached h above; g enters through composition with F_h = 1/G_h:
+    rc = d_g * rc_h + F_h' * rc_g(F_h).
     """
-    f_b = outer.green.reciprocal()
-    return outer.rc + f_b.derivative() * inner_rc.compose(f_b)
+    f_h = pair_h.green.reciprocal()
+    return d_g * pair_h.rc + f_h.derivative() * rc_g.compose(f_h)
 
 
-def comb_trace_transform(
-    sd_g: RootedSpectralData, sd_h: RootedSpectralData
-) -> RationalFunction:
-    """Renormalized trace resolvent of g |> h from the factor transforms.
-
-    The trace side of the comb identity: a cyclic-monotone sum with the base
-    graph below and d copies of the attached graph above, d = |g|.
-    """
-    outer = TransformPair(sd_g.dim * renormalized_cauchy(sd_h), green(sd_h))
-    return cyclic_monotone_sum(renormalized_cauchy(sd_g), outer)
-
-
-def nfold_comb_transforms(sd: RootedSpectralData, n: int) -> TransformPair:
-    """Transforms of the n-fold comb power (left fold)."""
+def nfold_comb_transforms(sd: RootedSpectralData, n: int) -> RationalFunction:
+    """Renormalized trace resolvent of the n-fold comb power (left fold)."""
     if n < 1:
         raise ValueError("fold count must be >= 1")
     pair = transform_pair(sd)
-    f = pair.green.reciprocal()
-    rc_cur, f_cur, dim_cur = pair.rc, f, sd.dim
+    rc, dim = pair.rc, sd.dim
     for _ in range(n - 1):
-        outer = TransformPair(dim_cur * pair.rc, pair.green)
-        rc_cur = cyclic_monotone_sum(rc_cur, outer)
-        f_cur = f_cur.compose(f)
-        dim_cur *= sd.dim
-    return TransformPair(rc_cur, f_cur.reciprocal())
+        rc = cyclic_monotone_sum(rc, dim, pair)
+        dim *= sd.dim
+    return rc
 
 
 # ----------------------------------------------------------------------
@@ -187,15 +173,13 @@ def _compare(name: str, lhs, rhs) -> IdentityCheck:
 def star_cauchy_identity_check(
     sd1: RootedSpectralData,
     sd2: RootedSpectralData,
-    product_sd: RootedSpectralData | None = None,
+    product_sd: RootedSpectralData,
 ) -> IdentityCheck:
     """Star-product identity for both transforms, checked exactly.
 
     The (rc, G) pair of the product must equal the cyclic-Boolean sum of the
     factor pairs, computed by the same fold as the star-power spectra.
     """
-    if product_sd is None:
-        product_sd = star_char_poly(sd1, sd2)
     lhs = transform_pair(product_sd)
     rhs = cyclic_boolean_sum(transform_pair(sd1), transform_pair(sd2))
     return _compare("star-cauchy", lhs, rhs)
@@ -243,5 +227,5 @@ def comb_trace_check(
     product_sd: RootedSpectralData,
 ) -> IdentityCheck:
     lhs = renormalized_cauchy(product_sd)
-    rhs = comb_trace_transform(sd_g, sd_h)
+    rhs = cyclic_monotone_sum(renormalized_cauchy(sd_g), sd_g.dim, transform_pair(sd_h))
     return _compare("comb-trace", lhs, rhs)

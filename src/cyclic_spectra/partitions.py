@@ -77,20 +77,7 @@ class OrderedSetPartition:
 # enumeration
 
 def _set_partitions(n: int) -> Iterator[SetPartition]:
-    # restricted growth strings
-    def rec(pos: int, blocks: list[list[int]]):
-        if pos > n:
-            yield SetPartition(n, [list(b) for b in blocks])
-            return
-        for b in blocks:
-            b.append(pos)
-            yield from rec(pos + 1, blocks)
-            b.pop()
-        blocks.append([pos])
-        yield from rec(pos + 1, blocks)
-        blocks.pop()
-
-    yield from rec(1, [])
+    return (SetPartition(n, blocks) for blocks in _partitions_of_block(range(1, n + 1)))
 
 
 def _interval_partitions(n: int) -> Iterator[SetPartition]:
@@ -264,7 +251,8 @@ def moebius(rho: SetPartition, pi: SetPartition) -> int:
     return out
 
 
-def _partitions_of_block(block: Sequence[int]) -> list[tuple[frozenset[int], ...]]:
+def _partitions_of_block(block: Sequence[int]) -> Iterator[tuple[frozenset[int], ...]]:
+    """Every set partition of block, by restricted growth strings."""
     items = sorted(block)
 
     def rec(pos: int, blocks: list[list[int]]):
@@ -280,7 +268,7 @@ def _partitions_of_block(block: Sequence[int]) -> list[tuple[frozenset[int], ...
         yield from rec(pos + 1, blocks)
         blocks.pop()
 
-    return list(rec(0, []))
+    return rec(0, [])
 
 
 def refinements(pi: SetPartition) -> Iterator[SetPartition]:

@@ -27,6 +27,7 @@ from .models import (
     OperatorModel,
     eval_cyclic_boolean_word,
     eval_cyclic_monotone_word,
+    matrix_power_moments,
     model_tables,
 )
 from .transforms import EXACT_CHARPOLY_CAP, spectral_data
@@ -86,8 +87,6 @@ def _pair_trial(
 def _moment_cumulant_trial(rng: random.Random, max_vertices: int) -> dict:
     dim = rng.randint(2, 3)
     mat = random_symmetric_int_matrix(rng, dim)
-    from .models import matrix_power_moments
-
     phis, omegas = matrix_power_moments(mat, 8)
     oracle = MultiMomentOracle(phis, omegas)
     n = rng.randint(1, 5)
@@ -171,13 +170,14 @@ def run_suite(
 ) -> SuiteResult:
     """Run one named identity suite over a seeded corpus.
 
-    Each trial gets its own seed, derived from the suite seed and the trial
-    index, so any single trial can be rerun alone.
+    Trial t of suite name draws from random.Random(f"{name}/{seed}/{t}"), so
+    any single trial can be rerun alone, and suites at one seed draw distinct
+    corpora. A str seed is hashed with sha512, so it is stable across runs.
     """
     trial_fn = SUITES[name]
     result = SuiteResult(suite=name, trials=trials)
     for index in range(trials):
-        cert = trial_fn(random.Random(seed * 1_000_003 + index), max_vertices)
+        cert = trial_fn(random.Random(f"{name}/{seed}/{index}"), max_vertices)
         cert["trial"] = index
         if cert["ok"]:
             result.passed += 1

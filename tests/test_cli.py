@@ -358,6 +358,46 @@ GOLDEN_STDOUT = {
         "0f3a44db404ac37bfcebba6d6c644381550ef2145492054e8b0cf79754f24cce",
     "spectrum --family star-of friendship:3 --fold 300 --product star --oracle-max 0":
         "c69369e978eac310094a213bdb25019addb4f3f5524117149aa5b2065f6b6dce",
+    "spectrum --family comb-of complete:2 --fold 1 --product comb --oracle-max 0":
+        "db93acf7dac1ea90140f1e6d74fad34e4238694f0d5a5bbfb1e7bd94adbf3487",
+    "spectrum --family comb-of complete:2 --fold 2 --product comb --oracle-max 0":
+        "6db19554dbe66fc116ec134b427ec74cbbe46fb94ce4383543c0d69dd3ed06a6",
+    "spectrum --family comb-of complete:2 --fold 3 --product comb --oracle-max 0":
+        "476d4419ab68e7440d61859b7c517270bf5d011337ccc3bfa62639911a19a32d",
+    "spectrum --family comb-of complete:2 --fold 4 --product comb --oracle-max 0":
+        "3f3350a51cf8aedd7782be948528996d42c3b7a0ba6295e69f4a61e95954407a",
+    "spectrum --family comb-of complete:2 --fold 5 --product comb --oracle-max 0":
+        "9cb9e690ae04accc7498e9d2959d381c22e2d18abc47de6de1478aa280ce5d43",
+    "spectrum --family comb-of complete:2 --fold 6 --product comb --oracle-max 0":
+        "ba3cd8982b551d52299d553eb11c3dddf0f4f7c6dd482bdf00a0cb6155805f5b",
+    "spectrum --family comb-of complete:3 --fold 1 --product comb --oracle-max 0":
+        "3cd92fbce2a3e17e4dcac15c076d8fd3d448b693eb9bc51112967780c00bce18",
+    "spectrum --family comb-of complete:3 --fold 2 --product comb --oracle-max 0":
+        "04ea2c7b726edd7ec09b36463907c1fcb1135fe0c6807e4ffcf196e6a981479c",
+    "spectrum --family comb-of complete:3 --fold 3 --product comb --oracle-max 0":
+        "6889b433e7f947232cce2089df23b8d1b2fe2ee2a724e08e91d6d4f3da7b99d2",
+    "spectrum --family comb-of complete:3 --fold 4 --product comb --oracle-max 0":
+        "f6b7f1dfc0d2b2c61d98e673dd1b92e34f3592374c192bc6420ffde44c47cdb5",
+    "spectrum --family comb-of path:3 --fold 1 --product comb --oracle-max 0":
+        "10271efb36e47d3ae57f9ec8054ee60265f0bb8d9bc5cb7a1894c9587492af05",
+    "spectrum --family comb-of path:3 --fold 2 --product comb --oracle-max 0":
+        "7fde18b64d5d5548a9cbb7f8e9a64edf287c6c2816d6ebc89b14e448319319f3",
+    "spectrum --family comb-of path:3 --fold 3 --product comb --oracle-max 0":
+        "76389aedd0a74946a1acd75fae45a817b028da60e7ddc9bac47b18e27a4964ce",
+    "spectrum --family comb-of path:3 --fold 4 --product comb --oracle-max 0":
+        "dbd189a280f019490909a62d7a122cedd7abad5c15b9688e50fabcffb8971735",
+    "spectrum --family comb-of path:4 --fold 1 --product comb --oracle-max 0":
+        "17b2dc219118981228498a8c9642d554744e185cc978457c40e81db67f023fbb",
+    "spectrum --family comb-of path:4 --fold 2 --product comb --oracle-max 0":
+        "2b620621a50264d3019d9c874fcd7292b32da537e98b86fa5e8d9e99238abfb9",
+    "spectrum --family comb-of path:4 --fold 3 --product comb --oracle-max 0":
+        "e05d2e319c46c08eb1e7e69e2867f8c8ac9f7fa25ed88a702e7af0ffba95df35",
+    "spectrum --family comb-of star:3 --fold 1 --product comb --oracle-max 0":
+        "7ea9ffed7fb78b08f880e1cef752566da36fdec106e9d06880948d2616528f3f",
+    "spectrum --family comb-of star:3 --fold 2 --product comb --oracle-max 0":
+        "ba754cb6701e34c310482f8c524e892860c4d73a37c7f3697763a3b481db43ed",
+    "spectrum --family comb-of star:3 --fold 3 --product comb --oracle-max 0":
+        "e86e35b708a1be42623797fa3825dddd1616cd9067a05e913857660486f6db5a",
 }
 
 
@@ -571,6 +611,29 @@ class TestCertificates:
         assert data["suite"] == "star-cauchy"
         assert [f["identity"] for f in data["failures"]] == ["star-cauchy"] * 5
 
+    def test_comb_trace_checks_the_cli_fold(self, tmp_path, capsys, monkeypatch):
+        # spectrum folds comb powers with cyclic_monotone_sum, so a corrupted
+        # step must fail the comb-trace suite
+        from cyclic_spectra import convolutions
+        from cyclic_spectra.exact import Polynomial, RationalFunction
+
+        step = convolutions.cyclic_monotone_sum
+        offset = RationalFunction(Polynomial.one(), Polynomial((0, 0, 1)))
+
+        def corrupt(rc_g, d_g, pair_h):
+            return step(rc_g, d_g, pair_h) + offset
+
+        monkeypatch.setattr(convolutions, "cyclic_monotone_sum", corrupt)
+        cert = tmp_path / "cert.json"
+        code = main([
+            "verify", "comb-trace", "--trials", "5", "--certificate", str(cert),
+        ])
+        capsys.readouterr()
+        assert code == 3
+        data = json.loads(cert.read_text())
+        assert data["suite"] == "comb-trace"
+        assert [f["identity"] for f in data["failures"]] == ["comb-trace"] * 5
+
     def test_mismatch_certificate_parses(self, tmp_path, capsys, monkeypatch):
         # corrupt one suite on purpose by registering a failing trial that
         # records its first random draw, so the replay can be checked
@@ -592,7 +655,7 @@ class TestCertificates:
         assert (data["seed"], data["trials"], data["max_vertices"]) == (5, 3, 4)
         assert len(data["failures"]) == 3
         for failure in data["failures"]:
-            rng = random.Random(data["seed"] * 1_000_003 + failure["trial"])
+            rng = random.Random(f"{data['suite']}/{data['seed']}/{failure['trial']}")
             assert failure["detail"] == repr(rng.random())
 
 

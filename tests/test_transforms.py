@@ -602,7 +602,7 @@ class TestExtractSpectrum:
         # folds complete:2 ^ 6, path:3 ^ 4 and path:4 ^ 3 once failed with a
         # float residue check
         base = named(family)
-        rc = nfold_comb_transforms(spectral_data(base), fold).rc
+        rc = nfold_comb_transforms(spectral_data(base), fold)
         _assert_matches_oracle(rc, nfold_comb(base, fold))
 
     def test_random_star_and_comb_powers_match_oracle(self):
@@ -612,13 +612,17 @@ class TestExtractSpectrum:
         for _ in range(50):
             base = random_rooted_graph(rng, 5)
             sd = spectral_data(base)
-            for transforms, build, dim in (
-                (nfold_star_transforms, nfold_star, lambda k: k * (base.n - 1) + 1),
-                (nfold_comb_transforms, nfold_comb, lambda k: base.n**k),
+            for rc_of, build, dim in (
+                (
+                    lambda k: nfold_star_transforms(sd, k).rc,
+                    nfold_star,
+                    lambda k: k * (base.n - 1) + 1,
+                ),
+                (lambda k: nfold_comb_transforms(sd, k), nfold_comb, lambda k: base.n**k),
             ):
                 fold = 1
                 while dim(fold) <= 27:
-                    _assert_matches_oracle(transforms(sd, fold).rc, build(base, fold))
+                    _assert_matches_oracle(rc_of(fold), build(base, fold))
                     fold += 1
 
     def test_erdos_renyi_file_graph_through_the_cli(self, tmp_path, capsys):
