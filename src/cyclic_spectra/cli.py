@@ -114,7 +114,7 @@ def cmd_spectrum(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    sd = spectral_data(base)
+    [sd] = spectral_data([base])
     fold = args.fold
     if product == "star":
         rc = nfold_star_transforms(sd, fold).rc
@@ -280,7 +280,7 @@ def cmd_limits(args) -> int:
     elif args.table == "gap":
         base, label, deg = _star_base(args.family)
         try:
-            rows = spectral_gap_report(spectral_data(base), deg, args.n_max)
+            rows = spectral_gap_report(spectral_data([base])[0], deg, args.n_max)
         except ValueError as exc:
             print(f"error: spectrum extraction failed: {exc}", file=sys.stderr)
             return EXIT_MISMATCH
@@ -316,7 +316,7 @@ def cmd_limits(args) -> int:
         }
     else:  # clt
         base, label, deg = _star_base(args.family)
-        sd = spectral_data(base)
+        [sd] = spectral_data([base])
         sizes = [n for n in (1, 2, 4, 8, 16, 32, 64, 128, 256) if n <= args.n_max]
         rows = [
             [report.k, n, value, report.phi_limit, str(report.omega_limit)]

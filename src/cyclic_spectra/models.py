@@ -257,21 +257,21 @@ def _merge_cyclic(letters: Iterable[Sequence[int]]) -> list[list[int]]:
 
 
 def model_tables(
-    model: OperatorModel, mats: Sequence, kind: str, count: int = MAX_POWER
+    model: OperatorModel, tables: Sequence[tuple[list, list]], kind: str
 ) -> tuple[MomentFn, MomentFn]:
     """(phi, omega) moment functions matching the embedded operators.
 
-    For the ordered embedding the trace picks up one full factor dimension
-    per slot below the operator, so the omega table for slot i carries
-    prod(dims[:i-1]); vector-state moments never do.
+    tables[i] is `matrix_power_moments` of the operator in slot i, so one set
+    of tables serves both kinds.  For the ordered embedding the trace picks up
+    one full factor dimension per slot below the operator, so the omega table
+    for slot i carries prod(dims[:i-1]); vector-state moments never do.
     """
     if kind not in ("boolean", "monotone"):
         raise ValueError("kind must be 'boolean' or 'monotone'")
     phis = []
     omegas = []
     below = 1
-    for i, a in enumerate(mats):
-        phi_t, omega_t = matrix_power_moments(a, count)
+    for i, (phi_t, omega_t) in enumerate(tables):
         if kind == "monotone":
             omega_t = [below * w for w in omega_t]
             below *= model.dims[i]

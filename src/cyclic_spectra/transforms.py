@@ -11,7 +11,7 @@ float of its interval midpoint.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,52 +30,94 @@ from .graphs import RootedGraph, adjacency_rows
 #: largest matrix `char_poly` accepts; larger inputs raise ValueError
 EXACT_CHARPOLY_CAP = 512
 
-#: residue matrices (primes x n x n) held at once by `char_poly`
+#: float64 residue matrices ((matrix, prime) pairs x n x n) held at once by
+#: `char_poly`
 _BATCH_ENTRIES = 1 << 16
+
+_ONE = Fraction(1)
 
 
 # ----------------------------------------------------------------------
 # characteristic polynomials
 
 def char_poly(
-    rows: list[list[int]], root: int | None = None
-) -> Polynomial | tuple[Polynomial, Polynomial]:
-    """det(xI - A) for an integer matrix, by multimodular Faddeev-LeVerrier.
+    matrices: Sequence[list[list[int]]], roots: Sequence[int] | None = None
+) -> list[Polynomial] | list[tuple[Polynomial, Polynomial]]:
+    """det(xI - A) for each integer matrix A, by multimodular Faddeev-LeVerrier.
 
-    With a root index, returns the pair (det(xI - A), det(xI - A')), where A'
-    is A without the root's row and column.  By Cramer's rule det(xI - A') is
-    the (root, root) entry of adj(xI - A) = sum_k M_(k+1) x^(n-1-k), and the
-    recurrence forms each M_(k+1) anyway, so one run gives both.
+    With roots, returns for each A the pair (det(xI - A), det(xI - A')), where
+    A' is A without row and column roots[i].  By Cramer's rule det(xI - A') is
+    the (r, r) entry of adj(xI - A) = sum_k M_(k+1) x^(n-1-k), and the
+    recurrence forms each M_(k+1) anyway, so one run gives both.  Results are
+    in input order; the matrices of one size run as one stack.
 
-    With D the largest absolute row sum of A, each k x k principal minor is
-    at most D^k in absolute value (Hadamard), so the coefficient of x^(n-k)
-    is at most binom(n, k) D^k.  The coefficients of det(xI - A') are sums of
-    principal minors of A', whose row sums are at most D, so they are at most
-    binom(n - 1, k) D^k and the same bound covers them.  The recurrence runs
-    modulo primes whose product exceeds twice that bound, and both
-    polynomials are joined by the CRT.  They must also agree modulo one more
-    prime that the CRT did not use; otherwise ArithmeticError is raised.
+    Let F be the sum of the squared entries of the n x n matrix A.  The
+    coefficient of x^(n-k) is, up to sign, e_k of the eigenvalues, and
+    |e_k(lambda)| <= e_k(|lambda|) <= binom(n, k) (sum |lambda| / n)^k by
+    Maclaurin's inequality.  Cauchy-Schwarz gives sum |lambda| <=
+    sqrt(n sum |lambda|^2) and Schur's inequality sum |lambda|^2 <= F, so the
+    coefficient is at most binom(n, k) (F/n)^(k/2).  A' is (n - 1) x (n - 1)
+    and its squared entries sum to at most F, so binom(n - 1, k)
+    (F/(n - 1))^(k/2) covers det(xI - A').  Each matrix runs modulo its own
+    primes, whose product exceeds twice its bound, and its polynomials are
+    joined by the CRT.  They must also agree modulo the next prime, which the
+    CRT did not use; otherwise ArithmeticError is raised.
     """
-    n = len(rows)
-    if n > EXACT_CHARPOLY_CAP:
-        raise ValueError(f"matrix size {n} exceeds exact cap {EXACT_CHARPOLY_CAP}")
+    out: list = [None] * len(matrices)
+    groups: dict[int, list[int]] = {}
+    for i, rows in enumerate(matrices):
+        n = len(rows)
+        if n > EXACT_CHARPOLY_CAP:
+            raise ValueError(f"matrix size {n} exceeds exact cap {EXACT_CHARPOLY_CAP}")
+        if roots is not None and not 0 <= roots[i] < n:
+            raise ValueError(f"root {roots[i]} is not an index of a {n} x {n} matrix")
+        groups.setdefault(n, []).append(i)
+    for n, members in groups.items():
+        if n == 0:
+            for i in members:
+                out[i] = Polynomial.one()
+            continue
+        group = [matrices[i] for i in members]
+        primes = []
+        for rows in group:
+            f = sum(v * v for row in rows for v in row)
+            bound = _coefficient_bound(n, f)
+            if roots is not None:
+                bound = max(bound, _coefficient_bound(n - 1, f))
+            primes.append(_primes_above(2 * bound))
+        group_roots = [0] * len(group) if roots is None else [roots[i] for i in members]
+        residues = _leverrier_residues(group, group_roots, primes)
+        for i, ps, res in zip(members, primes, residues):
+            coeffs = _crt_checked(ps, res)
+            phi = Polynomial._from_ints(coeffs[: n + 1], _ONE)
+            out[i] = phi if roots is None else (phi, Polynomial._from_ints(coeffs[n + 1 :], _ONE))
+    return out
+
+
+def _coefficient_bound(n: int, f: int) -> int:
+    """An integer above binom(n, k) (f/n)^(k/2) for every k <= n."""
     if n == 0:
-        return Polynomial.one()
-    if root:  # move the root to index 0, whose minor the residues carry
-        order = [root, *range(root), *range(root + 1, n)]
-        rows = [[rows[i][j] for j in order] for i in order]
-    delta = max(sum(abs(v) for v in row) for row in rows)
-    bound = max(math.comb(n, k) * delta**k for k in range(n + 1))
+        return 1
+    return max(math.isqrt(math.comb(n, k) ** 2 * f**k // n**k) + 1 for k in range(n + 1))
+
+
+def _primes_above(limit: int) -> list[int]:
+    """The first primes whose product exceeds limit, then the check prime."""
     primes, modulus = [], 1
-    for check in _primes_below(_PRIME_LIMIT):  # the first prime not needed checks
-        if modulus > 2 * bound:
-            break
-        primes.append(check)
-        modulus *= check
-    else:
-        raise ValueError("matrix entries too large for the primes of char_poly")
-    residues = _leverrier_residues(rows, primes + [check])
-    weights = [(modulus // p) * pow(modulus // p, -1, p) for p in primes]
+    for p in _primes_below(_PRIME_LIMIT):
+        primes.append(p)
+        if modulus > limit:
+            return primes
+        modulus *= p
+    raise ValueError("matrix entries too large for the primes of char_poly")
+
+
+def _crt_checked(primes: list[int], residues: list[list[int]]) -> list[int]:
+    """The symmetric CRT lift of residues[j] modulo primes[j], column by column,
+    over every prime but the last, which must agree with it."""
+    *crt, check = primes
+    modulus = math.prod(crt)
+    weights = [(modulus // p) * pow(modulus // p, -1, p) for p in crt]
     coeffs = []
     for column in zip(*residues):
         c = sum(w * r for w, r in zip(weights, column)) % modulus
@@ -84,43 +126,53 @@ def char_poly(
         if (c - column[-1]) % check:
             raise ArithmeticError("Faddeev-LeVerrier residues disagree modulo the check prime")
         coeffs.append(c)
-    phi = Polynomial(coeffs[: n + 1])
-    return phi if root is None else (phi, Polynomial(coeffs[n + 1 :]))
+    return coeffs
 
 
-def _leverrier_residues(rows: list[list[int]], primes: list[int]) -> list[list[int]]:
-    """Residues modulo each prime of det(xI - A), then of det(xI - A') for A'
-    without row and column 0, each constant term first.
+def _leverrier_residues(
+    matrices: list[list[list[int]]], roots: list[int], primes: list[list[int]]
+) -> list[list[list[int]]]:
+    """For n x n matrices A_i, out[i][j] holds the residues modulo primes[i][j]
+    of det(xI - A_i), then of det(xI - A_i') for A_i' without row and column
+    roots[i], each constant term first.
 
     Faddeev-LeVerrier: with P = A M_k, c_k = -tr(P)/k and M_(k+1) = P + c_k I,
-    starting from M_1 = I; (M_(k+1))_00 is the coefficient of x^(n-1-k) in
-    det(xI - A').  Each batch of primes runs as stacked float64 matrices with
-    entries in [0, p), so a matrix product, and tr(P) times the inverse of k,
-    stays below n (p - 1)^2, which is below 2^53, so exact in float64, for
-    p < _PRIME_LIMIT and n <= EXACT_CHARPOLY_CAP.
+    starting from M_1 = I; (M_(k+1))_rr is the coefficient of x^(n-1-k) in
+    det(xI - A').  The (matrix, prime) pairs run in chunks of stacked float64
+    matrices with entries in [0, p), so a matrix product, and tr(P) times the
+    inverse of k, stays below n (p - 1)^2, which is below 2^53, so exact in
+    float64, for p < _PRIME_LIMIT and n <= EXACT_CHARPOLY_CAP.
     """
-    n = len(rows)
-    a = np.array(rows)
-    out = []
+    n = len(matrices[0])
+    pairs = [(i, p) for i, ps in enumerate(primes) for p in ps]
+    inverses = {p: [pow(k, -1, p) for k in range(1, n + 1)] for p in {p for _, p in pairs}}
+    out: list[list[list[int]]] = [[] for _ in matrices]
     step = max(1, _BATCH_ENTRIES // (n * n))
-    for i in range(0, len(primes), step):
-        batch = primes[i : i + step]
+    for start in range(0, len(pairs), step):
+        chunk = pairs[start : start + step]
+        first = chunk[0][0]
+        index = np.array([i - first for i, _ in chunk])
+        batch = [p for _, p in chunk]
         ps = np.array(batch, dtype=np.float64)
-        inverses = np.array(
-            [[pow(k, -1, p) for p in batch] for k in range(1, n + 1)], dtype=np.float64
-        )
-        am = (a % np.array(batch)[:, None, None]).astype(np.float64)
+        inv = np.array([inverses[p] for p in batch], dtype=np.float64).T
+        try:
+            a = np.array(matrices[first : chunk[-1][0] + 1], dtype=np.int64)
+        except OverflowError:  # entries beyond int64 are reduced as Python ints
+            a = np.array(matrices[first : chunk[-1][0] + 1], dtype=object)
+        am = (a[index] % np.array(batch, dtype=a.dtype)[:, None, None]).astype(np.float64)
+        stack, minor = np.arange(len(chunk)), np.array([roots[i] for i, _ in chunk])
         prod = am.copy()
-        coeffs = np.ones((len(batch), 2 * n + 1))  # M_1 = I gives x^(n-1) in the minor
+        coeffs = np.ones((len(chunk), 2 * n + 1))  # M_1 = I gives x^(n-1) in the minor
         for k in range(1, n + 1):
-            diagonal = prod.reshape(len(batch), n * n)[:, :: n + 1]  # a view
-            c = -diagonal.sum(axis=1) * inverses[k - 1] % ps
+            diagonal = prod.reshape(len(chunk), n * n)[:, :: n + 1]  # a view
+            c = -diagonal.sum(axis=1) * inv[k - 1] % ps
             coeffs[:, n - k] = c
             if k < n:
                 diagonal[:] = (diagonal + c[:, None]) % ps[:, None]
-                coeffs[:, 2 * n - k] = prod[:, 0, 0]
+                coeffs[:, 2 * n - k] = diagonal[stack, minor]
                 prod = np.matmul(am, prod) % ps[:, None, None]
-        out.extend(coeffs.astype(np.int64).tolist())
+        for (i, _), row in zip(chunk, coeffs.astype(np.int64).tolist()):
+            out[i].append(row)
     return out
 
 
@@ -142,9 +194,11 @@ class RootedSpectralData:
             raise ValueError("phi_minus_root degree must equal dim - 1")
 
 
-def spectral_data(g: RootedGraph) -> RootedSpectralData:
-    phi, phi_minus = char_poly(adjacency_rows(g.graph), g.root)
-    return RootedSpectralData(phi, phi_minus, g.n)
+def spectral_data(graphs: Sequence[RootedGraph]) -> list[RootedSpectralData]:
+    """The characteristic polynomial pair of each rooted graph, in input order,
+    from one batched `char_poly` run."""
+    pairs = char_poly([adjacency_rows(g.graph) for g in graphs], [g.root for g in graphs])
+    return [RootedSpectralData(phi, minus, g.n) for g, (phi, minus) in zip(graphs, pairs)]
 
 
 # ----------------------------------------------------------------------

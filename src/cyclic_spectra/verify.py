@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .convolutions import (
     star_cauchy_identity_check,
 )
 from .cumulants import MultiMomentOracle, moment_cumulant_check
-from .graphs import Graph, RootedGraph, comb_product, star_product
+from .graphs import Graph, RootedGraph, comb_product, graph_to_json, star_product
 from .models import (
     MixedWord,
     OperatorModel,
@@ -73,18 +73,31 @@ STAR_SUITES = ("h-additivity", "schwenk-star", "star-cauchy")
 STAR_FACTOR_CAP = (EXACT_CHARPOLY_CAP + 1) // 2
 
 
-def _pair_trial(
-    rng: random.Random, max_vertices: int, product, check, caps=(math.inf, math.inf)
-) -> dict:
-    """Check one identity on a random pair of rooted graphs and their product."""
-    g1, g2 = (random_rooted_graph(rng, min(max_vertices, cap)) for cap in caps)
-    outcome = check(spectral_data(g1), spectral_data(g2), spectral_data(product(g1, g2)))
-    if not outcome:
-        return {"ok": False, "detail": outcome.detail, "identity": outcome.name}
-    return {"ok": True, "detail": ""}
+def _pair_trials(
+    rngs: Iterable[random.Random], max_vertices: int, product, check, caps=(math.inf, math.inf)
+) -> list[dict]:
+    """Check one identity on a random pair of rooted graphs and their product,
+    one pair per generator; one `spectral_data` call serves every graph."""
+    pairs = [
+        tuple(random_rooted_graph(rng, min(max_vertices, cap)) for cap in caps) for rng in rngs
+    ]
+    sds = spectral_data([g for g1, g2 in pairs for g in (g1, g2, product(g1, g2))])
+    out = []
+    for t, pair in enumerate(pairs):
+        outcome = check(*sds[3 * t : 3 * t + 3])
+        if outcome:
+            out.append({"ok": True, "detail": ""})
+        else:
+            out.append({
+                "ok": False,
+                "detail": outcome.detail,
+                "identity": outcome.name,
+                "graphs": [graph_to_json(g) for g in pair],
+            })
+    return out
 
 
-def _moment_cumulant_trial(rng: random.Random, max_vertices: int) -> dict:
+def _moment_cumulant_trial(rng: random.Random) -> dict:
     dim = rng.randint(2, 3)
     mat = random_symmetric_int_matrix(rng, dim)
     phis, omegas = matrix_power_moments(mat, 8)
@@ -108,7 +121,7 @@ def _random_alternating_indices(rng: random.Random, length: int, algebras: int) 
     return out
 
 
-def _mixed_words_trial(rng: random.Random, max_vertices: int) -> dict:
+def _mixed_words_trial(rng: random.Random) -> dict:
     algebras = 3
     dims = tuple(rng.randint(2, 3) for _ in range(algebras))
     model = OperatorModel(dims)
@@ -119,11 +132,12 @@ def _mixed_words_trial(rng: random.Random, max_vertices: int) -> dict:
     indices = _random_alternating_indices(rng, length, algebras)
     powers = [rng.randint(1, 3) for _ in indices]
     word = MixedWord(tuple(zip(indices, powers)))
+    tables = [matrix_power_moments(a, 24) for a in mats]
     for kind, embed, evaluator in (
         ("boolean", model.boolean_embed, eval_cyclic_boolean_word),
         ("monotone", model.monotone_embed, eval_cyclic_monotone_word),
     ):
-        phi_fn, omega_fn = model_tables(model, mats, kind, count=24)
+        phi_fn, omega_fn = model_tables(model, tables, kind)
         big = None
         for idx, power in word.letters:
             factor = embed(idx - 1, np.linalg.matrix_power(mats[idx - 1], power))
@@ -145,20 +159,22 @@ def _mixed_words_trial(rng: random.Random, max_vertices: int) -> dict:
     return {"ok": True, "detail": ""}
 
 
-SUITES: dict[str, Callable] = {
-    "h-additivity": lambda rng, mv: _pair_trial(rng, mv, star_product, h_additivity_check),
-    "schwenk-star": lambda rng, mv: _pair_trial(rng, mv, star_product, schwenk_star_check),
-    "schwenk-comb": lambda rng, mv: _pair_trial(
-        rng, mv, comb_product, schwenk_comb_check, COMB_FACTOR_CAPS
+#: each suite maps one generator per trial, and --max-vertices, to one
+#: certificate per trial
+SUITES: dict[str, Callable[[Iterable[random.Random], int], list[dict]]] = {
+    "h-additivity": lambda rngs, mv: _pair_trials(rngs, mv, star_product, h_additivity_check),
+    "schwenk-star": lambda rngs, mv: _pair_trials(rngs, mv, star_product, schwenk_star_check),
+    "schwenk-comb": lambda rngs, mv: _pair_trials(
+        rngs, mv, comb_product, schwenk_comb_check, COMB_FACTOR_CAPS
     ),
-    "comb-trace": lambda rng, mv: _pair_trial(
-        rng, mv, comb_product, comb_trace_check, COMB_FACTOR_CAPS
+    "comb-trace": lambda rngs, mv: _pair_trials(
+        rngs, mv, comb_product, comb_trace_check, COMB_FACTOR_CAPS
     ),
-    "star-cauchy": lambda rng, mv: _pair_trial(
-        rng, mv, star_product, star_cauchy_identity_check
+    "star-cauchy": lambda rngs, mv: _pair_trials(
+        rngs, mv, star_product, star_cauchy_identity_check
     ),
-    "moment-cumulant": lambda rng, mv: _moment_cumulant_trial(rng, mv),
-    "mixed-words": lambda rng, mv: _mixed_words_trial(rng, mv),
+    "moment-cumulant": lambda rngs, mv: [_moment_cumulant_trial(rng) for rng in rngs],
+    "mixed-words": lambda rngs, mv: [_mixed_words_trial(rng) for rng in rngs],
 }
 
 
@@ -174,10 +190,9 @@ def run_suite(
     any single trial can be rerun alone, and suites at one seed draw distinct
     corpora. A str seed is hashed with sha512, so it is stable across runs.
     """
-    trial_fn = SUITES[name]
+    rngs = (random.Random(f"{name}/{seed}/{t}") for t in range(trials))
     result = SuiteResult(suite=name, trials=trials)
-    for index in range(trials):
-        cert = trial_fn(random.Random(f"{name}/{seed}/{index}"), max_vertices)
+    for index, cert in enumerate(SUITES[name](rngs, max_vertices)):
         cert["trial"] = index
         if cert["ok"]:
             result.passed += 1

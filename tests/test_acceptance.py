@@ -92,7 +92,7 @@ def assert_spectrum_matches(report: SpectrumReport, expected) -> None:
 
 
 def test_criterion_01_star_spectra():
-    sd = spectral_data(complete(2))
+    sd = spectral_data([complete(2)])[0]
     worst = 0.0
     for n in (2, 4, 9, 16, 25, 64):
         t0 = time.perf_counter()
@@ -108,7 +108,7 @@ def test_criterion_01_star_spectra():
 
 
 def test_criterion_02_friendship_spectra():
-    sd = spectral_data(complete(3))
+    sd = spectral_data([complete(3)])[0]
     worst = 0.0
     for n in range(1, 51):
         t0 = time.perf_counter()
@@ -132,15 +132,15 @@ def test_criterion_03_symbolic_identity_suite():
     for trial in range(100):
         g1 = random_rooted_graph(rng, 8)
         g2 = random_rooted_graph(rng, 8)
-        sd1, sd2 = spectral_data(g1), spectral_data(g2)
-        product_sd = spectral_data(star_product(g1, g2))
+        sd1, sd2 = spectral_data([g1, g2])
+        product_sd = spectral_data([star_product(g1, g2)])[0]
         for check in star_checks:
             outcome = check(sd1, sd2, product_sd)
             assert outcome, f"trial {trial}: {outcome.name}: {outcome.detail}"
         h1 = random_rooted_graph(rng, 5)
         h2 = random_rooted_graph(rng, 4)
-        sdh1, sdh2 = spectral_data(h1), spectral_data(h2)
-        comb_sd = spectral_data(comb_product(h1, h2))
+        sdh1, sdh2 = spectral_data([h1, h2])
+        comb_sd = spectral_data([comb_product(h1, h2)])[0]
         for check in comb_checks:
             outcome = check(sdh1, sdh2, comb_sd)
             assert outcome, f"trial {trial}: {outcome.name}: {outcome.detail}"
@@ -154,7 +154,7 @@ def test_criterion_04_oracle_equivalence():
     from cyclic_spectra.graphs import nfold_star
 
     corpus = []
-    sd2, sd3 = spectral_data(complete(2)), spectral_data(complete(3))
+    sd2, sd3 = spectral_data([complete(2), complete(3)])
     for n in (2, 4, 9, 16, 25, 64, 199):
         pair = nfold_star_transforms(sd2, n)
         corpus.append((pair.rc, n + 1, nfold_star(complete(2), n)))
@@ -163,11 +163,11 @@ def test_criterion_04_oracle_equivalence():
         corpus.append((pair.rc, 2 * n + 1, nfold_star(complete(3), n)))
     for n in range(2, 11):
         g = path(n)
-        corpus.append((renormalized_cauchy(spectral_data(g)), n, g))
+        corpus.append((renormalized_cauchy(spectral_data([g])[0]), n, g))
     rng = random.Random(77)
     for _ in range(20):
         g = random_rooted_graph(rng, 10)
-        corpus.append((renormalized_cauchy(spectral_data(g)), g.n, g))
+        corpus.append((renormalized_cauchy(spectral_data([g])[0]), g.n, g))
     largest = 0
     for rc, dim, graph in corpus:
         assert dim <= 200
@@ -249,12 +249,13 @@ def test_criterion_07_mixed_word_oracle():
     dims = (2, 2, 2)
     model = OperatorModel(dims)
     mats = [np.array(random_symmetric_int_matrix(rng, d, 2), dtype=object) for d in dims]
+    tables = [matrix_power_moments(a, 12) for a in mats]
     checked = 0
     for kind, embed, evaluator in (
         ("boolean", model.boolean_embed, eval_cyclic_boolean_word),
         ("monotone", model.monotone_embed, eval_cyclic_monotone_word),
     ):
-        phi_fn, omega_fn = model_tables(model, mats, kind, count=12)
+        phi_fn, omega_fn = model_tables(model, tables, kind)
         for length in range(1, 7):
             for indices in _alternating_index_tuples(length, 3):
                 word = MixedWord(tuple((i, 1) for i in indices))
@@ -316,7 +317,7 @@ def test_criterion_09_comb_limit_moments():
 
 
 def test_criterion_10_clt_behavior():
-    sd = spectral_data(complete(3))
+    sd = spectral_data([complete(3)])[0]
     # pipeline trace moments equal the closed-form friendship power sums
     for n in (1, 2, 5, 20, 100, 400):
         series = laurent_at_infinity(nfold_star_transforms(sd, n).rc, 9)

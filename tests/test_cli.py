@@ -9,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from cyclic_spectra import cli
+from cyclic_spectra import cli, verify
 from cyclic_spectra.cli import main
-from cyclic_spectra.verify import STAR_SUITES, SUITES, SuiteResult
+from cyclic_spectra.graphs import graph_from_json
+from cyclic_spectra.transforms import RootedSpectralData
+from cyclic_spectra.verify import STAR_SUITES, SUITES, SuiteResult, random_rooted_graph
 
 
 def run(capsys, *args):
@@ -557,9 +559,10 @@ class TestCertificates:
 
         residues = transforms._leverrier_residues
 
-        def corrupt(rows, primes):
-            out = residues(rows, primes)
-            out[0][0] = (out[0][0] + 1) % primes[0]
+        def corrupt(matrices, roots, primes):
+            # one residue of the last matrix of each run
+            out = residues(matrices, roots, primes)
+            out[-1][0][0] = (out[-1][0][0] + 1) % primes[-1][0]
             return out
 
         monkeypatch.setattr(transforms, "_leverrier_residues", corrupt)
@@ -639,8 +642,8 @@ class TestCertificates:
         # records its first random draw, so the replay can be checked
         from cyclic_spectra import verify as verify_mod
 
-        def always_fail(rng, mv):
-            return {"ok": False, "detail": repr(rng.random())}
+        def always_fail(rngs, mv):
+            return [{"ok": False, "detail": repr(rng.random())} for rng in rngs]
 
         monkeypatch.setitem(verify_mod.SUITES, "synthetic", always_fail)
         cert = tmp_path / "cert.json"
@@ -657,6 +660,36 @@ class TestCertificates:
         for failure in data["failures"]:
             rng = random.Random(f"{data['suite']}/{data['seed']}/{failure['trial']}")
             assert failure["detail"] == repr(rng.random())
+
+    @pytest.mark.parametrize("suite, check, caps", [
+        pytest.param("schwenk-star", "schwenk_star_check", (math.inf,) * 2, id="star"),
+        pytest.param("schwenk-comb", "schwenk_comb_check", verify.COMB_FACTOR_CAPS, id="comb"),
+    ])
+    def test_failing_pair_trial_carries_its_graphs(
+        self, tmp_path, capsys, monkeypatch, suite, check, caps
+    ):
+        # a doubled phi_(G-r) of the first factor fails every trial; each
+        # certificate's graphs are the pair that trial t draws from its seed
+        exact = getattr(verify, check)
+
+        def wrong_minor(sd1, sd2, product_sd):
+            sd1 = RootedSpectralData(sd1.phi, sd1.phi_minus_root * 2, sd1.dim)
+            return exact(sd1, sd2, product_sd)
+
+        monkeypatch.setattr(verify, check, wrong_minor)
+        cert = tmp_path / "cert.json"
+        code = main([
+            "verify", suite, "--trials", "4", "--seed", "3", "--max-vertices", "6",
+            "--certificate", str(cert),
+        ])
+        capsys.readouterr()
+        assert code == 3
+        data = json.loads(cert.read_text())
+        assert [f["trial"] for f in data["failures"]] == [0, 1, 2, 3]
+        for failure in data["failures"]:
+            rng = random.Random(f"{suite}/3/{failure['trial']}")
+            drawn = [random_rooted_graph(rng, min(6, cap)) for cap in caps]
+            assert [graph_from_json(g) for g in failure["graphs"]] == drawn
 
 
 class TestReadme:

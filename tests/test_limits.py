@@ -54,7 +54,7 @@ class TestCltLimits:
     def test_finite_n_fourth_moment_rate(self):
         # K3 star powers: trace of the normalized fourth power approaches 2
         # at rate 5/(2N), well inside the 5/N envelope
-        sd = spectral_data(complete(3))
+        sd = spectral_data([complete(3)])[0]
         deg = 2
         for n in list(range(1, 21)) + [50, 100, 200, 400]:
             pair = nfold_star_transforms(sd, n)
@@ -67,7 +67,7 @@ class TestCltLimits:
     def test_pipeline_matches_closed_form_power_sums(self):
         # trace moments of friendship graphs: hub pair satisfies
         # p_k = p_{k-1} + 2N p_{k-2}, plus the +-1 bulk
-        sd = spectral_data(complete(3))
+        sd = spectral_data([complete(3)])[0]
         for n in (1, 2, 5, 17, 60):
             pair = nfold_star_transforms(sd, n)
             series = laurent_at_infinity(pair.rc, 9)
@@ -83,14 +83,14 @@ class TestCltReport:
     def test_trace_variance_constant(self):
         from cyclic_spectra.limits import clt_report
 
-        report = clt_report(spectral_data(complete(3)), 2, 2, [1, 5, 25, 125])[1]
+        report = clt_report(spectral_data([complete(3)])[0], 2, 2, [1, 5, 25, 125])[1]
         assert report.omega_limit == F(3)
         assert all(v == 3.0 for _, v in report.finite_n_values)
 
     def test_fourth_moment_converges(self):
         from cyclic_spectra.limits import clt_report
 
-        report = clt_report(spectral_data(complete(3)), 2, 4, [2, 8, 32, 128])[3]
+        report = clt_report(spectral_data([complete(3)])[0], 2, 4, [2, 8, 32, 128])[3]
         assert report.omega_limit == F(2)
         errors = [abs(v - 2) for _, v in report.finite_n_values]
         assert errors == sorted(errors, reverse=True)
@@ -99,12 +99,12 @@ class TestCltReport:
         from cyclic_spectra.limits import clt_report
 
         with pytest.raises(ValueError, match="fold count"):
-            clt_report(spectral_data(complete(3)), 2, 2, [4, 0])
+            clt_report(spectral_data([complete(3)])[0], 2, 2, [4, 0])
 
 
 class TestSpectralGap:
     def test_k2_exact(self):
-        rows = spectral_gap_report(spectral_data(complete(2)), 1, 12)
+        rows = spectral_gap_report(spectral_data([complete(2)])[0], 1, 12)
         for row in rows:
             assert abs(row.largest - 1.0) < 1e-9
             assert abs(row.smallest + 1.0) < 1e-9
@@ -112,7 +112,7 @@ class TestSpectralGap:
             assert row.bulk_max < 1e-9
 
     def test_k3_rates(self):
-        rows = spectral_gap_report(spectral_data(complete(3)), 2, 40)
+        rows = spectral_gap_report(spectral_data([complete(3)])[0], 2, 40)
         errors = []
         for row in rows:
             n = row.n
@@ -128,7 +128,7 @@ class TestSpectralGap:
         g = random_rooted_graph(rng, 4)
         while g.root_degree() == 0:
             g = random_rooted_graph(rng, 4)
-        rows = spectral_gap_report(spectral_data(g), g.root_degree(), 256)
+        rows = spectral_gap_report(spectral_data([g])[0], g.root_degree(), 256)
         errors = [abs(row.largest - 1.0) for row in rows[3:]]
         assert errors[-1] < errors[0]
         assert rows[-1].bulk_max < rows[3].bulk_max

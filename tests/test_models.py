@@ -14,6 +14,7 @@ from cyclic_spectra.models import (
     eigensolve,
     eval_cyclic_boolean_word,
     eval_cyclic_monotone_word,
+    matrix_power_moments,
     model_tables,
     multi_table_moments,
     trace_moment,
@@ -215,7 +216,8 @@ class TestWordsAgainstTensorModels:
                 np.array(random_symmetric_int_matrix(rng, d, 2), dtype=object)
                 for d in dims
             ]
-            phi_fn, omega_fn = model_tables(model, mats, kind, count=24)
+            tables = [matrix_power_moments(a, 24) for a in mats]
+            phi_fn, omega_fn = model_tables(model, tables, kind)
             length = rng.randint(1, 6)
             indices = [rng.randint(1, 3)]
             while len(indices) < length:
