@@ -421,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     cm = sub.add_parser("cumulants", help="cumulant tables from moment sequences", parents=[shared])
     cm.add_argument("--phi", required=True, help="comma-separated state moments")
     cm.add_argument("--omega", required=True, help="comma-separated trace moments")
-    cm.add_argument("--order", type=int, default=8)
+    cm.add_argument("--order", type=_int_at_least(1), default=8)
     cm.set_defaults(func=cmd_cumulants)
 
     lm = sub.add_parser("limits", help="limit tables", parents=[shared])

@@ -2,8 +2,11 @@
 partitioned moments on the free-product word algebra, and Moebius-defined
 cumulants.
 
-Multivariate cumulants are computed by the defining lattice sum; the
-interval / rotation case split is kept as an independent cross-check.
+One type, `MomentData`, carries an element's state and trace moment tables;
+partitioned moments read them for every independent copy of the element.
+Multivariate cumulants are computed by the defining lattice sum, written
+once for both functionals; the interval / rotation case split is kept as an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .models import MixedWord, _merge_runs, eval_cyclic_boolean_word, table_moments
+from .models import MixedWord, _merge_runs, eval_cyclic_boolean_word
 from .partitions import (
     SetPartition,
     enumerate_partitions,
@@ -81,30 +84,6 @@ def h_coefficients(m: MomentData) -> list[Fraction]:
 # ----------------------------------------------------------------------
 # multivariate layer
 
-class MultiMomentOracle:
-    """Moment evaluator for words over independent copies of one element.
-
-    Wraps the single-algebra tables phi(a^k), omega(a^k) and evaluates both
-    product functionals on arbitrary index words via the factorization rules.
-    """
-
-    def __init__(self, phi_moments: Sequence, omega_moments: Sequence):
-        self.phi_table = tuple(Fraction(x) for x in phi_moments)
-        self.omega_table = tuple(Fraction(x) for x in omega_moments)
-        self._phi = table_moments(self.phi_table)
-        self._omega = table_moments(self.omega_table)
-
-    def moment_data(self, order: int | None = None) -> MomentData:
-        k = order or len(self.phi_table)
-        return MomentData(self.phi_table[:k], self.omega_table[:k])
-
-    def eval_word(self, indices: Sequence[int], powers: Sequence[int], functional: str):
-        """Value of the product functional on a_1^(i_1) ... a_n^(i_n)."""
-        merged = _merge_runs(zip(indices, powers))
-        word = MixedWord(tuple((i, p) for i, p in merged))
-        return eval_cyclic_boolean_word(word, self._phi, self._omega, functional)
-
-
 def _index_word(pi: SetPartition) -> list[int]:
     label = {}
     for k, b in enumerate(pi.blocks, start=1):
@@ -114,43 +93,55 @@ def _index_word(pi: SetPartition) -> list[int]:
 
 
 def partitioned_moment(
-    oracle: MultiMomentOracle,
+    m: MomentData,
     pi: SetPartition,
     powers: Sequence[int] | None = None,
     functional: str = "omega",
 ) -> Fraction:
-    """omega_pi (or phi_pi): the product functional on any word with kernel pi."""
+    """omega_pi (or phi_pi): the product functional on any word with kernel pi,
+    each block a separate independent copy of the element m."""
     if powers is None:
         powers = [1] * pi.n
     if len(powers) != pi.n:
         raise ValueError("word length must match ground set")
-    return oracle.eval_word(_index_word(pi), powers, functional)
-
-
-def boolean_partition_cumulant(
-    oracle: MultiMomentOracle, pi: SetPartition, powers: Sequence[int] | None = None
-) -> Fraction:
-    """B_pi by Moebius inversion of the state-side partitioned moments."""
-    total = Fraction(0)
-    for rho in refinements(pi):
-        total += partitioned_moment(oracle, rho, powers, "phi") * moebius(rho, pi)
-    return total
+    if sum(powers) > len(m.phi):
+        raise ValueError(f"moment tables too short for total power {sum(powers)}")
+    word = MixedWord(tuple(map(tuple, _merge_runs(zip(_index_word(pi), powers)))))
+    return eval_cyclic_boolean_word(
+        word, lambda i, p: m.phi[p - 1], lambda i, p: m.omega[p - 1], functional
+    )
 
 
 def partition_cumulant(
-    oracle: MultiMomentOracle, pi: SetPartition, powers: Sequence[int] | None = None
+    m: MomentData,
+    pi: SetPartition,
+    powers: Sequence[int] | None = None,
+    functional: str = "omega",
 ) -> Fraction:
-    """Partitioned cyclic-Boolean cumulant, by the defining lattice sum."""
+    """Moebius inversion of the partitioned moments over the refinements of pi.
+
+    On the trace side ("omega") this is the partitioned cyclic-Boolean
+    cumulant, by the defining lattice sum; on the state side ("phi") it is
+    the Boolean cumulant B_pi.
+    """
     if pi.n > LATTICE_CAP:
         raise ValueError(f"ground set {pi.n} exceeds lattice cap {LATTICE_CAP}")
-    total = Fraction(0)
-    for rho in refinements(pi):
-        total += partitioned_moment(oracle, rho, powers, "omega") * moebius(rho, pi)
-    return total
+    return sum(
+        (partitioned_moment(m, rho, powers, functional) * moebius(rho, pi)
+         for rho in refinements(pi)),
+        start=Fraction(0),
+    )
+
+
+def boolean_partition_cumulant(
+    m: MomentData, pi: SetPartition, powers: Sequence[int] | None = None
+) -> Fraction:
+    """B_pi by Moebius inversion of the state-side partitioned moments."""
+    return partition_cumulant(m, pi, powers, "phi")
 
 
 def partition_cumulant_case_split(
-    oracle: MultiMomentOracle, pi: SetPartition, powers: Sequence[int] | None = None
+    m: MomentData, pi: SetPartition, powers: Sequence[int] | None = None
 ) -> Fraction:
     """Same cumulant through the interval / rotation / recursion case split."""
     n = pi.n
@@ -159,15 +150,15 @@ def partition_cumulant_case_split(
     if not is_cyclic_interval(pi):
         return Fraction(0)
     if pi == top(n):
-        total = partitioned_moment(oracle, pi, powers, "omega")
+        total = partitioned_moment(m, pi, powers, "omega")
         for rho in _proper_cyclic_intervals(n):
-            total -= partition_cumulant_case_split(oracle, rho, powers)
+            total -= partition_cumulant_case_split(m, rho, powers)
         return total
     if is_interval_partition(pi):
-        return boolean_partition_cumulant(oracle, pi, powers)
+        return boolean_partition_cumulant(m, pi, powers)
     r, rotated = rotate_to_interval(pi)
     rotated_powers = [powers[(j - 1 + r) % n] for j in range(1, n + 1)]
-    return boolean_partition_cumulant(oracle, rotated, rotated_powers)
+    return boolean_partition_cumulant(m, rotated, rotated_powers)
 
 
 def _proper_cyclic_intervals(n: int) -> list[SetPartition]:
@@ -188,7 +179,7 @@ class MomentCumulantCheck:
 
 
 def moment_cumulant_check(
-    oracle: MultiMomentOracle,
+    m: MomentData,
     n: int,
     powers: Sequence[int] | None = None,
     reference_omega: Sequence | None = None,
@@ -197,8 +188,8 @@ def moment_cumulant_check(
 
     Also verifies the single-variable recursion splitting the moment into the
     top cumulant plus Boolean contributions of the proper cyclic intervals.
-    The moment being reproduced is read from reference_omega when given, so an
-    oracle with a perturbed trace table fails against the true reference.
+    The moment being reproduced is read from reference_omega when given, so
+    moment data with a perturbed trace table fails against the true reference.
     """
     if n > LATTICE_CAP:
         raise ValueError(f"n={n} exceeds lattice cap {LATTICE_CAP}")
@@ -208,16 +199,16 @@ def moment_cumulant_check(
     if reference_omega is not None:
         lhs = Fraction(reference_omega[total_power - 1])
     else:
-        lhs = Fraction(oracle.omega_table[total_power - 1])
+        lhs = m.omega[total_power - 1]
     proper = _proper_cyclic_intervals(n)
-    rhs = partition_cumulant(oracle, top(n), powers)
+    rhs = partition_cumulant(m, top(n), powers)
     for pi in proper:
-        rhs += partition_cumulant(oracle, pi, powers)
+        rhs += partition_cumulant(m, pi, powers)
     if lhs != rhs:
         return MomentCumulantCheck(False, lhs, rhs, "lattice resummation differs")
     if all(p == 1 for p in powers):
-        cs = cyclic_boolean_cumulants(oracle.moment_data(n))
-        bs = boolean_cumulants(oracle.moment_data(n))
+        bs = boolean_cumulants(m)
+        cs = _cyclic_from_boolean(m, bs)
         recursion = cs[n - 1]
         for pi in proper:
             term = Fraction(1)

@@ -1,7 +1,8 @@
 """Limit theorems and the infinite-divisibility classifier.
 
 Covers the central-limit behavior of iterated star powers (spectral gap), the
-trace-moment limits of iterated comb powers via ordered set partitions, the
+trace-moment limits of iterated comb powers as sums over ordered set
+partitions (computed by a circular-run recursion, with no enumeration), the
 integer moment table of the two-point comb limit with every recursion weight
 checked against a Lucas polynomial, and the classification of additively
 divisible trace spectra.
@@ -14,7 +15,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from .convolutions import (
@@ -24,7 +25,6 @@ from .convolutions import (
     transform_pair,
 )
 from .exact import Polynomial
-from .partitions import OrderedSetPartition, maximal_arcs
 from .transforms import (
     RootedSpectralData,
     SpectrumReport,
@@ -129,11 +129,11 @@ def spectral_gap_report(
 # ----------------------------------------------------------------------
 # comb power moments via ordered set partitions
 
-@lru_cache(maxsize=None)
 def alpha_k(d: int, n: int, k: int) -> int:
     """Sum of d^(j_1 - 1) over increasing k-tuples from {1..n}; 0 when n < k.
 
-    Recursion peels the largest index; the base k = 1 is the geometric sum.
+    The tuples with least index j number binom(n - j, k - 1), so the sum is
+    sum_(j=1..n) d^(j-1) binom(n - j, k - 1); the empty tuple gives 1 at k = 0.
     """
     if d < 2:
         raise ValueError("factor dimension must be >= 2")
@@ -141,37 +141,7 @@ def alpha_k(d: int, n: int, k: int) -> int:
         raise ValueError("negative arguments")
     if k == 0:
         return 1
-    if n < k:
-        return 0
-    if k == 1:
-        return (d**n - 1) // (d - 1)
-    return sum(alpha_k(d, j - 1, k - 1) for j in range(k, n + 1))
-
-
-def omega_of_ordered_partition(
-    pi: OrderedSetPartition, psi_moments: Sequence, tr_moments: Sequence
-) -> Fraction:
-    """Trace moment attached to an ordered set partition.
-
-    Peels the last block into maximal circular arcs, each contributing a
-    state moment of its length, and recurses on the remaining circle; a lone
-    block reads the trace table.
-    """
-    psi = [Fraction(x) for x in psi_moments]
-    tr = [Fraction(x) for x in tr_moments]
-
-    def rec(blocks: tuple[tuple[int, ...], ...], ground: tuple[int, ...]) -> Fraction:
-        if len(blocks) == 1:
-            return tr[len(ground) - 1]
-        positions = {x: i + 1 for i, x in enumerate(ground)}
-        last = blocks[-1]
-        value = Fraction(1)
-        for arc in maximal_arcs([positions[x] for x in last], len(ground)):
-            value *= psi[len(arc) - 1]
-        rest = tuple(x for x in ground if x not in set(last))
-        return value * rec(blocks[:-1], rest)
-
-    return rec(pi.blocks, tuple(range(1, pi.n + 1)))
+    return sum(d ** (j - 1) * math.comb(n - j, k - 1) for j in range(1, n + 1))
 
 
 def _line_run_weights(length: int, psi: Sequence[Fraction]) -> list[list[Fraction]]:
@@ -214,7 +184,14 @@ def ordered_partition_moment_sums(
 ) -> list[Fraction]:
     """v[p] = sum of the partition moments over ordered set partitions of [k]
     with exactly p blocks, computed by a circular-run recursion (no
-    enumeration, so k may exceed enumeration caps)."""
+    enumeration, so k may exceed enumeration caps).
+
+    The moment of an ordered partition is the cyclic-monotone trace moment
+    (`models.eval_cyclic_monotone_word`) of the word that labels each element
+    with its block's position, every letter read from the one (psi, tr) pair:
+    the last block's maximal circular arcs each give a state moment of their
+    length, and the last block left reads the trace table.
+    """
     psi = [Fraction(x) for x in psi_moments]
     tr = [Fraction(x) for x in tr_moments]
     if len(psi) < k or len(tr) < k:

@@ -1,6 +1,11 @@
 """Ground-truth machinery: dense eigensolver, tensor operator models, and
 rule-based evaluators for mixed moments under the two independences.
 
+The two word evaluators are the only implementation of each moment rule:
+`cumulants` reads its partitioned moments through the cyclic-Boolean one, and
+the comb-limit sums over ordered set partitions in `limits` are tested against
+the cyclic-monotone one.
+
 Everything here is deliberately independent of the transform pipeline so that
 the two sides can arbitrate each other in tests.
 """
@@ -278,17 +283,6 @@ def model_tables(
         phis.append(phi_t)
         omegas.append(omega_t)
     return multi_table_moments(phis), multi_table_moments(omegas)
-
-
-def table_moments(table: Sequence) -> MomentFn:
-    """Moment function for a single algebra: table[k-1] is the power-k moment."""
-
-    def fn(index: int, power: int) -> Fraction:
-        if power > len(table):
-            raise ValueError(f"moment table too short for power {power}")
-        return Fraction(table[power - 1])
-
-    return fn
 
 
 def multi_table_moments(tables: Sequence[Sequence]) -> MomentFn:

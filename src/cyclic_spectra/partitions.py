@@ -1,5 +1,5 @@
-"""Set partitions, interval and cyclic-interval partitions, ordered set
-partitions, and Moebius inversion on the partition lattice.
+"""Set partitions, interval and cyclic-interval partitions, and Moebius
+inversion on the partition lattice.
 
 Ground sets are {1, .., n}.  Blocks of a SetPartition are canonically ordered
 by their minima, so equality is structural.
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
 SP_CAP = 14
@@ -50,29 +50,6 @@ def refines(rho: SetPartition, pi: SetPartition) -> bool:
     return all(any(b <= c for c in pi.blocks) for b in rho.blocks)
 
 
-@dataclass(frozen=True)
-class OrderedSetPartition:
-    n: int
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
-        bs = tuple(tuple(sorted(b)) for b in blocks)
-        seen: set[int] = set()
-        for b in bs:
-            if not b:
-                raise ValueError("empty block")
-            if seen & set(b):
-                raise ValueError("blocks must be disjoint")
-            seen |= set(b)
-        if seen != set(range(1, n + 1)):
-            raise ValueError(f"blocks must cover 1..{n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "blocks", bs)
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-
 # ----------------------------------------------------------------------
 # enumeration
 
@@ -101,17 +78,11 @@ def _cyclic_interval_partitions(n: int) -> Iterator[SetPartition]:
             yield CircularSeparatorSet(n, frozenset(combo)).to_partition()
 
 
-def _ordered_set_partitions(n: int) -> Iterator[OrderedSetPartition]:
-    for sp in _set_partitions(n):
-        for perm in permutations(sp.blocks):
-            yield OrderedSetPartition(n, perm)
+_FAMILY_CAPS = {"SP": SP_CAP, "Int": INTERVAL_CAP, "CI": INTERVAL_CAP}
 
 
-_FAMILY_CAPS = {"SP": SP_CAP, "OP": SP_CAP, "Int": INTERVAL_CAP, "CI": INTERVAL_CAP}
-
-
-def enumerate_partitions(n: int, family: str) -> list:
-    """Duplicate-free enumeration of SP / Int / CI / OP over {1..n}.
+def enumerate_partitions(n: int, family: str) -> list[SetPartition]:
+    """Duplicate-free enumeration of SP / Int / CI over {1..n}.
 
     Ordering is fixed (lexicographic in the canonical block encoding) so
     golden outputs are stable.
@@ -124,14 +95,8 @@ def enumerate_partitions(n: int, family: str) -> list:
         "SP": _set_partitions,
         "Int": _interval_partitions,
         "CI": _cyclic_interval_partitions,
-        "OP": _ordered_set_partitions,
     }
-    items = list(gens[family](n))
-    if family == "OP":
-        items.sort(key=lambda p: p.blocks)
-    else:
-        items.sort(key=lambda p: tuple(tuple(sorted(b)) for b in p.blocks))
-    return items
+    return sorted(gens[family](n), key=lambda p: tuple(tuple(sorted(b)) for b in p.blocks))
 
 
 # ----------------------------------------------------------------------
@@ -206,31 +171,6 @@ def rotate_to_interval(p: SetPartition) -> tuple[int, SetPartition]:
         if is_interval_partition(q):
             return r, q
     raise AssertionError("unreachable: cyclic-interval partition has a rotation")
-
-
-def maximal_arcs(subset: Iterable[int], n: int) -> list[tuple[int, ...]]:
-    """Decompose a subset of the n-cycle into maximal circular arcs.
-
-    Arcs are returned in circular element order, each as a tuple running along
-    the circle; the list is sorted by arc starting point.
-    """
-    b = set(subset)
-    if not b:
-        raise ValueError("empty subset")
-    if any(not 1 <= x <= n for x in b):
-        raise ValueError("element out of range")
-    if len(b) == n:
-        return [tuple(range(1, n + 1))]
-    starts = sorted(x for x in b if (x - 2) % n + 1 not in b)
-    arcs = []
-    for s in starts:
-        arc = [s]
-        cur = s
-        while cur % n + 1 in b:
-            cur = cur % n + 1
-            arc.append(cur)
-        arcs.append(tuple(arc))
-    return arcs
 
 
 # ----------------------------------------------------------------------

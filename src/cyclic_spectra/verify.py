@@ -20,7 +20,7 @@ from .convolutions import (
     schwenk_star_check,
     star_cauchy_identity_check,
 )
-from .cumulants import MultiMomentOracle, moment_cumulant_check
+from .cumulants import MomentData, moment_cumulant_check
 from .graphs import Graph, RootedGraph, comb_product, graph_to_json, star_product
 from .models import (
     MixedWord,
@@ -33,8 +33,8 @@ from .models import (
 from .transforms import EXACT_CHARPOLY_CAP, spectral_data
 
 
-def random_rooted_graph(rng: random.Random, max_vertices: int, min_vertices: int = 2) -> RootedGraph:
-    n = rng.randint(min_vertices, max_vertices)
+def random_rooted_graph(rng: random.Random, max_vertices: int) -> RootedGraph:
+    n = rng.randint(2, max_vertices)
     edges = [
         (i, j)
         for i in range(n)
@@ -100,10 +100,9 @@ def _pair_trials(
 def _moment_cumulant_trial(rng: random.Random) -> dict:
     dim = rng.randint(2, 3)
     mat = random_symmetric_int_matrix(rng, dim)
-    phis, omegas = matrix_power_moments(mat, 8)
-    oracle = MultiMomentOracle(phis, omegas)
+    data = MomentData(*matrix_power_moments(mat, 8))
     n = rng.randint(1, 5)
-    outcome = moment_cumulant_check(oracle, n)
+    outcome = moment_cumulant_check(data, n)
     if not outcome:
         return {
             "ok": False,

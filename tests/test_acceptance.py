@@ -21,7 +21,6 @@ from cyclic_spectra.convolutions import (
 )
 from cyclic_spectra.cumulants import (
     MomentData,
-    MultiMomentOracle,
     cyclic_boolean_cumulants,
     moment_cumulant_check,
     partition_cumulant,
@@ -200,20 +199,20 @@ def test_criterion_06_cumulant_suite():
         dim = rng.randint(2, 3)
         mat = random_symmetric_int_matrix(rng, dim)
         phis, omegas = matrix_power_moments(mat, 8)
-        models.append(MultiMomentOracle(phis, omegas))
+        models.append(MomentData(phis, omegas))
     # vanishing outside cyclic intervals, n <= 6, all partitions, 20 models
     non_ci = {
         n: [p for p in enumerate_partitions(n, "SP") if not is_cyclic_interval(p)]
         for n in range(2, 7)
     }
-    for oracle in models:
+    for data in models:
         for n, parts in non_ci.items():
             for pi in parts:
-                assert partition_cumulant(oracle, pi) == 0
+                assert partition_cumulant(data, pi) == 0
     # moment-cumulant resummation up to n = 8
-    for oracle in models[:6]:
+    for data in models[:6]:
         for n in range(1, 9):
-            assert moment_cumulant_check(oracle, n)
+            assert moment_cumulant_check(data, n)
     # additivity of the trace-side cumulants under independent sums
     for _ in range(20):
         dims = (rng.randint(2, 3), rng.randint(2, 3))

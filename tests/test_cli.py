@@ -236,6 +236,13 @@ class TestCumulants:
         assert lines[0] == "n,c_n,h_n,b_n"
         assert lines[2] == "2,2,0,1"
 
+    @pytest.mark.parametrize("order", ["0", "-3"])
+    def test_order_below_one_exit_2(self, capsys, order):
+        code = main(["cumulants", "--phi", "1", "--omega", "1", "--order", order])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "argument --order: must be at least 1" in captured.err
+
 
 class TestLimits:
     def test_beta(self, capsys):
@@ -348,6 +355,8 @@ GOLDEN_STDOUT = {
         "8dddf1c918e4e12ad5bb989a6bdfe7e304a52ab16c1ee1923164ed0cb9621bbb",
     "limits gap --family complete:3 --n-max 64":
         "c7a156ef9d0b9fd3c8a7b3065ede6c2c7c24d5abeb6e216509591af2881771fc",
+    "limits comb --family path:3 --k-max 7 --n-max 9":
+        "743b1866ecc2cbc5556ea79e583b0401ebba779d646adf0fe98c3adad225f89f",
     "spectrum --family star-of complete:2 --fold 9 --product star --oracle-max 0":
         "e73a37acd14cb6c09a3a8a8d6f3895f611ed0c4114a213b46e3f84f1d6212e85",
     "spectrum --family friendship:3 --oracle-max 0":
@@ -500,6 +509,21 @@ class TestGraphFileInput:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "graph JSON must be an object" in captured.err
+
+    @pytest.mark.parametrize("root, named", [(2, "path:3"), (1, "star:2")])
+    def test_comb_rows_of_a_rooted_file_graph(self, capsys, tmp_path, root, named):
+        # the comb base is read at its root: P3 rooted at an end is path:3,
+        # and rooted at its middle vertex it is star:2
+        from cyclic_spectra.graphs import RootedGraph, format_graph_text, path
+
+        target = tmp_path / "p3.txt"
+        target.write_text(format_graph_text(RootedGraph(path(3).graph, root)))
+        table = ("limits", "comb", "--k-max", "5", "--n-max", "6", "--family")
+        code, data = run_json(capsys, *table, str(target))
+        assert code == 0
+        code, expected = run_json(capsys, *table, named)
+        assert code == 0
+        assert data["rows"] == expected["rows"]
 
     def test_directory_family_exit_2(self, capsys, tmp_path):
         code = main(["spectrum", "--family", str(tmp_path)])

@@ -4,10 +4,11 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from cyclic_spectra.cumulants import (
+    LATTICE_CAP,
     MomentData,
-    MultiMomentOracle,
     boolean_cumulants,
     boolean_partition_cumulant,
     cyclic_boolean_cumulants,
@@ -112,77 +113,86 @@ class TestUnivariate:
 
 class TestPartitionedMoments:
     def setup_method(self):
-        self.oracle = MultiMomentOracle(
+        self.data = MomentData(
             [F(p + 3) for p in range(8)], [F(10 * p + 7) for p in range(8)]
         )
 
     def test_single_block_single_variable(self):
         for n in range(1, 6):
-            got = partitioned_moment(self.oracle, top(n))
-            assert got == self.oracle.omega_table[n - 1]
+            got = partitioned_moment(self.data, top(n))
+            assert got == self.data.omega[n - 1]
 
     def test_alternating_ends_differ(self):
         pi = SetPartition(3, [[1], [2], [3]])
-        got = partitioned_moment(self.oracle, pi)
-        assert got == self.oracle.phi_table[0] ** 3
+        got = partitioned_moment(self.data, pi)
+        assert got == self.data.phi[0] ** 3
 
     def test_cyclic_wrap_case(self):
         # word (1,2,1): ends share a copy, so the trace joins them
         pi = SetPartition(3, [[1, 3], [2]])
-        got = partitioned_moment(self.oracle, pi)
-        assert got == self.oracle.phi_table[1] * self.oracle.phi_table[0]
+        got = partitioned_moment(self.data, pi)
+        assert got == self.data.phi[1] * self.data.phi[0]
+
+    def test_tables_shorter_than_the_word_rejected(self):
+        with pytest.raises(ValueError, match="too short for total power 9"):
+            partitioned_moment(self.data, SetPartition(9, [[x] for x in range(1, 10)]))
 
     def test_phi_functional(self):
         pi = SetPartition(3, [[1, 3], [2]])
-        got = partitioned_moment(self.oracle, pi, functional="phi")
-        assert got == self.oracle.phi_table[0] ** 3
+        got = partitioned_moment(self.data, pi, functional="phi")
+        assert got == self.data.phi[0] ** 3
 
 
 class TestPartitionCumulants:
-    def _model_oracle(self, rng):
+    def _model_data(self, rng):
         dim = rng.randint(2, 3)
         mat = random_symmetric_int_matrix(rng, dim)
-        phis, omegas = matrix_power_moments(mat, 10)
-        return MultiMomentOracle(phis, omegas)
+        return MomentData(*matrix_power_moments(mat, 10))
 
     def test_vanishing_outside_cyclic_intervals(self):
         rng = random.Random(5)
         for trial in range(20):
-            oracle = self._model_oracle(rng)
+            data = self._model_data(rng)
             for n in range(2, 7):
                 for pi in enumerate_partitions(n, "SP"):
                     if not is_cyclic_interval(pi):
-                        assert partition_cumulant(oracle, pi) == 0
+                        assert partition_cumulant(data, pi) == 0
 
     def test_interval_case_matches_boolean(self):
         rng = random.Random(6)
         for _ in range(10):
-            oracle = self._model_oracle(rng)
+            data = self._model_data(rng)
             for n in range(2, 7):
                 for pi in enumerate_partitions(n, "Int"):
                     if pi == top(n):
                         continue
-                    assert partition_cumulant(oracle, pi) == boolean_partition_cumulant(
-                        oracle, pi
+                    assert partition_cumulant(data, pi) == boolean_partition_cumulant(
+                        data, pi
                     )
 
     def test_case_split_matches_lattice_sum(self):
         rng = random.Random(7)
         for _ in range(8):
-            oracle = self._model_oracle(rng)
+            data = self._model_data(rng)
             for n in range(1, 6):
                 for pi in enumerate_partitions(n, "SP"):
-                    assert partition_cumulant(oracle, pi) == partition_cumulant_case_split(
-                        oracle, pi
+                    assert partition_cumulant(data, pi) == partition_cumulant_case_split(
+                        data, pi
                     )
 
     def test_top_cumulant_matches_series(self):
         rng = random.Random(8)
         for _ in range(10):
-            oracle = self._model_oracle(rng)
-            cs = cyclic_boolean_cumulants(oracle.moment_data(8))
+            data = self._model_data(rng)
+            cs = cyclic_boolean_cumulants(data)
             for n in range(1, 8):
-                assert partition_cumulant(oracle, top(n)) == cs[n - 1]
+                assert partition_cumulant(data, top(n)) == cs[n - 1]
+
+    @pytest.mark.parametrize("cumulant", [partition_cumulant, boolean_partition_cumulant])
+    def test_lattice_cap(self, cumulant):
+        data = MomentData([1] * (LATTICE_CAP + 1), [1] * (LATTICE_CAP + 1))
+        with pytest.raises(ValueError, match="exceeds lattice cap"):
+            cumulant(data, top(LATTICE_CAP + 1))
 
     def test_rotation_choice_invariant(self):
         # for wrap-around partitions every interval-producing rotation gives
@@ -190,7 +200,7 @@ class TestPartitionCumulants:
         from cyclic_spectra.partitions import is_interval_partition, rotate_partition
 
         rng = random.Random(9)
-        oracle = self._model_oracle(rng)
+        data = self._model_data(rng)
         for n in range(3, 7):
             for pi in enumerate_partitions(n, "CI"):
                 if pi == top(n) or is_interval_partition(pi):
@@ -199,19 +209,17 @@ class TestPartitionCumulants:
                 for r in range(n):
                     rotated = rotate_partition(pi, r)
                     if is_interval_partition(rotated):
-                        values.add(boolean_partition_cumulant(oracle, rotated))
+                        values.add(boolean_partition_cumulant(data, rotated))
                 assert len(values) == 1
-                assert values.pop() == partition_cumulant(oracle, pi)
+                assert values.pop() == partition_cumulant(data, pi)
 
 
 class TestMomentCumulant:
     def test_k2_n4(self):
-        oracle = MultiMomentOracle(K2_PHI, K2_OMEGA)
-        assert moment_cumulant_check(oracle, 4)
+        assert moment_cumulant_check(k2_data(), 4)
 
     def test_n1(self):
-        oracle = MultiMomentOracle(K2_PHI, K2_OMEGA)
-        assert moment_cumulant_check(oracle, 1)
+        assert moment_cumulant_check(k2_data(), 1)
 
     def test_models_up_to_8(self):
         rng = random.Random(10)
@@ -219,27 +227,27 @@ class TestMomentCumulant:
             dim = rng.randint(2, 3)
             mat = random_symmetric_int_matrix(rng, dim)
             phis, omegas = matrix_power_moments(mat, 8)
-            oracle = MultiMomentOracle(phis, omegas)
+            data = MomentData(phis, omegas)
             for n in range(1, 9):
-                assert moment_cumulant_check(oracle, n)
+                assert moment_cumulant_check(data, n)
 
     def test_perturbed_rejected(self):
-        # an oracle whose trace table was tampered with no longer reproduces
+        # moment data whose trace table was tampered with no longer reproduces
         # the true trace moments of the element it claims to describe
         omega = list(K2_OMEGA)
         omega[3] += 1
-        oracle = MultiMomentOracle(K2_PHI, omega)
-        assert not moment_cumulant_check(oracle, 4, reference_omega=K2_OMEGA)
-        assert moment_cumulant_check(oracle, 4, reference_omega=omega)
+        data = MomentData(K2_PHI, omega)
+        assert not moment_cumulant_check(data, 4, reference_omega=K2_OMEGA)
+        assert moment_cumulant_check(data, 4, reference_omega=omega)
 
     def test_mixed_powers(self):
         rng = random.Random(11)
         dim = 3
         mat = random_symmetric_int_matrix(rng, dim)
         phis, omegas = matrix_power_moments(mat, 12)
-        oracle = MultiMomentOracle(phis, omegas)
+        data = MomentData(phis, omegas)
         for powers in ([2, 1, 1], [1, 3], [2, 2, 1, 1]):
-            assert moment_cumulant_check(oracle, len(powers), powers)
+            assert moment_cumulant_check(data, len(powers), powers)
 
 
 class TestAdditivity:

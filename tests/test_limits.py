@@ -1,6 +1,7 @@
 """Limit theorems, comb-power moments, moment tables, divisibility classifier."""
 
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -23,13 +24,19 @@ from cyclic_spectra.limits import (
     comb_limit_moment,
     finite_n_comb_moment,
     nth_root_round_trip,
-    omega_of_ordered_partition,
     ordered_partition_moment_sums,
     spectral_gap_report,
     two_point_transforms,
 )
-from cyclic_spectra.models import OperatorModel, matrix_power_moments, trace_moment
-from cyclic_spectra.partitions import OrderedSetPartition, enumerate_partitions
+from cyclic_spectra.models import (
+    MixedWord,
+    OperatorModel,
+    _merge_runs,
+    eval_cyclic_monotone_word,
+    matrix_power_moments,
+    trace_moment,
+)
+from cyclic_spectra.partitions import enumerate_partitions
 from cyclic_spectra.transforms import SpectrumReport, laurent_at_infinity, spectral_data
 from cyclic_spectra.verify import random_rooted_graph
 
@@ -160,33 +167,53 @@ class TestAlpha:
                     )
                     assert alpha_k(d, n, k) == brute
 
+    def test_peeling_recursion(self):
+        # for k >= 2, peeling the largest index j leaves a (k - 1)-tuple from
+        # {1..j - 1} with the same least index
+        for d in (2, 3, 5):
+            for n in range(0, 13):
+                for k in range(2, 7):
+                    peeled = sum(alpha_k(d, j - 1, k - 1) for j in range(k, n + 1))
+                    assert alpha_k(d, n, k) == peeled
+
     def test_normalized_limit(self):
         d, k = 2, 3
         value = alpha_k(d, 40, k) / Fraction(d) ** 40
         assert abs(float(value) - 1 / (d - 1) ** k) < 1e-9
 
 
+def ordered_partition_moment(blocks, psi, tr):
+    """Trace moment of an ordered set partition: the cyclic-monotone moment of
+    the word that labels each element with its block's position."""
+    label = {x: pos for pos, block in enumerate(blocks, start=1) for x in block}
+    letters = _merge_runs((label[x], 1) for x in sorted(label))
+    word = MixedWord(tuple(map(tuple, letters)))
+    return eval_cyclic_monotone_word(
+        word, lambda i, p: F(psi[p - 1]), lambda i, p: F(tr[p - 1])
+    )
+
+
 class TestOmegaOfOrderedPartition:
     def test_single_block(self):
-        pi = OrderedSetPartition(4, [(1, 2, 3, 4)])
-        assert omega_of_ordered_partition(pi, K2_PSI, K2_TR) == 2
+        assert ordered_partition_moment([(1, 2, 3, 4)], K2_PSI, K2_TR) == 2
 
     def test_three_letter_example(self):
-        pi = OrderedSetPartition(3, [(1, 3), (2,)])
+        blocks = [(1, 3), (2,)]
         psi = [F(p + 3) for p in range(6)]
         tr = [F(10 * p + 7) for p in range(6)]
         # peel {2}: one arc of size 1, then the remaining pair is one circle
-        assert omega_of_ordered_partition(pi, psi, tr) == psi[0] * tr[1]
-        assert omega_of_ordered_partition(pi, K2_PSI, K2_TR) == 0
+        assert ordered_partition_moment(blocks, psi, tr) == psi[0] * tr[1]
+        assert ordered_partition_moment(blocks, K2_PSI, K2_TR) == 0
 
     def test_six_letter_example(self):
-        pi = OrderedSetPartition(6, [(3,), (2, 4, 6), (1, 5)])
+        blocks = [(3,), (2, 4, 6), (1, 5)]
         psi = [F(p + 3) for p in range(8)]
         tr = [F(10 * p + 7) for p in range(8)]
         expected = psi[0] ** 2 * psi[2] * tr[0]
-        assert omega_of_ordered_partition(pi, psi, tr) == expected
+        assert ordered_partition_moment(blocks, psi, tr) == expected
 
     def test_moment_sums_match_enumeration(self):
+        # every order of the blocks of every set partition of [k]
         rng = random.Random(3)
         for _ in range(6):
             psi = [F(rng.randint(-3, 3)) for _ in range(8)]
@@ -194,8 +221,9 @@ class TestOmegaOfOrderedPartition:
             for k in range(1, 7):
                 sums = ordered_partition_moment_sums(k, psi, tr)
                 brute = [F(0)] * (k + 1)
-                for pi in enumerate_partitions(k, "OP"):
-                    brute[len(pi)] += omega_of_ordered_partition(pi, psi, tr)
+                for sp in enumerate_partitions(k, "SP"):
+                    for blocks in itertools.permutations(sp.blocks):
+                        brute[len(blocks)] += ordered_partition_moment(blocks, psi, tr)
                 assert sums[1:] == brute[1:]
 
 
