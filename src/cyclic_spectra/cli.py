@@ -342,7 +342,7 @@ def _parse_spectrum(text: str) -> SpectrumReport:
         m = int(mult)
         if m < 1:
             raise ValueError(f"multiplicity must be at least 1, got {m}")
-        entries.append((float(Fraction(value)), m))
+        entries.append((Fraction(value), m))
     entries.sort()
     dim = sum(m for _, m in entries)
     return SpectrumReport(tuple(entries), dim)
@@ -351,7 +351,7 @@ def _parse_spectrum(text: str) -> SpectrumReport:
 def cmd_idcheck(args) -> int:
     try:
         spectrum = _parse_spectrum(args.spectrum)
-        weights = [float(Fraction(w)) for w in args.weights.split(",")]
+        weights = [Fraction(w) for w in args.weights.split(",")]
         verdict = cb_id_classify(spectrum, weights)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

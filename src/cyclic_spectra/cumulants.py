@@ -3,29 +3,24 @@ partitioned moments on the free-product word algebra, and Moebius-defined
 cumulants.
 
 One type, `MomentData`, carries an element's state and trace moment tables;
-partitioned moments read them for every independent copy of the element.
-Multivariate cumulants are computed by the defining lattice sum, written
-once for both functionals; the interval / rotation case split is kept as an
-independent cross-check.
+partitioned moments read them for every independent copy of the element,
+with a partition's labels as the word's indices.  Multivariate cumulants come
+from one lattice sum, written once for both functionals: a sum of cumulants
+over a family of partitions gathers integer Moebius coefficients per
+refinement, so each partitioned moment is evaluated once.  The interval /
+rotation case split is a reference in the tests.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .models import MixedWord, _merge_runs, eval_cyclic_boolean_word
-from .partitions import (
-    SetPartition,
-    enumerate_partitions,
-    is_cyclic_interval,
-    is_interval_partition,
-    moebius,
-    refinements,
-    rotate_to_interval,
-    top,
-)
+from .partitions import SetPartition, enumerate_partitions, moebius, refinements
 
 LATTICE_CAP = 8
 
@@ -84,14 +79,6 @@ def h_coefficients(m: MomentData) -> list[Fraction]:
 # ----------------------------------------------------------------------
 # multivariate layer
 
-def _index_word(pi: SetPartition) -> list[int]:
-    label = {}
-    for k, b in enumerate(pi.blocks, start=1):
-        for x in b:
-            label[x] = k
-    return [label[x] for x in range(1, pi.n + 1)]
-
-
 def partitioned_moment(
     m: MomentData,
     pi: SetPartition,
@@ -106,9 +93,34 @@ def partitioned_moment(
         raise ValueError("word length must match ground set")
     if sum(powers) > len(m.phi):
         raise ValueError(f"moment tables too short for total power {sum(powers)}")
-    word = MixedWord(tuple(map(tuple, _merge_runs(zip(_index_word(pi), powers)))))
+    word = MixedWord(tuple(map(tuple, _merge_runs(zip(pi.labels, powers)))))
     return eval_cyclic_boolean_word(
         word, lambda i, p: m.phi[p - 1], lambda i, p: m.omega[p - 1], functional
+    )
+
+
+def _lattice_sum(
+    m: MomentData,
+    pis: Iterable[SetPartition],
+    powers: Sequence[int] | None,
+    functional: str,
+) -> Fraction:
+    """Sum over pi in pis of the Moebius inversion of the partitioned moments,
+    sum_{rho <= pi} mu(rho, pi) m_rho, regrouped as sum_rho c(rho) m_rho.
+
+    The coefficients c(rho) are integers, so each partitioned moment is
+    evaluated once, and only where c(rho) != 0.
+    """
+    coefficients: Counter[SetPartition] = Counter()
+    for pi in pis:
+        if pi.n > LATTICE_CAP:
+            raise ValueError(f"ground set {pi.n} exceeds lattice cap {LATTICE_CAP}")
+        for rho in refinements(pi):
+            coefficients[rho] += moebius(rho, pi)
+    return sum(
+        (c * partitioned_moment(m, rho, powers, functional)
+         for rho, c in coefficients.items() if c),
+        start=Fraction(0),
     )
 
 
@@ -124,13 +136,7 @@ def partition_cumulant(
     cumulant, by the defining lattice sum; on the state side ("phi") it is
     the Boolean cumulant B_pi.
     """
-    if pi.n > LATTICE_CAP:
-        raise ValueError(f"ground set {pi.n} exceeds lattice cap {LATTICE_CAP}")
-    return sum(
-        (partitioned_moment(m, rho, powers, functional) * moebius(rho, pi)
-         for rho in refinements(pi)),
-        start=Fraction(0),
-    )
+    return _lattice_sum(m, [pi], powers, functional)
 
 
 def boolean_partition_cumulant(
@@ -138,33 +144,6 @@ def boolean_partition_cumulant(
 ) -> Fraction:
     """B_pi by Moebius inversion of the state-side partitioned moments."""
     return partition_cumulant(m, pi, powers, "phi")
-
-
-def partition_cumulant_case_split(
-    m: MomentData, pi: SetPartition, powers: Sequence[int] | None = None
-) -> Fraction:
-    """Same cumulant through the interval / rotation / recursion case split."""
-    n = pi.n
-    if powers is None:
-        powers = [1] * n
-    if not is_cyclic_interval(pi):
-        return Fraction(0)
-    if pi == top(n):
-        total = partitioned_moment(m, pi, powers, "omega")
-        for rho in _proper_cyclic_intervals(n):
-            total -= partition_cumulant_case_split(m, rho, powers)
-        return total
-    if is_interval_partition(pi):
-        return boolean_partition_cumulant(m, pi, powers)
-    r, rotated = rotate_to_interval(pi)
-    rotated_powers = [powers[(j - 1 + r) % n] for j in range(1, n + 1)]
-    return boolean_partition_cumulant(m, rotated, rotated_powers)
-
-
-def _proper_cyclic_intervals(n: int) -> list[SetPartition]:
-    """The cyclic-interval partitions of [n] other than top(n)."""
-    whole = top(n)
-    return [pi for pi in enumerate_partitions(n, "CI") if pi != whole]
 
 
 @dataclass(frozen=True)
@@ -191,30 +170,24 @@ def moment_cumulant_check(
     The moment being reproduced is read from reference_omega when given, so
     moment data with a perturbed trace table fails against the true reference.
     """
-    if n > LATTICE_CAP:
-        raise ValueError(f"n={n} exceeds lattice cap {LATTICE_CAP}")
+    if n > LATTICE_CAP:  # before CI(n) is built: CI(20) has a million members
+        raise ValueError(f"ground set {n} exceeds lattice cap {LATTICE_CAP}")
     if powers is None:
         powers = [1] * n
+    cis = enumerate_partitions(n, "CI")
+    rhs = _lattice_sum(m, cis, powers, "omega")
     total_power = sum(powers)
     if reference_omega is not None:
         lhs = Fraction(reference_omega[total_power - 1])
     else:
         lhs = m.omega[total_power - 1]
-    proper = _proper_cyclic_intervals(n)
-    rhs = partition_cumulant(m, top(n), powers)
-    for pi in proper:
-        rhs += partition_cumulant(m, pi, powers)
     if lhs != rhs:
         return MomentCumulantCheck(False, lhs, rhs, "lattice resummation differs")
     if all(p == 1 for p in powers):
         bs = boolean_cumulants(m)
-        cs = _cyclic_from_boolean(m, bs)
-        recursion = cs[n - 1]
-        for pi in proper:
-            term = Fraction(1)
-            for b in pi.blocks:
-                term *= bs[len(b) - 1]
-            recursion += term
+        recursion = _cyclic_from_boolean(m, bs)[n - 1] + sum(
+            math.prod(bs[len(b) - 1] for b in pi.blocks) for pi in cis if len(pi) > 1
+        )
         if recursion != lhs:
             return MomentCumulantCheck(
                 False, lhs, recursion, "univariate recursion differs"

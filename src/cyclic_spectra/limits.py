@@ -339,23 +339,23 @@ class IDVerdict:
     reason: str = ""
 
 
-def cb_id_classify(
-    spectrum: SpectrumReport, weights: Sequence, tol: float = 1e-9
-) -> IDVerdict:
+def cb_id_classify(spectrum: SpectrumReport, weights: Sequence) -> IDVerdict:
     """Classify a (trace spectrum, state weights) pair for divisibility.
 
     weights[i] is the state weight of spectrum.entries[i]; they must be
-    nonnegative and sum to one.
+    nonnegative and sum to one.  Eigenvalues and weights are taken as exact
+    rationals and the verdict is decided with ==; alpha and beta are reported
+    as floats.
     """
     if len(weights) != len(spectrum.entries):
         raise ValueError("one weight per spectrum entry required")
-    wts = [float(w) for w in weights]
-    if any(w < -tol for w in wts) or abs(sum(wts) - 1.0) > tol:
+    wts = [Fraction(w) for w in weights]
+    if any(w < 0 for w in wts) or sum(wts) != 1:
         raise ValueError("weights must be nonnegative and sum to 1")
     nonzero = [
-        (v, m, w)
+        (Fraction(v), m, w)
         for (v, m), w in zip(spectrum.entries, wts)
-        if abs(v) > tol
+        if v != 0
     ]
     if not nonzero:
         return IDVerdict(True, "zero")
@@ -363,22 +363,20 @@ def cb_id_classify(
         v, m, w = nonzero[0]
         if m != 1:
             return IDVerdict(False, "none", reason="single eigenvalue not simple")
-        if abs(w - 1.0) > tol:
+        if w != 1:
             return IDVerdict(
                 False, "none", reason="state not concentrated on the eigenvalue"
             )
-        return IDVerdict(True, "one_nonzero", alpha=v)
+        return IDVerdict(True, "one_nonzero", alpha=float(v))
     if len(nonzero) == 2:
         (a, ma, wa), (b, mb, wb) = nonzero
         if ma != 1 or mb != 1:
             return IDVerdict(False, "none", reason="eigenvalues not simple")
         if a * b >= 0:
             return IDVerdict(False, "none", reason="eigenvalues have equal signs")
-        expected_a = -a / (b - a)
-        expected_b = b / (b - a)
-        if abs(wa - expected_a) > tol or abs(wb - expected_b) > tol:
+        if wa != -a / (b - a) or wb != b / (b - a):
             return IDVerdict(False, "none", reason="state weights off the line")
-        return IDVerdict(True, "two_nonzero", alpha=a, beta=b)
+        return IDVerdict(True, "two_nonzero", alpha=float(a), beta=float(b))
     return IDVerdict(False, "none", reason="more than two non-zero eigenvalues")
 
 

@@ -298,6 +298,22 @@ class TestIdcheck:
         code, _ = run(capsys, "idcheck", "--spectrum", "-1:1,1:1", "--weights", "0.9,0.9")
         assert code == 2
 
+    def test_tiny_eigenvalue_is_not_zero(self, capsys):
+        code, data = run_json(
+            capsys, "idcheck", "--spectrum", "-1:1,1/10000000000:1,1:1",
+            "--weights", "1/2,0,1/2",
+        )
+        assert code == 0
+        assert not data["divisible"]
+        assert data["reason"] == "more than two non-zero eigenvalues"
+
+    def test_weights_a_hair_above_one_exit_2(self, capsys):
+        code, _ = run(
+            capsys, "idcheck", "--spectrum", "-1:1,1:1",
+            "--weights", "1/2,500000000001/1000000000000",
+        )
+        assert code == 2
+
     @pytest.mark.parametrize("spectrum", ["-1:0,1:1", "-1:-1,1:2"])
     def test_multiplicity_below_one_exit_2(self, capsys, spectrum):
         code = main(["idcheck", "--spectrum", spectrum, "--weights", "0,1"])

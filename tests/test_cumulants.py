@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cyclic_spectra import cumulants
 from cyclic_spectra.cumulants import (
     LATTICE_CAP,
     MomentData,
@@ -15,7 +16,6 @@ from cyclic_spectra.cumulants import (
     h_coefficients,
     moment_cumulant_check,
     partition_cumulant,
-    partition_cumulant_case_split,
     partitioned_moment,
 )
 from cyclic_spectra.exact import Polynomial
@@ -56,6 +56,33 @@ def _series(values):
 
 def _truncate(p, order):
     return Polynomial(p.coeffs[: order + 1])
+
+
+def interval_rotations(pi):
+    """(r, rotated) for each left rotation of [n] that turns pi into intervals."""
+    for r in range(pi.n):
+        labels = pi.labels[r:] + pi.labels[:r]
+        if list(labels) == sorted(labels):
+            yield r, SetPartition(labels)
+
+
+def partition_cumulant_case_split(m, pi, powers=None):
+    """Reference: the same cumulant through the case split.  It is zero off the
+    cyclic intervals, the top one by the moment recursion, and otherwise the
+    Boolean cumulant of the rotation into intervals."""
+    n = pi.n
+    if powers is None:
+        powers = [1] * n
+    if not is_cyclic_interval(pi):
+        return F(0)
+    if pi == top(n):
+        total = partitioned_moment(m, pi, powers, "omega")
+        for rho in enumerate_partitions(n, "CI"):
+            if rho != pi:
+                total -= partition_cumulant_case_split(m, rho, powers)
+        return total
+    r, rotated = next(interval_rotations(pi))
+    return boolean_partition_cumulant(m, rotated, powers[r:] + powers[:r])
 
 
 class TestUnivariate:
@@ -117,28 +144,39 @@ class TestPartitionedMoments:
             [F(p + 3) for p in range(8)], [F(10 * p + 7) for p in range(8)]
         )
 
+    def test_labels_are_the_word(self):
+        # the kernel's labels index the copies, so any labelling gives the same word
+        pi = SetPartition("xyxzz")
+        for functional in ("phi", "omega"):
+            assert partitioned_moment(self.data, pi, functional=functional) == (
+                partitioned_moment(self.data, SetPartition((7, 1, 7, 3, 3)),
+                                   functional=functional)
+            )
+        # letters x y x zz: the ends differ, so the trace factors into states
+        assert partitioned_moment(self.data, pi) == self.data.phi[0] ** 3 * self.data.phi[1]
+
     def test_single_block_single_variable(self):
         for n in range(1, 6):
             got = partitioned_moment(self.data, top(n))
             assert got == self.data.omega[n - 1]
 
     def test_alternating_ends_differ(self):
-        pi = SetPartition(3, [[1], [2], [3]])
+        pi = SetPartition("abc")
         got = partitioned_moment(self.data, pi)
         assert got == self.data.phi[0] ** 3
 
     def test_cyclic_wrap_case(self):
         # word (1,2,1): ends share a copy, so the trace joins them
-        pi = SetPartition(3, [[1, 3], [2]])
+        pi = SetPartition("aba")
         got = partitioned_moment(self.data, pi)
         assert got == self.data.phi[1] * self.data.phi[0]
 
     def test_tables_shorter_than_the_word_rejected(self):
         with pytest.raises(ValueError, match="too short for total power 9"):
-            partitioned_moment(self.data, SetPartition(9, [[x] for x in range(1, 10)]))
+            partitioned_moment(self.data, SetPartition(range(9)))
 
     def test_phi_functional(self):
-        pi = SetPartition(3, [[1, 3], [2]])
+        pi = SetPartition("aba")
         got = partitioned_moment(self.data, pi, functional="phi")
         assert got == self.data.phi[0] ** 3
 
@@ -194,22 +232,26 @@ class TestPartitionCumulants:
         with pytest.raises(ValueError, match="exceeds lattice cap"):
             cumulant(data, top(LATTICE_CAP + 1))
 
+    def test_lattice_cap_of_the_check(self, monkeypatch):
+        # the check rejects n before it enumerates CI(n)
+        monkeypatch.setattr(cumulants, "enumerate_partitions", None)
+        data = MomentData([1] * 20, [1] * 20)
+        with pytest.raises(ValueError, match="exceeds lattice cap"):
+            moment_cumulant_check(data, 20)
+
     def test_rotation_choice_invariant(self):
         # for wrap-around partitions every interval-producing rotation gives
         # the same single-variable cumulant
-        from cyclic_spectra.partitions import is_interval_partition, rotate_partition
-
         rng = random.Random(9)
         data = self._model_data(rng)
         for n in range(3, 7):
             for pi in enumerate_partitions(n, "CI"):
-                if pi == top(n) or is_interval_partition(pi):
+                rotations = list(interval_rotations(pi))
+                if pi == top(n) or rotations[0][0] == 0:
                     continue
-                values = set()
-                for r in range(n):
-                    rotated = rotate_partition(pi, r)
-                    if is_interval_partition(rotated):
-                        values.add(boolean_partition_cumulant(data, rotated))
+                values = {
+                    boolean_partition_cumulant(data, rotated) for _, rotated in rotations
+                }
                 assert len(values) == 1
                 assert values.pop() == partition_cumulant(data, pi)
 
@@ -230,6 +272,23 @@ class TestMomentCumulant:
             data = MomentData(phis, omegas)
             for n in range(1, 9):
                 assert moment_cumulant_check(data, n)
+
+    def test_each_partitioned_moment_evaluated_once(self, monkeypatch):
+        # the check gathers integer coefficients over all of CI(8) first, so no
+        # refinement is evaluated twice and none beyond the Bell(8) partitions
+        seen = []
+        original = cumulants.partitioned_moment
+
+        def counted(m, pi, powers=None, functional="omega"):
+            seen.append((pi, tuple(powers), functional))
+            return original(m, pi, powers, functional)
+
+        monkeypatch.setattr(cumulants, "partitioned_moment", counted)
+        rng = random.Random(10)
+        data = MomentData(*matrix_power_moments(random_symmetric_int_matrix(rng, 3), 8))
+        assert moment_cumulant_check(data, 8)
+        assert len(seen) == len(set(seen))
+        assert len(seen) <= len(enumerate_partitions(8, "SP")) == 4140
 
     def test_perturbed_rejected(self):
         # moment data whose trace table was tampered with no longer reproduces

@@ -440,19 +440,32 @@ class TestIDClassifier:
 
     def test_wrong_weights_rejected(self):
         spectrum = SpectrumReport(((-1.0, 1), (2.0, 1)), 2)
-        good = cb_id_classify(spectrum, [1 / 3, 2 / 3])
+        good = cb_id_classify(spectrum, [F(1, 3), F(2, 3)])
         bad = cb_id_classify(spectrum, [0.5, 0.5])
         assert good.divisible and not bad.divisible
 
     def test_multiplicity_rejected(self):
         spectrum = SpectrumReport(((-1.0, 2), (1.0, 1)), 3)
-        verdict = cb_id_classify(spectrum, [2 / 3, 1 / 3])
+        verdict = cb_id_classify(spectrum, [F(2, 3), F(1, 3)])
         assert not verdict.divisible
 
     def test_weight_validation(self):
         spectrum = SpectrumReport(((-1.0, 1), (1.0, 1)), 2)
         with pytest.raises(ValueError):
             cb_id_classify(spectrum, [0.9, 0.9])
+
+    def test_decided_exactly(self):
+        # a tiny eigenvalue is not zero, and weights a hair off the line or
+        # off a total of one are rejected
+        spectrum = SpectrumReport(((-1, 1), (F(1, 10**10), 1), (1, 1)), 3)
+        verdict = cb_id_classify(spectrum, [F(1, 2), 0, F(1, 2)])
+        assert not verdict.divisible
+        assert verdict.reason == "more than two non-zero eigenvalues"
+        pair = SpectrumReport(((-1, 1), (2, 1)), 2)
+        eps = F(1, 10**12)
+        assert not cb_id_classify(pair, [F(1, 3) + eps, F(2, 3) - eps]).divisible
+        with pytest.raises(ValueError):
+            cb_id_classify(pair, [F(1, 3), F(2, 3) + eps])
 
 
 class TestNthRoot:

@@ -5,23 +5,35 @@ import math
 import pytest
 
 from cyclic_spectra.partitions import (
-    CircularSeparatorSet,
     SetPartition,
     enumerate_partitions,
     is_cyclic_interval,
-    is_interval_partition,
     moebius,
     refinements,
     refines,
-    rotate_partition,
-    rotate_to_interval,
-    separator_gaps,
     top,
 )
 
 
-def sp(n, *blocks):
-    return SetPartition(n, blocks)
+# Rotation reference: cyclic intervals are the partitions that some rotation
+# of [n] turns into intervals.
+
+def rotate_partition(p, r):
+    """Left rotation: element i is relabeled to i - r (cyclically)."""
+    return SetPartition(p.labels[r:] + p.labels[:r])
+
+
+def is_interval_partition(p):
+    return all(a <= b for a, b in zip(p.labels, p.labels[1:]))
+
+
+def rotate_to_interval(p):
+    """Minimal left rotation turning a cyclic-interval partition into intervals."""
+    for r in range(p.n):
+        q = rotate_partition(p, r)
+        if is_interval_partition(q):
+            return r, q
+    raise ValueError("not a cyclic-interval partition")
 
 
 class TestCounts:
@@ -67,14 +79,15 @@ class TestCounts:
 
 class TestCyclicIntervals:
     def test_figure_example(self):
-        p = SetPartition(
-            15,
-            [[1, 2, 15], [3, 4, 5, 6, 7], [8], [9], [10], [11], [12], [13], [14]],
+        p = SetPartition("aabbbbbcdefghia")
+        assert p.blocks == (
+            (1, 2, 15), (3, 4, 5, 6, 7), (8,), (9,), (10,), (11,), (12,), (13,), (14,)
         )
+        assert len(p) == 9 and p.n == 15
         assert is_cyclic_interval(p)
 
     def test_crossing_rejected(self):
-        assert not is_cyclic_interval(sp(4, [1, 3], [2, 4]))
+        assert not is_cyclic_interval(SetPartition("abab"))
 
     def test_top_is_cyclic_interval(self):
         for n in range(1, 8):
@@ -99,14 +112,7 @@ class TestCyclicIntervals:
 
     def test_rotate_non_ci_rejected(self):
         with pytest.raises(ValueError):
-            rotate_to_interval(sp(4, [1, 3], [2, 4]))
-
-    def test_separator_round_trip(self):
-        for n in range(1, 9):
-            for p in enumerate_partitions(n, "CI"):
-                gaps = separator_gaps(p)
-                if gaps:
-                    assert CircularSeparatorSet(n, gaps).to_partition() == p
+            rotate_to_interval(SetPartition("abab"))
 
     def test_enumeration_matches_filter(self):
         for n in range(1, 9):
@@ -116,20 +122,42 @@ class TestCyclicIntervals:
             assert from_filter == set(enumerate_partitions(n, "CI"))
 
 
+class TestCanonicalForm:
+    def test_any_labelling_is_renumbered(self):
+        assert SetPartition("bab") == SetPartition((1, 2, 1))
+        assert SetPartition("bab").labels == (0, 1, 0)
+        assert hash(SetPartition("xyzx")) == hash(SetPartition((5, 3, 4, 5)))
+
+    def test_blocks_ordered_by_minima(self):
+        p = SetPartition("cabca")
+        assert p.blocks == ((1, 4), (2, 5), (3,))
+        assert len(p) == 3 and p.n == 5
+        assert top(4).blocks == ((1, 2, 3, 4),) and len(top(4)) == 1
+
+    def test_enumeration_ordered_by_labels(self):
+        for family in ("SP", "Int", "CI"):
+            items = enumerate_partitions(5, family)
+            assert [p.labels for p in items] == sorted(p.labels for p in items)
+
+
 class TestMoebius:
     def test_full_interval(self):
-        assert moebius(sp(3, [1], [2], [3]), top(3)) == 2
+        assert moebius(SetPartition("abc"), top(3)) == 2
 
     def test_reflexive(self):
-        p = sp(4, [1, 2], [3, 4])
+        p = SetPartition("aabb")
         assert moebius(p, p) == 1
 
     def test_two_elements(self):
-        assert moebius(sp(2, [1], [2]), top(2)) == -1
+        assert moebius(SetPartition("ab"), top(2)) == -1
 
     def test_incomparable_rejected(self):
         with pytest.raises(ValueError):
-            moebius(sp(3, [1, 2], [3]), sp(3, [1], [2, 3]))
+            moebius(SetPartition("aab"), SetPartition("abb"))
+
+    def test_ground_sets_differ_rejected(self):
+        with pytest.raises(ValueError, match="ground sets differ"):
+            refines(top(2), top(3))
 
     def test_recursive_definition(self):
         # sum over sigma in [rho, pi] of mu(sigma, pi) is delta(rho, pi)
