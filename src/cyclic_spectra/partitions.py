@@ -87,10 +87,6 @@ def _growth_strings(n: int) -> list[tuple[int, ...]]:
     return strings
 
 
-def _set_partitions(n: int) -> Iterator[SetPartition]:
-    return map(SetPartition, _growth_strings(n))
-
-
 def _interval_partitions(n: int) -> Iterator[SetPartition]:
     for cuts in product((0, 1), repeat=n - 1):
         yield SetPartition(accumulate((0, *cuts)))
@@ -106,21 +102,21 @@ def _cyclic_interval_partitions(n: int) -> Iterator[SetPartition]:
             yield SetPartition(bisect_left(gaps, x) % size for x in range(1, n + 1))
 
 
-_FAMILY_CAPS = {"SP": SP_CAP, "Int": INTERVAL_CAP, "CI": INTERVAL_CAP}
+_FAMILIES = {
+    "SP": (SP_CAP, lambda n: map(SetPartition, _growth_strings(n))),
+    "Int": (INTERVAL_CAP, _interval_partitions),
+    "CI": (INTERVAL_CAP, _cyclic_interval_partitions),
+}
 
 
 def enumerate_partitions(n: int, family: str) -> list[SetPartition]:
     """Duplicate-free enumeration of SP / Int / CI over {1..n}, ordered by labels."""
-    if family not in _FAMILY_CAPS:
+    if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    if not 1 <= n <= _FAMILY_CAPS[family]:
+    cap, generate = _FAMILIES[family]
+    if not 1 <= n <= cap:
         raise ValueError(f"n={n} out of range for {family}")
-    gens = {
-        "SP": _set_partitions,
-        "Int": _interval_partitions,
-        "CI": _cyclic_interval_partitions,
-    }
-    return sorted(gens[family](n))
+    return sorted(generate(n))
 
 
 # ----------------------------------------------------------------------

@@ -32,6 +32,7 @@ from cyclic_spectra.partitions import (
     top,
 )
 from cyclic_spectra.verify import random_symmetric_int_matrix
+from rotation import interval_rotations, is_interval_partition, rotate_to_interval
 
 F = Fraction
 
@@ -58,14 +59,6 @@ def _truncate(p, order):
     return Polynomial(p.coeffs[: order + 1])
 
 
-def interval_rotations(pi):
-    """(r, rotated) for each left rotation of [n] that turns pi into intervals."""
-    for r in range(pi.n):
-        labels = pi.labels[r:] + pi.labels[:r]
-        if list(labels) == sorted(labels):
-            yield r, SetPartition(labels)
-
-
 def partition_cumulant_case_split(m, pi, powers=None):
     """Reference: the same cumulant through the case split.  It is zero off the
     cyclic intervals, the top one by the moment recursion, and otherwise the
@@ -81,7 +74,7 @@ def partition_cumulant_case_split(m, pi, powers=None):
             if rho != pi:
                 total -= partition_cumulant_case_split(m, rho, powers)
         return total
-    r, rotated = next(interval_rotations(pi))
+    r, rotated = rotate_to_interval(pi)
     return boolean_partition_cumulant(m, rotated, powers[r:] + powers[:r])
 
 
@@ -246,9 +239,11 @@ class TestPartitionCumulants:
         data = self._model_data(rng)
         for n in range(3, 7):
             for pi in enumerate_partitions(n, "CI"):
-                rotations = list(interval_rotations(pi))
-                if pi == top(n) or rotations[0][0] == 0:
+                if pi == top(n) or is_interval_partition(pi):
                     continue
+                rotations = interval_rotations(pi)
+                # one rotation per block: each starts at the first element of an arc
+                assert len(rotations) == len(pi)
                 values = {
                     boolean_partition_cumulant(data, rotated) for _, rotated in rotations
                 }

@@ -13,27 +13,7 @@ from cyclic_spectra.partitions import (
     refines,
     top,
 )
-
-
-# Rotation reference: cyclic intervals are the partitions that some rotation
-# of [n] turns into intervals.
-
-def rotate_partition(p, r):
-    """Left rotation: element i is relabeled to i - r (cyclically)."""
-    return SetPartition(p.labels[r:] + p.labels[:r])
-
-
-def is_interval_partition(p):
-    return all(a <= b for a, b in zip(p.labels, p.labels[1:]))
-
-
-def rotate_to_interval(p):
-    """Minimal left rotation turning a cyclic-interval partition into intervals."""
-    for r in range(p.n):
-        q = rotate_partition(p, r)
-        if is_interval_partition(q):
-            return r, q
-    raise ValueError("not a cyclic-interval partition")
+from rotation import is_interval_partition, rotate_partition, rotate_to_interval
 
 
 class TestCounts:
