@@ -2,10 +2,12 @@
 
 A polynomial is held as a rational content times a primitive integer
 polynomial, so products, quotients and gcds run on integers, and its
-coefficients read back as exact `fractions.Fraction`s.  Every identity in the
-calculus is checked exactly and results are bit-reproducible.  Floating point
-enters only when an isolated irrational eigenvalue is reported (see
-`transforms`).
+coefficients read back as exact `fractions.Fraction`s.  A rational function
+keeps the quotient its arithmetic builds and is reduced to canonical form
+once, when first read; equality is decided by cross-multiplication, so an
+identity is checked exactly without a gcd.  Results are bit-reproducible.
+Floating point enters only when an isolated irrational eigenvalue is
+reported (see `transforms`).
 """
 
 from __future__ import annotations
@@ -419,13 +421,17 @@ def square_free_part(p: Polynomial) -> Polynomial:
 
 
 class RationalFunction:
-    """Quotient of polynomials in canonical form: coprime, monic denominator.
+    """Quotient of polynomials, reduced once, when first read.
 
-    Canonicalization makes equality structural, so identities between
-    transforms can be asserted with ``==``.
+    Arithmetic builds the quotient from the stored numerator and denominator
+    and takes no gcd.  Reading ``num`` or ``den`` reduces it, once, to the
+    canonical form: coprime, with a monic denominator.  Equality is decided
+    exactly without a gcd: two reduced quotients compare term by term, any
+    other pair by cross-multiplication, so identities between transforms can
+    be asserted with ``==``.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_num", "_den", "_reduced")
 
     def __init__(self, num: Polynomial, den: Polynomial | None = None):
         if den is None:
@@ -434,24 +440,43 @@ class RationalFunction:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
             num, den = Polynomial.zero(), Polynomial.one()
-        else:
-            num, den = poly_gcd(num, den).cofactors
-            lc = den.leading()
-            if lc != 1:
-                num, den = num.scale(1 / lc), den.scale(1 / lc)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        self._set(num, den, num.is_zero())
+
+    def _set(self, num: Polynomial, den: Polynomial, reduced: bool) -> None:
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_reduced", reduced)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
 
     @classmethod
-    def _canonical(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
-        """num/den for num, den already coprime with den monic; no gcd is taken."""
+    def _make(cls, num: Polynomial, den: Polynomial, reduced: bool) -> "RationalFunction":
+        """num/den with no gcd taken; reduced marks num, den as already canonical."""
         f = object.__new__(cls)
-        object.__setattr__(f, "num", num)
-        object.__setattr__(f, "den", den)
+        f._set(num, den, reduced)
         return f
+
+    def _reduce(self) -> None:
+        num, den = poly_gcd(self._num, self._den).cofactors
+        lc = den.leading()
+        if lc != 1:
+            num, den = num.scale(1 / lc), den.scale(1 / lc)
+        self._set(num, den, True)
+
+    @property
+    def num(self) -> Polynomial:
+        """The numerator of the canonical form."""
+        if not self._reduced:
+            self._reduce()
+        return self._num
+
+    @property
+    def den(self) -> Polynomial:
+        """The denominator of the canonical form: monic, coprime to ``num``."""
+        if not self._reduced:
+            self._reduce()
+        return self._den
 
     # ------------------------------------------------------------------
     @classmethod
@@ -459,16 +484,17 @@ class RationalFunction:
         return cls(Polynomial.x())
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return self._num.is_zero()
 
     # ------------------------------------------------------------------
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        a, b, c, d = self._num, self._den, other._num, other._den
+        if b == d:
+            return RationalFunction(a + c, b)
+        return RationalFunction(a * d + c * b, b * d)
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction._canonical(-self.num, self.den)
+        return RationalFunction._make(-self._num, self._den, self._reduced)
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
         return self + (-other)
@@ -477,8 +503,8 @@ class RationalFunction:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return RationalFunction(Polynomial.zero())
-            return RationalFunction._canonical(self.num.scale(other), self.den)
-        return RationalFunction(self.num * other.num, self.den * other.den)
+            return RationalFunction._make(self._num.scale(other), self._den, self._reduced)
+        return RationalFunction(self._num * other._num, self._den * other._den)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -486,23 +512,22 @@ class RationalFunction:
     def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        return RationalFunction(self._num * other._den, self._den * other._num)
 
     def reciprocal(self) -> "RationalFunction":
         if self.is_zero():
             raise ZeroDivisionError("reciprocal of zero rational function")
-        s = 1 / self.num.leading()
-        return RationalFunction._canonical(self.den.scale(s), self.num.scale(s))
+        return RationalFunction(self._den, self._num)
 
     def derivative(self) -> "RationalFunction":
-        n, d = self.num, self.den
+        n, d = self._num, self._den
         return RationalFunction(n.derivative() * d - n * d.derivative(), d * d)
 
     def log_derivative(self) -> "RationalFunction":
         """f'/f.  For a polynomial p this is the sum of 1/(x - root)."""
         if self.is_zero():
             raise ZeroDivisionError("log-derivative of zero")
-        n, d = self.num, self.den
+        n, d = self._num, self._den
         return RationalFunction(
             n.derivative() * d - n * d.derivative(), n * d
         )
@@ -510,8 +535,9 @@ class RationalFunction:
     def compose(self, inner: "RationalFunction") -> "RationalFunction":
         """self(inner(z)), exact.
 
-        Raises ZeroDivisionError("pole at composition point") when the inner
-        function is a constant at which the outer has a pole.
+        Both sides are read reduced, so repeated composition does not grow
+        in degree.  Raises ZeroDivisionError("pole at composition point")
+        when the inner function is a constant at which the outer has a pole.
         """
         num = homogeneous_compose(self.num, inner.num, inner.den)
         den = homogeneous_compose(self.den, inner.num, inner.den)
@@ -526,6 +552,7 @@ class RationalFunction:
         return RationalFunction(num, den)
 
     def __call__(self, x):
+        """The value at x of the reduced quotient, so a removable pole is no pole."""
         d = self.den(x)
         if d == 0:
             raise ZeroDivisionError(f"pole at {x}")
@@ -533,11 +560,11 @@ class RationalFunction:
 
     # ------------------------------------------------------------------
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RationalFunction)
-            and self.num == other.num
-            and self.den == other.den
-        )
+        if not isinstance(other, RationalFunction):
+            return False
+        if self._reduced and other._reduced:
+            return self._num == other._num and self._den == other._den
+        return self._num * other._den == other._num * self._den
 
     def __hash__(self) -> int:
         return hash((self.num, self.den))

@@ -6,10 +6,11 @@ every run with the same seed checks the same instances.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -73,28 +74,34 @@ STAR_SUITES = ("h-additivity", "schwenk-star", "star-cauchy")
 STAR_FACTOR_CAP = (EXACT_CHARPOLY_CAP + 1) // 2
 
 
+#: the pair suites draw, build and check this many trials at a time, with one
+#: `spectral_data` call per chunk, so their memory does not grow with --trials
+PAIR_CHUNK = 100
+
+
 def _pair_trials(
     rngs: Iterable[random.Random], max_vertices: int, product, check, caps=(math.inf, math.inf)
-) -> list[dict]:
+) -> Iterator[dict]:
     """Check one identity on a random pair of rooted graphs and their product,
-    one pair per generator; one `spectral_data` call serves every graph."""
-    pairs = [
-        tuple(random_rooted_graph(rng, min(max_vertices, cap)) for cap in caps) for rng in rngs
-    ]
-    sds = spectral_data([g for g1, g2 in pairs for g in (g1, g2, product(g1, g2))])
-    out = []
-    for t, pair in enumerate(pairs):
-        outcome = check(*sds[3 * t : 3 * t + 3])
-        if outcome:
-            out.append({"ok": True, "detail": ""})
-        else:
-            out.append({
-                "ok": False,
-                "detail": outcome.detail,
-                "identity": outcome.name,
-                "graphs": [graph_to_json(g) for g in pair],
-            })
-    return out
+    one pair per generator, in chunks of PAIR_CHUNK generators."""
+    rngs = iter(rngs)
+    while chunk := list(itertools.islice(rngs, PAIR_CHUNK)):
+        pairs = [
+            tuple(random_rooted_graph(rng, min(max_vertices, cap)) for cap in caps)
+            for rng in chunk
+        ]
+        sds = spectral_data([g for g1, g2 in pairs for g in (g1, g2, product(g1, g2))])
+        for t, pair in enumerate(pairs):
+            outcome = check(*sds[3 * t : 3 * t + 3])
+            if outcome:
+                yield {"ok": True, "detail": ""}
+            else:
+                yield {
+                    "ok": False,
+                    "detail": outcome.detail,
+                    "identity": outcome.name,
+                    "graphs": [graph_to_json(g) for g in pair],
+                }
 
 
 def _moment_cumulant_trial(rng: random.Random) -> dict:
@@ -160,7 +167,7 @@ def _mixed_words_trial(rng: random.Random) -> dict:
 
 #: each suite maps one generator per trial, and --max-vertices, to one
 #: certificate per trial
-SUITES: dict[str, Callable[[Iterable[random.Random], int], list[dict]]] = {
+SUITES: dict[str, Callable[[Iterable[random.Random], int], Iterable[dict]]] = {
     "h-additivity": lambda rngs, mv: _pair_trials(rngs, mv, star_product, h_additivity_check),
     "schwenk-star": lambda rngs, mv: _pair_trials(rngs, mv, star_product, schwenk_star_check),
     "schwenk-comb": lambda rngs, mv: _pair_trials(

@@ -27,6 +27,13 @@ def run_json(capsys, *args):
     return code, json.loads(out)
 
 
+def _details_digest(certificate: dict) -> str:
+    """sha256 of a certificate's failure details, one per line: a failing
+    identity prints both sides in canonical form."""
+    details = "\n".join(f["detail"] for f in certificate["failures"])
+    return hashlib.sha256(details.encode()).hexdigest()
+
+
 class TestSpectrum:
     def test_star_of_k2_fold_9(self, capsys):
         code, data = run_json(
@@ -204,6 +211,22 @@ class TestVerify:
             code, _ = run(capsys, "verify", suite, "--trials", "1", "--max-vertices", "257")
             assert code == 0
         assert suite_calls == [(suite, 257) for suite in others]
+
+    def test_pair_suites_run_in_chunks(self, monkeypatch):
+        # each chunk of trials shares one spectral_data call; chunking changes
+        # no certificate, because each trial draws from its own generator
+        whole = verify.run_suite("schwenk-comb", trials=7, seed=4)
+        sizes = []
+        batch = verify.spectral_data
+
+        def counted(graphs):
+            sizes.append(len(graphs))
+            return batch(graphs)
+
+        monkeypatch.setattr(verify, "spectral_data", counted)
+        monkeypatch.setattr(verify, "PAIR_CHUNK", 3)
+        assert verify.run_suite("schwenk-comb", trials=7, seed=4) == whole
+        assert sizes == [9, 9, 3]
 
 
 class TestCumulants:
@@ -653,6 +676,30 @@ class TestCertificates:
         data = json.loads(cert.read_text())
         assert data["suite"] == "star-cauchy"
         assert [f["identity"] for f in data["failures"]] == ["star-cauchy"] * 5
+        assert _details_digest(data) == (
+            "79c7a3e50f7afcc0539a40c13ef2ff69dee81434f1c3c701e1faeebfd6cc52a1"
+        )
+
+    def test_h_additivity_checks_the_transforms(self, tmp_path, capsys, monkeypatch):
+        # the suite must fail when h_transform is wrong on every element
+        from cyclic_spectra import convolutions
+        from cyclic_spectra.exact import Polynomial, RationalFunction
+
+        h = convolutions.h_transform
+        offset = RationalFunction(Polynomial.one(), Polynomial((0, 0, 1)))
+        monkeypatch.setattr(convolutions, "h_transform", lambda pair: h(pair) + offset)
+        cert = tmp_path / "cert.json"
+        code = main([
+            "verify", "h-additivity", "--trials", "5", "--certificate", str(cert),
+        ])
+        capsys.readouterr()
+        assert code == 3
+        data = json.loads(cert.read_text())
+        assert data["suite"] == "h-additivity"
+        assert [f["identity"] for f in data["failures"]] == ["h-additivity"] * 5
+        assert _details_digest(data) == (
+            "a7b92a3f148f1ecc00691f38d5f5439f9e771c01b6151188aafdce2d62a9dc08"
+        )
 
     def test_comb_trace_checks_the_cli_fold(self, tmp_path, capsys, monkeypatch):
         # spectrum folds comb powers with cyclic_monotone_sum, so a corrupted
@@ -676,6 +723,9 @@ class TestCertificates:
         data = json.loads(cert.read_text())
         assert data["suite"] == "comb-trace"
         assert [f["identity"] for f in data["failures"]] == ["comb-trace"] * 5
+        assert _details_digest(data) == (
+            "01f7a01808328fe87edc3553a53c5547f2b2732cb7b6b22baf83b161191637ef"
+        )
 
     def test_mismatch_certificate_parses(self, tmp_path, capsys, monkeypatch):
         # corrupt one suite on purpose by registering a failing trial that

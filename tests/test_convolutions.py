@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cyclic_spectra import exact
 from cyclic_spectra.convolutions import (
     comb_char_poly,
     comb_trace_check,
@@ -261,6 +262,23 @@ class TestIdentityCheckers:
         assert not outcome
         assert outcome.detail
         assert outcome.name == "star-cauchy"
+
+    def test_passing_star_checks_take_no_gcd(self, monkeypatch):
+        # each check needs one yes/no answer, which cross-multiplication
+        # decides over Q[x]; no quotient is reduced on the way
+        g1, g2 = complete(3), path(4)
+        sds = spectral_data([g1, g2, star_product(g1, g2)])
+        calls = []
+        gcd = exact.poly_gcd
+
+        def counted(p, q):
+            calls.append((p, q))
+            return gcd(p, q)
+
+        monkeypatch.setattr(exact, "poly_gcd", counted)
+        assert h_additivity_check(*sds)
+        assert star_cauchy_identity_check(*sds)
+        assert calls == []
 
     def test_h_additivity_on_corpus(self):
         rng = random.Random(46)

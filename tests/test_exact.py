@@ -231,15 +231,18 @@ def _assert_canonical(f: RationalFunction) -> None:
     c=fractions.filter(bool),
 )
 def test_canonical_by_construction_matches_canonical_form(p, q, c):
-    # negation, reciprocal and scaling skip the gcd: each must still give
-    # the canonical form of its raw numerator and denominator
+    # negation and scaling take no gcd and keep a reduced quotient reduced:
+    # each, and the reciprocal, must give the canonical form of its raw
+    # numerator and denominator
     f = RationalFunction(p, q)
+    assert f.den.leading() == 1  # reading f reduces it
     results = [
         (-f, RationalFunction(-p, q)),
         (f * c, RationalFunction(p.scale(c), q)),
         (c * f, RationalFunction(p.scale(c), q)),
         (f * 0, RationalFunction(Polynomial.zero(), q)),
     ]
+    assert all(got._reduced for got, _ in results)
     if not p.is_zero():
         results.append((f.reciprocal(), RationalFunction(q, p)))
     for got, expected in results:
@@ -414,3 +417,52 @@ class TestRationalFunction:
     def test_json_round_trip(self):
         f = RationalFunction(poly(F(1, 2), 1), poly(-1, 0, 1))
         assert RationalFunction.from_json(f.to_json()) == f
+
+
+def _reduced(f: RationalFunction) -> RationalFunction:
+    """A fresh quotient equal to f, read once so that it holds its canonical form."""
+    g = RationalFunction(f.num, f.den)
+    assert g.den.leading() == 1
+    return g
+
+
+def _chain() -> RationalFunction:
+    """(x^2 - 1)/(2x - 2) * 1/(3x) + 1/(3x) = (x + 3)/(6x), never read."""
+    f = RationalFunction(poly(-1, 0, 1), poly(-2, 2))
+    g = RationalFunction(poly(1), poly(0, 3))
+    return f * g + g
+
+
+class TestLazyForm:
+    """Arithmetic keeps the quotient as built; reading it reduces it once."""
+
+    def test_unreduced_equals_its_reduction(self):
+        f, r = _chain(), _reduced(_chain())
+        assert (f._reduced, r._reduced) == (False, True)
+        assert f == r and r == f and f == _chain()
+        assert f != r + RationalFunction(poly(1))
+        assert not f._reduced  # equality took no gcd
+        assert hash(f) == hash(r)
+
+    def test_printed_forms_are_canonical(self):
+        r = _reduced(_chain())
+        assert r.num == poly(F(1, 2), F(1, 6)) and r.den == poly(0, 1)
+        assert str(_chain()) == str(r) == "(1/6*x + 1/2) / (x)"
+        assert repr(_chain()) == repr(r)
+        assert _chain().to_json() == r.to_json()
+
+    def test_removable_pole_is_no_pole(self):
+        assert RationalFunction(poly(-1, 0, 1), poly(-1, 1))(1) == 2
+
+    def test_cancelled_numerator_is_zero(self):
+        x = RationalFunction(poly(0, 0, 1), poly(0, 1))  # x^2 / x
+        assert ((x - x) / x).is_zero()
+        assert (x - x) / x == RationalFunction(Polynomial.zero())
+
+    def test_compose_reads_reduced_inputs(self):
+        outer = _chain()
+        inner = RationalFunction(poly(1, 1), poly(0, 1)) * RationalFunction(poly(0, 2), poly(0, 1))
+        expected = _reduced(outer).compose(_reduced(inner))
+        got = outer.compose(inner)
+        assert got == expected
+        assert str(got) == str(expected)
