@@ -142,6 +142,8 @@ def nfold_comb_transforms(sd: RootedSpectralData, n: int) -> RationalFunction:
     if n < 1:
         raise ValueError("fold count must be >= 1")
     pair = transform_pair(sd)
+    # reading G_h reduces it here, once, so each step's F_h = 1/G_h is canonical
+    pair.green.den
     rc, dim = pair.rc, sd.dim
     for _ in range(n - 1):
         rc = cyclic_monotone_sum(rc, dim, pair)

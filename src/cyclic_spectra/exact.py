@@ -489,8 +489,6 @@ class RationalFunction:
     # ------------------------------------------------------------------
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
         a, b, c, d = self._num, self._den, other._num, other._den
-        if b == d:
-            return RationalFunction(a + c, b)
         return RationalFunction(a * d + c * b, b * d)
 
     def __neg__(self) -> "RationalFunction":
@@ -517,7 +515,10 @@ class RationalFunction:
     def reciprocal(self) -> "RationalFunction":
         if self.is_zero():
             raise ZeroDivisionError("reciprocal of zero rational function")
-        return RationalFunction(self._den, self._num)
+        if not self._reduced:
+            return RationalFunction(self._den, self._num)
+        s = 1 / self._num.leading()
+        return RationalFunction._make(self._den.scale(s), self._num.scale(s), True)
 
     def derivative(self) -> "RationalFunction":
         n, d = self._num, self._den

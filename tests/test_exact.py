@@ -231,8 +231,8 @@ def _assert_canonical(f: RationalFunction) -> None:
     c=fractions.filter(bool),
 )
 def test_canonical_by_construction_matches_canonical_form(p, q, c):
-    # negation and scaling take no gcd and keep a reduced quotient reduced:
-    # each, and the reciprocal, must give the canonical form of its raw
+    # negation, reciprocal and scaling take no gcd and keep a reduced
+    # quotient reduced: each must give the canonical form of its raw
     # numerator and denominator
     f = RationalFunction(p, q)
     assert f.den.leading() == 1  # reading f reduces it
@@ -242,9 +242,9 @@ def test_canonical_by_construction_matches_canonical_form(p, q, c):
         (c * f, RationalFunction(p.scale(c), q)),
         (f * 0, RationalFunction(Polynomial.zero(), q)),
     ]
-    assert all(got._reduced for got, _ in results)
     if not p.is_zero():
         results.append((f.reciprocal(), RationalFunction(q, p)))
+    assert all(got._reduced for got, _ in results)
     for got, expected in results:
         assert got == expected
         _assert_canonical(got)
