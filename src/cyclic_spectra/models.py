@@ -6,12 +6,19 @@ The two word evaluators are the only implementation of each moment rule:
 the comb-limit sums over ordered set partitions in `limits` are tested against
 the cyclic-monotone one.
 
+The tensor models are defined by their Kronecker embeddings, which the tests
+compare against. The `verify mixed-words` suite never builds those products:
+`OperatorModel.word_moments` multiplies each slot's small factors on their own
+and reads a word's trace and vacuum entry as products over the slots, by the
+mixed-product property (A⊗B)(C⊗D) = AC⊗BD.
+
 Everything here is deliberately independent of the transform pipeline so that
 the two sides can arbitrate each other in tests.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -67,6 +74,14 @@ def _rank_one_projector(dim: int) -> np.ndarray:
     return p
 
 
+def _identity(dim: int) -> np.ndarray:
+    return np.identity(dim, dtype=object)
+
+
+# the factor of an embedded operator on each slot below the operator's own
+_BELOW_SLOT = {"boolean": _rank_one_projector, "monotone": _identity}
+
+
 def _as_object_matrix(a) -> np.ndarray:
     m = np.array(a, dtype=object)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -80,12 +95,26 @@ def _as_object_matrix(a) -> np.ndarray:
 class OperatorModel:
     """Tensor-product model over factors with distinguished coordinate 0.
 
-    boolean_embed places the operator at slot i with rank-one projectors on
-    every other slot; monotone_embed keeps identities below slot i and
-    projectors above it.
+    An operator embedded at slot i is a Kronecker product with one factor per
+    slot, and `_factors` is the only definition of those factors: the Boolean
+    embedding puts rank-one projectors on every other slot, the monotone one
+    keeps identities below slot i and projectors above it. boolean_embed and
+    monotone_embed build the full matrix; word_moments never does.
     """
 
     dims: tuple[int, ...]
+
+    def _factors(self, i: int, a, kind: str) -> list[np.ndarray]:
+        a = _as_object_matrix(a)
+        if a.shape[0] != self.dims[i]:
+            raise ValueError(f"operator dim {a.shape[0]} != slot dim {self.dims[i]}")
+        if kind not in _BELOW_SLOT:
+            raise ValueError("kind must be 'boolean' or 'monotone'")
+        below = _BELOW_SLOT[kind]
+        return [
+            below(d) if j < i else a if j == i else _rank_one_projector(d)
+            for j, d in enumerate(self.dims)
+        ]
 
     def _chain(self, factors: Sequence[np.ndarray]) -> np.ndarray:
         out = factors[0]
@@ -94,42 +123,41 @@ class OperatorModel:
         return out
 
     def boolean_embed(self, i: int, a) -> np.ndarray:
-        a = _as_object_matrix(a)
-        if a.shape[0] != self.dims[i]:
-            raise ValueError(f"operator dim {a.shape[0]} != slot dim {self.dims[i]}")
-        factors = [
-            a if j == i else _rank_one_projector(d) for j, d in enumerate(self.dims)
-        ]
-        return self._chain(factors)
+        return self._chain(self._factors(i, a, "boolean"))
 
     def monotone_embed(self, i: int, a) -> np.ndarray:
-        a = _as_object_matrix(a)
-        if a.shape[0] != self.dims[i]:
-            raise ValueError(f"operator dim {a.shape[0]} != slot dim {self.dims[i]}")
-        factors: list[np.ndarray] = []
-        for j, d in enumerate(self.dims):
-            if j < i:
-                factors.append(np.identity(d, dtype=object))
-            elif j == i:
-                factors.append(a)
-            else:
-                factors.append(_rank_one_projector(d))
-        return self._chain(factors)
+        return self._chain(self._factors(i, a, "monotone"))
+
+    def word_moments(self, ops: Sequence[tuple[int, object]], kind: str) -> tuple:
+        """(trace, [0, 0] entry) of the product of the operators ops, each a
+        (slot, matrix) pair embedded by kind, evaluated one slot at a time.
+
+        By the mixed-product property the product of Kronecker products is the
+        Kronecker product of the per-slot products, and the trace and the
+        vacuum entry of a Kronecker product are the products of its factors'.
+        """
+        if not ops:
+            raise ValueError("a word needs at least one operator")
+        slots = None
+        for i, a in ops:
+            factors = self._factors(i, a, kind)
+            slots = factors if slots is None else [p.dot(f) for p, f in zip(slots, factors)]
+        return math.prod(p.trace() for p in slots), math.prod(p[0, 0] for p in slots)
 
 
 def trace_moment(m: np.ndarray, k: int):
     """Tr(M^k); exact on int/Fraction matrices."""
     if k < 1 or k > MAX_POWER:
         raise ValueError(f"power {k} out of range 1..{MAX_POWER}")
-    return np.linalg.matrix_power(m, k).trace()
+    return np.linalg.matrix_power(_as_object_matrix(m), k).trace()
 
 
 def vacuum_moment(m: np.ndarray, k: int, index: int = 0):
-    """<M^k e, e> by k matrix-vector products."""
+    """<M^k e, e> by k matrix-vector products; exact on int/Fraction matrices."""
     if k < 1 or k > MAX_POWER:
         raise ValueError(f"power {k} out of range 1..{MAX_POWER}")
-    n = m.shape[0]
-    v = np.zeros(n, dtype=m.dtype)
+    m = np.array(m, dtype=object)
+    v = np.zeros(m.shape[0], dtype=object)
     v[index] = 1
     for _ in range(k):
         v = m.dot(v)
@@ -269,7 +297,7 @@ def model_tables(
     tables[i] is `matrix_power_moments` of the operator in slot i, so one set
     of tables serves both kinds.  For the ordered embedding the trace picks up
     one full factor dimension per slot below the operator, so the omega table
-    for slot i carries prod(dims[:i-1]); vector-state moments never do.
+    of 0-based slot i carries prod(dims[:i]); vector-state moments never do.
     """
     if kind not in ("boolean", "monotone"):
         raise ValueError("kind must be 'boolean' or 'monotone'")

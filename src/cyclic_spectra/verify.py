@@ -138,18 +138,17 @@ def _mixed_words_trial(rng: random.Random) -> dict:
     indices = _random_alternating_indices(rng, length, algebras)
     powers = [rng.randint(1, 3) for _ in indices]
     word = MixedWord(tuple(zip(indices, powers)))
-    tables = [matrix_power_moments(a, 24) for a in mats]
-    for kind, embed, evaluator in (
-        ("boolean", model.boolean_embed, eval_cyclic_boolean_word),
-        ("monotone", model.monotone_embed, eval_cyclic_monotone_word),
+    # merging letters never asks for a power above the word's total
+    tables = [matrix_power_moments(a, sum(powers)) for a in mats]
+    ops = [
+        (idx - 1, np.linalg.matrix_power(mats[idx - 1], power)) for idx, power in word.letters
+    ]
+    for kind, evaluator in (
+        ("boolean", eval_cyclic_boolean_word),
+        ("monotone", eval_cyclic_monotone_word),
     ):
         phi_fn, omega_fn = model_tables(model, tables, kind)
-        big = None
-        for idx, power in word.letters:
-            factor = embed(idx - 1, np.linalg.matrix_power(mats[idx - 1], power))
-            big = factor if big is None else big.dot(factor)
-        model_trace = big.trace()
-        model_vacuum = big[0, 0]
+        model_trace, model_vacuum = model.word_moments(ops, kind)
         got_omega = evaluator(word, phi_fn, omega_fn, "omega")
         got_phi = evaluator(word, phi_fn, omega_fn, "phi")
         if got_omega != model_trace:

@@ -64,6 +64,7 @@ from cyclic_spectra.transforms import (
     spectral_data,
 )
 from cyclic_spectra.verify import random_rooted_graph, random_symmetric_int_matrix
+from kronecker import kron_word_moments
 
 F = Fraction
 
@@ -250,20 +251,18 @@ def test_criterion_07_mixed_word_oracle():
     mats = [np.array(random_symmetric_int_matrix(rng, d, 2), dtype=object) for d in dims]
     tables = [matrix_power_moments(a, 12) for a in mats]
     checked = 0
-    for kind, embed, evaluator in (
-        ("boolean", model.boolean_embed, eval_cyclic_boolean_word),
-        ("monotone", model.monotone_embed, eval_cyclic_monotone_word),
+    for kind, evaluator in (
+        ("boolean", eval_cyclic_boolean_word),
+        ("monotone", eval_cyclic_monotone_word),
     ):
         phi_fn, omega_fn = model_tables(model, tables, kind)
         for length in range(1, 7):
             for indices in _alternating_index_tuples(length, 3):
                 word = MixedWord(tuple((i, 1) for i in indices))
-                big = None
-                for idx, _ in word.letters:
-                    factor = embed(idx - 1, mats[idx - 1])
-                    big = factor if big is None else big.dot(factor)
-                assert evaluator(word, phi_fn, omega_fn, "omega") == big.trace()
-                assert evaluator(word, phi_fn, omega_fn, "phi") == big[0, 0]
+                ops = [(idx - 1, mats[idx - 1]) for idx in indices]
+                trace, vacuum = kron_word_moments(model, ops, kind)
+                assert evaluator(word, phi_fn, omega_fn, "omega") == trace
+                assert evaluator(word, phi_fn, omega_fn, "phi") == vacuum
                 checked += 1
     # 200 seeded randomized trials with random models and per-letter powers
     from cyclic_spectra.verify import run_suite

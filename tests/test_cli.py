@@ -727,6 +727,33 @@ class TestCertificates:
             "01f7a01808328fe87edc3553a53c5547f2b2732cb7b6b22baf83b161191637ef"
         )
 
+    @pytest.mark.parametrize("rule, functional, prefix", [
+        pytest.param("eval_cyclic_monotone_word", "omega", "monotone omega", id="monotone"),
+        pytest.param("eval_cyclic_boolean_word", "phi", "boolean phi", id="boolean"),
+    ])
+    def test_mixed_words_checks_the_word_rules(
+        self, tmp_path, capsys, monkeypatch, rule, functional, prefix
+    ):
+        # a word rule off by one in one functional must fail every trial
+        # against the tensor model
+        exact = getattr(verify, rule)
+
+        def off_by_one(word, phi, omega, which):
+            value = exact(word, phi, omega, which)
+            return value + 1 if which == functional else value
+
+        monkeypatch.setattr(verify, rule, off_by_one)
+        cert = tmp_path / "cert.json"
+        code = main([
+            "verify", "mixed-words", "--trials", "20", "--certificate", str(cert),
+        ])
+        capsys.readouterr()
+        assert code == 3
+        data = json.loads(cert.read_text())
+        assert data["suite"] == "mixed-words"
+        assert [f["trial"] for f in data["failures"]] == list(range(20))
+        assert all(f["detail"].startswith(prefix) for f in data["failures"])
+
     def test_mismatch_certificate_parses(self, tmp_path, capsys, monkeypatch):
         # corrupt one suite on purpose by registering a failing trial that
         # records its first random draw, so the replay can be checked

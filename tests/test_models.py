@@ -20,7 +20,8 @@ from cyclic_spectra.models import (
     trace_moment,
     vacuum_moment,
 )
-from cyclic_spectra.verify import random_symmetric_int_matrix
+from cyclic_spectra.verify import random_symmetric_int_matrix, run_suite
+from kronecker import kron_word_moments
 
 F = Fraction
 
@@ -49,6 +50,38 @@ class TestEmbeddings:
         model = OperatorModel((2, 2))
         with pytest.raises(ValueError):
             model.boolean_embed(0, np.zeros((3, 3), dtype=object))
+
+
+class TestSlotwiseModel:
+    def test_matches_kronecker_model(self):
+        # adjacent letters may share a slot, so products within a slot are tested too
+        rng = random.Random(31)
+        for _ in range(400):
+            dims = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 4)))
+            model = OperatorModel(dims)
+            ops = []
+            for _ in range(rng.randint(1, 6)):
+                slot = rng.randrange(len(dims))
+                ops.append((slot, random_symmetric_int_matrix(rng, dims[slot], 2)))
+            for kind in ("boolean", "monotone"):
+                assert model.word_moments(ops, kind) == kron_word_moments(model, ops, kind)
+
+    def test_rejects_unknown_kind_and_empty_word(self):
+        model = OperatorModel((2,))
+        with pytest.raises(ValueError):
+            model.word_moments([(0, [[1, 0], [0, 1]])], "free")
+        with pytest.raises(ValueError):
+            model.word_moments([], "boolean")
+
+    def test_mixed_words_suite_builds_no_kronecker_product(self, monkeypatch):
+        def refuse(self, factors):
+            raise AssertionError("Kronecker product built")
+
+        monkeypatch.setattr(OperatorModel, "_chain", refuse)
+        with pytest.raises(AssertionError):
+            OperatorModel((2, 2)).boolean_embed(0, [[0, 1], [1, 0]])
+        result = run_suite("mixed-words", trials=50)
+        assert (result.passed, result.failed) == (50, 0)
 
 
 class TestEigensolve:
@@ -94,6 +127,14 @@ class TestMoments:
     def test_k3_odd_trace(self):
         a = np.array(adjacency(complete(3).graph), dtype=object)
         assert trace_moment(a, 3) == 6
+
+    def test_int64_input_does_not_overflow(self):
+        a = np.array([[0, 2**20], [2**20, 0]])
+        assert a.dtype == np.int64
+        assert trace_moment(a, 4) == 2 * 2**80
+        assert vacuum_moment(a, 4) == 2**80
+        phis, omegas = matrix_power_moments(a, 4)
+        assert (omegas[3], phis[3]) == (2 * 2**80, 2**80)
 
     def test_vacuum_is_degree(self):
         for g in (complete(3), star(4), friendship(2)):
@@ -207,7 +248,7 @@ class TestMonotoneWords:
 
 
 class TestWordsAgainstTensorModels:
-    def _run(self, kind, embed_name, evaluator, seed, trials=60):
+    def _run(self, kind, evaluator, seed, trials=60):
         rng = random.Random(seed)
         for _ in range(trials):
             dims = tuple(rng.randint(2, 3) for _ in range(3))
@@ -225,20 +266,19 @@ class TestWordsAgainstTensorModels:
                 if nxt != indices[-1]:
                     indices.append(nxt)
             w = MixedWord(tuple((i, rng.randint(1, 3)) for i in indices))
-            big = None
-            for idx, power in w.letters:
-                factor = getattr(model, embed_name)(
-                    idx - 1, np.linalg.matrix_power(mats[idx - 1], power)
-                )
-                big = factor if big is None else big.dot(factor)
-            assert evaluator(w, phi_fn, omega_fn, "omega") == big.trace()
-            assert evaluator(w, phi_fn, omega_fn, "phi") == big[0, 0]
+            ops = [
+                (idx - 1, np.linalg.matrix_power(mats[idx - 1], power))
+                for idx, power in w.letters
+            ]
+            trace, vacuum = kron_word_moments(model, ops, kind)
+            assert evaluator(w, phi_fn, omega_fn, "omega") == trace
+            assert evaluator(w, phi_fn, omega_fn, "phi") == vacuum
 
     def test_boolean_words_match_model(self):
-        self._run("boolean", "boolean_embed", eval_cyclic_boolean_word, seed=100)
+        self._run("boolean", eval_cyclic_boolean_word, seed=100)
 
     def test_monotone_words_match_model(self):
-        self._run("monotone", "monotone_embed", eval_cyclic_monotone_word, seed=200)
+        self._run("monotone", eval_cyclic_monotone_word, seed=200)
 
     def test_star_power_tensor_spectrum(self):
         # nonzero spectrum of the full tensor sum matches the star-product graph
