@@ -14,8 +14,6 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import graphs
 from .convolutions import nfold_comb_transforms, nfold_star_transforms
 from .cumulants import (
@@ -242,12 +240,8 @@ def _limits_comb_payload(args) -> dict:
     base, label = _parse_graph_arg([args.family])
     if base.n < 2:
         raise ValueError("comb base must have at least 2 vertices")
-    mat = np.array(graphs.adjacency(base.graph), dtype=object)
-    if base.root != 0:  # state moments are read at coordinate 0
-        perm = [base.root] + [v for v in range(base.n) if v != base.root]
-        mat = mat[np.ix_(perm, perm)]
     count = max(args.k_max, args.n_max) + 2
-    psi, tr = matrix_power_moments(mat, count)
+    psi, tr = matrix_power_moments(graphs.adjacency(base.graph), count, base.root)
     d = base.n
     rows = []
     for k in range(1, args.k_max + 1):

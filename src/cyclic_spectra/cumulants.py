@@ -4,11 +4,13 @@ cumulants.
 
 One type, `MomentData`, carries an element's state and trace moment tables;
 partitioned moments read them for every independent copy of the element,
-with a partition's labels as the word's indices.  Multivariate cumulants come
-from one lattice sum, written once for both functionals: a sum of cumulants
-over a family of partitions gathers integer Moebius coefficients per
-refinement, so each partitioned moment is evaluated once.  The interval /
-rotation case split is a reference in the tests.
+with a partition's labels as the word's letters, each of power one.
+Multivariate cumulants come from one lattice sum, written once for both
+functionals: a sum of cumulants over a family of partitions gathers integer
+Moebius coefficients per refinement, so each partitioned moment is evaluated
+once.  The Boolean cumulant B_pi is `partition_cumulant(m, pi, "phi")`, and
+`moment_cumulant_check` returns the same `IdentityCheck` as the other identity
+checks.  The interval / rotation case split is a reference in the tests.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .convolutions import IdentityCheck
 from .models import MixedWord, _merge_runs, eval_cyclic_boolean_word
 from .partitions import SetPartition, enumerate_partitions, moebius, refinements
 
@@ -80,31 +83,20 @@ def h_coefficients(m: MomentData) -> list[Fraction]:
 # multivariate layer
 
 def partitioned_moment(
-    m: MomentData,
-    pi: SetPartition,
-    powers: Sequence[int] | None = None,
-    functional: str = "omega",
+    m: MomentData, pi: SetPartition, functional: str = "omega"
 ) -> Fraction:
-    """omega_pi (or phi_pi): the product functional on any word with kernel pi,
-    each block a separate independent copy of the element m."""
-    if powers is None:
-        powers = [1] * pi.n
-    if len(powers) != pi.n:
-        raise ValueError("word length must match ground set")
-    if sum(powers) > len(m.phi):
-        raise ValueError(f"moment tables too short for total power {sum(powers)}")
-    word = MixedWord(tuple(map(tuple, _merge_runs(zip(pi.labels, powers)))))
+    """omega_pi (or phi_pi): the product functional on the word whose letters
+    are the labels of pi, each block a separate independent copy of the
+    element m."""
+    if pi.n > len(m.phi):
+        raise ValueError(f"moment tables too short for total power {pi.n}")
+    word = MixedWord(tuple(map(tuple, _merge_runs((label, 1) for label in pi.labels))))
     return eval_cyclic_boolean_word(
         word, lambda i, p: m.phi[p - 1], lambda i, p: m.omega[p - 1], functional
     )
 
 
-def _lattice_sum(
-    m: MomentData,
-    pis: Iterable[SetPartition],
-    powers: Sequence[int] | None,
-    functional: str,
-) -> Fraction:
+def _lattice_sum(m: MomentData, pis: Iterable[SetPartition], functional: str) -> Fraction:
     """Sum over pi in pis of the Moebius inversion of the partitioned moments,
     sum_{rho <= pi} mu(rho, pi) m_rho, regrouped as sum_rho c(rho) m_rho.
 
@@ -118,17 +110,13 @@ def _lattice_sum(
         for rho in refinements(pi):
             coefficients[rho] += moebius(rho, pi)
     return sum(
-        (c * partitioned_moment(m, rho, powers, functional)
-         for rho, c in coefficients.items() if c),
+        (c * partitioned_moment(m, rho, functional) for rho, c in coefficients.items() if c),
         start=Fraction(0),
     )
 
 
 def partition_cumulant(
-    m: MomentData,
-    pi: SetPartition,
-    powers: Sequence[int] | None = None,
-    functional: str = "omega",
+    m: MomentData, pi: SetPartition, functional: str = "omega"
 ) -> Fraction:
     """Moebius inversion of the partitioned moments over the refinements of pi.
 
@@ -136,60 +124,31 @@ def partition_cumulant(
     cumulant, by the defining lattice sum; on the state side ("phi") it is
     the Boolean cumulant B_pi.
     """
-    return _lattice_sum(m, [pi], powers, functional)
+    return _lattice_sum(m, [pi], functional)
 
 
-def boolean_partition_cumulant(
-    m: MomentData, pi: SetPartition, powers: Sequence[int] | None = None
-) -> Fraction:
-    """B_pi by Moebius inversion of the state-side partitioned moments."""
-    return partition_cumulant(m, pi, powers, "phi")
-
-
-@dataclass(frozen=True)
-class MomentCumulantCheck:
-    ok: bool
-    lhs: Fraction
-    rhs: Fraction
-    detail: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def moment_cumulant_check(
-    m: MomentData,
-    n: int,
-    powers: Sequence[int] | None = None,
-    reference_omega: Sequence | None = None,
-) -> MomentCumulantCheck:
-    """Check that cyclic-interval cumulants resum to the trace moment.
+def moment_cumulant_check(m: MomentData, n: int) -> IdentityCheck:
+    """Check that the cyclic-interval cumulants of order n resum to the trace
+    moment omega_n.
 
     Also verifies the single-variable recursion splitting the moment into the
     top cumulant plus Boolean contributions of the proper cyclic intervals.
-    The moment being reproduced is read from reference_omega when given, so
-    moment data with a perturbed trace table fails against the true reference.
     """
     if n > LATTICE_CAP:  # before CI(n) is built: CI(20) has a million members
         raise ValueError(f"ground set {n} exceeds lattice cap {LATTICE_CAP}")
-    if powers is None:
-        powers = [1] * n
     cis = enumerate_partitions(n, "CI")
-    rhs = _lattice_sum(m, cis, powers, "omega")
-    total_power = sum(powers)
-    if reference_omega is not None:
-        lhs = Fraction(reference_omega[total_power - 1])
-    else:
-        lhs = m.omega[total_power - 1]
+    lhs = m.omega[n - 1]
+    rhs = _lattice_sum(m, cis, "omega")
     if lhs != rhs:
-        return MomentCumulantCheck(False, lhs, rhs, "lattice resummation differs")
-    if all(p == 1 for p in powers):
-        bs = boolean_cumulants(m)
-        recursion = _cyclic_from_boolean(m, bs)[n - 1] + sum(
-            math.prod(bs[len(b) - 1] for b in pi.blocks) for pi in cis if len(pi) > 1
+        return IdentityCheck(
+            "moment-cumulant", False, f"lattice resummation differs: lhs={lhs} rhs={rhs}"
         )
-        if recursion != lhs:
-            return MomentCumulantCheck(
-                False, lhs, recursion, "univariate recursion differs"
-            )
-    return MomentCumulantCheck(True, lhs, rhs)
+    bs = boolean_cumulants(m)
+    recursion = _cyclic_from_boolean(m, bs)[n - 1] + sum(
+        math.prod(bs[len(b) - 1] for b in pi.blocks) for pi in cis if len(pi) > 1
+    )
+    if recursion != lhs:
+        return IdentityCheck(
+            "moment-cumulant", False, f"univariate recursion differs: lhs={lhs} rhs={recursion}"
+        )
+    return IdentityCheck("moment-cumulant", True)

@@ -426,9 +426,8 @@ class RationalFunction:
     Arithmetic builds the quotient from the stored numerator and denominator
     and takes no gcd.  Reading ``num`` or ``den`` reduces it, once, to the
     canonical form: coprime, with a monic denominator.  Equality is decided
-    exactly without a gcd: two reduced quotients compare term by term, any
-    other pair by cross-multiplication, so identities between transforms can
-    be asserted with ``==``.
+    exactly without a gcd, by cross-multiplication, so identities between
+    transforms can be asserted with ``==``.
     """
 
     __slots__ = ("_num", "_den", "_reduced")
@@ -563,8 +562,6 @@ class RationalFunction:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunction):
             return False
-        if self._reduced and other._reduced:
-            return self._num == other._num and self._den == other._den
         return self._num * other._den == other._num * self._den
 
     def __hash__(self) -> int:

@@ -240,12 +240,19 @@ def graph_to_json(g: RootedGraph) -> dict:
     }
 
 
+def _json_int(value, field: str) -> int:
+    """value if it is a JSON integer; a float, string or bool is rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"graph JSON field {field!r} must hold integers, got {value!r}")
+    return value
+
+
 def graph_from_json(data: dict | str) -> RootedGraph:
     if isinstance(data, str):
         data = json.loads(data)
     try:
-        edges = [(int(i), int(j)) for i, j in data["edges"]]
-        n, root = int(data["n"]), int(data["root"])
+        edges = [(_json_int(i, "edges"), _json_int(j, "edges")) for i, j in data["edges"]]
+        n, root = _json_int(data["n"], "n"), _json_int(data["root"], "root")
     except (KeyError, TypeError) as exc:
         raise ValueError(
             f"graph JSON must be an object with n, root and edges: {exc!r}"

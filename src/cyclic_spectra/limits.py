@@ -5,7 +5,8 @@ trace-moment limits of iterated comb powers as sums over ordered set
 partitions (computed by a circular-run recursion, with no enumeration), the
 integer moment table of the two-point comb limit with every recursion weight
 checked against a Lucas polynomial, and the classification of additively
-divisible trace spectra.
+divisible trace spectra, with an exact check that the n-th root of a divisible
+two-point element, folded n times, gives the element back.
 """
 
 from __future__ import annotations
@@ -380,25 +381,6 @@ def cb_id_classify(spectrum: SpectrumReport, weights: Sequence) -> IDVerdict:
     return IDVerdict(False, "none", reason="more than two non-zero eigenvalues")
 
 
-@dataclass(frozen=True)
-class NthRootData:
-    """n-th convolution root of a two-point element.
-
-    The root pair solves x^2 - s x + q with s, q the original sum and product
-    scaled by 1/n; those exact values drive symbolic round trips while the
-    individual roots and weights are reported numerically.
-    """
-
-    alpha: float
-    beta: float
-    weights: tuple[float, float]
-    sum_exact: Fraction
-    product_exact: Fraction
-
-    def transforms(self) -> TransformPair:
-        return two_point_transforms(self.sum_exact, self.product_exact)
-
-
 def two_point_transforms(s: Fraction, q: Fraction) -> TransformPair:
     """Exact transform pair of a two-point element with eigenvalue sum s and
     product q (q < 0), state weights on the divisible line: the element whose
@@ -406,28 +388,19 @@ def two_point_transforms(s: Fraction, q: Fraction) -> TransformPair:
     return transform_pair(RootedSpectralData(Polynomial((q, -s, 1)), Polynomial.x(), 2))
 
 
-def cb_id_nth_root(alpha, beta, n: int) -> NthRootData:
-    """The n-th additive root of a divisible two-point (alpha, beta) element."""
+def nth_root_round_trip(alpha, beta, n: int) -> bool:
+    """Exact check that the n-th additive root of a divisible two-point
+    (alpha, beta) element, folded n times, reproduces the element.
+
+    The root is the two-point element with eigenvalue sum (alpha + beta)/n and
+    product alpha beta/n, built exactly by `two_point_transforms`.
+    """
     a, b = Fraction(alpha), Fraction(beta)
     if a * b >= 0:
         raise ValueError("eigenvalues must have opposite signs")
     if n < 1:
         raise ValueError("n must be >= 1")
-    s = (a + b) / n
-    q = (a * b) / n
-    disc = s * s - 4 * q
-    root = math.sqrt(float(disc))
-    lo = (float(s) - root) / 2.0
-    hi = (float(s) + root) / 2.0
-    weights = (-lo / (hi - lo), hi / (hi - lo))
-    return NthRootData(lo, hi, weights, s, q)
-
-
-def nth_root_round_trip(alpha, beta, n: int) -> bool:
-    """Exact check: n-fold self-convolution of the root reproduces the element."""
-    root = cb_id_nth_root(alpha, beta, n)
-    acc = cyclic_boolean_multisum(((root.transforms(), n),))
-    expected = two_point_transforms(
-        Fraction(alpha) + Fraction(beta), Fraction(alpha) * Fraction(beta)
-    )
+    root = two_point_transforms((a + b) / n, a * b / n)
+    acc = cyclic_boolean_multisum(((root, n),))
+    expected = two_point_transforms(a + b, a * b)
     return acc.rc == expected.rc and acc.green == expected.green

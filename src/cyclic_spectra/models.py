@@ -12,6 +12,9 @@ compare against. The `verify mixed-words` suite never builds those products:
 and reads a word's trace and vacuum entry as products over the slots, by the
 mixed-product property (A⊗B)(C⊗D) = AC⊗BD.
 
+Matrix moment tables have one routine, `matrix_power_moments`, which reads
+the state moments at any root vertex and the trace moments of the same powers.
+
 Everything here is deliberately independent of the transform pipeline so that
 the two sides can arbitrate each other in tests.
 """
@@ -28,7 +31,6 @@ import numpy as np
 from .transforms import SpectrumReport
 
 CLUSTER_TOL = 1e-8
-MAX_POWER = 64
 
 MomentFn = Callable[[int, int], Fraction]
 
@@ -145,32 +147,17 @@ class OperatorModel:
         return math.prod(p.trace() for p in slots), math.prod(p[0, 0] for p in slots)
 
 
-def trace_moment(m: np.ndarray, k: int):
-    """Tr(M^k); exact on int/Fraction matrices."""
-    if k < 1 or k > MAX_POWER:
-        raise ValueError(f"power {k} out of range 1..{MAX_POWER}")
-    return np.linalg.matrix_power(_as_object_matrix(m), k).trace()
+def matrix_power_moments(a, count: int, root: int = 0) -> tuple[list, list]:
+    """(vacuum, trace) moment tables for powers 1..count of one matrix.
 
-
-def vacuum_moment(m: np.ndarray, k: int, index: int = 0):
-    """<M^k e, e> by k matrix-vector products; exact on int/Fraction matrices."""
-    if k < 1 or k > MAX_POWER:
-        raise ValueError(f"power {k} out of range 1..{MAX_POWER}")
-    m = np.array(m, dtype=object)
-    v = np.zeros(m.shape[0], dtype=object)
-    v[index] = 1
-    for _ in range(k):
-        v = m.dot(v)
-    return v[index]
-
-
-def matrix_power_moments(a, count: int) -> tuple[list, list]:
-    """(vacuum, trace) moment tables for powers 1..count of one matrix."""
+    The vacuum moment of power k is the (root, root) entry of a^k.  Entries are
+    Python objects, so int and Fraction matrices give exact values.
+    """
     m = _as_object_matrix(a)
     phis, omegas = [], []
     p = m
     for _ in range(count):
-        phis.append(p[0, 0])
+        phis.append(p[root, root])
         omegas.append(p.trace())
         p = p.dot(m)
     return phis, omegas
@@ -191,9 +178,6 @@ class MixedWord:
                 raise ValueError("adjacent letters must use distinct algebras")
         if any(p < 1 for _, p in self.letters):
             raise ValueError("powers must be positive")
-
-    def __len__(self) -> int:
-        return len(self.letters)
 
 
 def _merge_runs(letters: Iterable[Sequence[int]]) -> list[list[int]]:

@@ -63,11 +63,6 @@ def _coarsening(rho: SetPartition, pi: SetPartition) -> dict[int, int] | None:
     return image
 
 
-def refines(rho: SetPartition, pi: SetPartition) -> bool:
-    """rho <= pi in refinement order."""
-    return _coarsening(rho, pi) is not None
-
-
 def is_cyclic_interval(p: SetPartition) -> bool:
     """True when every block is a circular arc: walking the circle
     1, 2, .., n, 1 leaves each block exactly once (top is never left)."""

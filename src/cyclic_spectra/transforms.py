@@ -278,8 +278,8 @@ class IsolatedRoot:
 def isolate_real_roots(p: Polynomial) -> list[IsolatedRoot]:
     """All real roots of p, each reported once (input need not be square-free).
 
-    Vincent-Collins-Akritas bisection: the square-free part of p, scaled to
-    integer coefficients a, has its roots in (-2^k, 2^k), and each side is
+    Vincent-Collins-Akritas bisection: the primitive integer part a of the
+    square-free part of p has its roots in (-2^k, 2^k), and each side is
     halved until Descartes' rule of signs isolates every root.  A dyadic root,
     so every integer root, lands on a bisection point and is found exactly.
     Each other root gets an interval whose ends round to the same double, that
@@ -290,8 +290,7 @@ def isolate_real_roots(p: Polynomial) -> list[IsolatedRoot]:
     p = square_free_part(p)
     if p.degree <= 0:
         return []
-    lcm = math.lcm(*(c.denominator for c in p.coeffs))
-    a = [int(c * lcm) for c in p.coeffs]
+    a = list(p._prim)
     # Cauchy's bound: |x| < 1 + max |a_i / a_d| <= 2^k
     k = max(c.bit_length() for c in a) - a[-1].bit_length() + 2
     roots = [IsolatedRoot(Fraction(0), Fraction(0))] if a[0] == 0 else []

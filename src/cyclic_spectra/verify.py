@@ -110,12 +110,7 @@ def _moment_cumulant_trial(rng: random.Random) -> dict:
     data = MomentData(*matrix_power_moments(mat, 8))
     n = rng.randint(1, 5)
     outcome = moment_cumulant_check(data, n)
-    if not outcome:
-        return {
-            "ok": False,
-            "detail": f"{outcome.detail}: lhs={outcome.lhs} rhs={outcome.rhs}",
-        }
-    return {"ok": True, "detail": ""}
+    return {"ok": outcome.ok, "detail": outcome.detail}
 
 
 def _random_alternating_indices(rng: random.Random, length: int, algebras: int) -> list[int]:

@@ -49,8 +49,6 @@ from cyclic_spectra.models import (
     eval_cyclic_monotone_word,
     matrix_power_moments,
     model_tables,
-    trace_moment,
-    vacuum_moment,
 )
 from cyclic_spectra.partitions import (
     enumerate_partitions,
@@ -221,10 +219,7 @@ def test_criterion_06_cumulant_suite():
         mats = [np.array(random_symmetric_int_matrix(rng, d), dtype=object) for d in dims]
         big = model.boolean_embed(0, mats[0]) + model.boolean_embed(1, mats[1])
         order = 8
-        sum_data = MomentData(
-            [vacuum_moment(big, k) for k in range(1, order + 1)],
-            [trace_moment(big, k) for k in range(1, order + 1)],
-        )
+        sum_data = MomentData(*matrix_power_moments(big, order))
         cs_sum = cyclic_boolean_cumulants(sum_data)
         cs_parts = []
         for mat in mats:

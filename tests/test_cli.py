@@ -549,6 +549,19 @@ class TestGraphFileInput:
         assert code == 2 and captured.out == ""
         assert "graph JSON must be an object" in captured.err
 
+    @pytest.mark.parametrize("text, field", [
+        ('{"n": 2.9, "root": 0.5, "edges": [[0.2, 1.7]]}', "edges"),
+        ('{"n": 2, "root": false, "edges": [[0, 1]]}', "root"),
+        ('{"n": "3", "root": 0, "edges": [[0, 1]]}', "n"),
+    ])
+    def test_non_integer_json_exit_2(self, capsys, tmp_path, text, field):
+        target = tmp_path / "g.json"
+        target.write_text(text)
+        code = main(["spectrum", "--family", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"field '{field}' must hold integers" in captured.err
+
     @pytest.mark.parametrize("root, named", [(2, "path:3"), (1, "star:2")])
     def test_comb_rows_of_a_rooted_file_graph(self, capsys, tmp_path, root, named):
         # the comb base is read at its root: P3 rooted at an end is path:3,
@@ -725,6 +738,29 @@ class TestCertificates:
         assert [f["identity"] for f in data["failures"]] == ["comb-trace"] * 5
         assert _details_digest(data) == (
             "01f7a01808328fe87edc3553a53c5547f2b2732cb7b6b22baf83b161191637ef"
+        )
+
+    def test_moment_cumulant_checks_the_lattice_sum(self, tmp_path, capsys, monkeypatch):
+        # the Moebius coefficients over CI(n) sum to 1, so a partitioned moment
+        # off by one everywhere must fail every trial
+        from cyclic_spectra import cumulants
+
+        exact = cumulants.partitioned_moment
+        monkeypatch.setattr(
+            cumulants, "partitioned_moment",
+            lambda m, pi, functional="omega": exact(m, pi, functional) + 1,
+        )
+        cert = tmp_path / "cert.json"
+        code = main([
+            "verify", "moment-cumulant", "--trials", "5", "--certificate", str(cert),
+        ])
+        capsys.readouterr()
+        assert code == 3
+        data = json.loads(cert.read_text())
+        assert data["suite"] == "moment-cumulant"
+        assert [f["trial"] for f in data["failures"]] == list(range(5))
+        assert all(
+            f["detail"].startswith("lattice resummation differs") for f in data["failures"]
         )
 
     @pytest.mark.parametrize("rule, functional, prefix", [

@@ -11,7 +11,6 @@ from cyclic_spectra.cumulants import (
     LATTICE_CAP,
     MomentData,
     boolean_cumulants,
-    boolean_partition_cumulant,
     cyclic_boolean_cumulants,
     h_coefficients,
     moment_cumulant_check,
@@ -19,12 +18,7 @@ from cyclic_spectra.cumulants import (
     partitioned_moment,
 )
 from cyclic_spectra.exact import Polynomial
-from cyclic_spectra.models import (
-    OperatorModel,
-    matrix_power_moments,
-    trace_moment,
-    vacuum_moment,
-)
+from cyclic_spectra.models import OperatorModel, matrix_power_moments
 from cyclic_spectra.partitions import (
     SetPartition,
     enumerate_partitions,
@@ -59,23 +53,21 @@ def _truncate(p, order):
     return Polynomial(p.coeffs[: order + 1])
 
 
-def partition_cumulant_case_split(m, pi, powers=None):
+def partition_cumulant_case_split(m, pi):
     """Reference: the same cumulant through the case split.  It is zero off the
     cyclic intervals, the top one by the moment recursion, and otherwise the
     Boolean cumulant of the rotation into intervals."""
     n = pi.n
-    if powers is None:
-        powers = [1] * n
     if not is_cyclic_interval(pi):
         return F(0)
     if pi == top(n):
-        total = partitioned_moment(m, pi, powers, "omega")
+        total = partitioned_moment(m, pi, "omega")
         for rho in enumerate_partitions(n, "CI"):
             if rho != pi:
-                total -= partition_cumulant_case_split(m, rho, powers)
+                total -= partition_cumulant_case_split(m, rho)
         return total
-    r, rotated = rotate_to_interval(pi)
-    return boolean_partition_cumulant(m, rotated, powers[r:] + powers[:r])
+    _, rotated = rotate_to_interval(pi)
+    return partition_cumulant(m, rotated, "phi")
 
 
 class TestUnivariate:
@@ -197,8 +189,8 @@ class TestPartitionCumulants:
                 for pi in enumerate_partitions(n, "Int"):
                     if pi == top(n):
                         continue
-                    assert partition_cumulant(data, pi) == boolean_partition_cumulant(
-                        data, pi
+                    assert partition_cumulant(data, pi) == partition_cumulant(
+                        data, pi, "phi"
                     )
 
     def test_case_split_matches_lattice_sum(self):
@@ -219,11 +211,14 @@ class TestPartitionCumulants:
             for n in range(1, 8):
                 assert partition_cumulant(data, top(n)) == cs[n - 1]
 
-    @pytest.mark.parametrize("cumulant", [partition_cumulant, boolean_partition_cumulant])
-    def test_lattice_cap(self, cumulant):
+    @pytest.mark.parametrize("functional", [
+        pytest.param("omega", id="partition_cumulant"),
+        pytest.param("phi", id="boolean_partition_cumulant"),
+    ])
+    def test_lattice_cap(self, functional):
         data = MomentData([1] * (LATTICE_CAP + 1), [1] * (LATTICE_CAP + 1))
         with pytest.raises(ValueError, match="exceeds lattice cap"):
-            cumulant(data, top(LATTICE_CAP + 1))
+            partition_cumulant(data, top(LATTICE_CAP + 1), functional)
 
     def test_lattice_cap_of_the_check(self, monkeypatch):
         # the check rejects n before it enumerates CI(n)
@@ -245,7 +240,7 @@ class TestPartitionCumulants:
                 # one rotation per block: each starts at the first element of an arc
                 assert len(rotations) == len(pi)
                 values = {
-                    boolean_partition_cumulant(data, rotated) for _, rotated in rotations
+                    partition_cumulant(data, rotated, "phi") for _, rotated in rotations
                 }
                 assert len(values) == 1
                 assert values.pop() == partition_cumulant(data, pi)
@@ -274,9 +269,9 @@ class TestMomentCumulant:
         seen = []
         original = cumulants.partitioned_moment
 
-        def counted(m, pi, powers=None, functional="omega"):
-            seen.append((pi, tuple(powers), functional))
-            return original(m, pi, powers, functional)
+        def counted(m, pi, functional="omega"):
+            seen.append((pi, functional))
+            return original(m, pi, functional)
 
         monkeypatch.setattr(cumulants, "partitioned_moment", counted)
         rng = random.Random(10)
@@ -285,23 +280,18 @@ class TestMomentCumulant:
         assert len(seen) == len(set(seen))
         assert len(seen) <= len(enumerate_partitions(8, "SP")) == 4140
 
-    def test_perturbed_rejected(self):
-        # moment data whose trace table was tampered with no longer reproduces
-        # the true trace moments of the element it claims to describe
-        omega = list(K2_OMEGA)
-        omega[3] += 1
-        data = MomentData(K2_PHI, omega)
-        assert not moment_cumulant_check(data, 4, reference_omega=K2_OMEGA)
-        assert moment_cumulant_check(data, 4, reference_omega=omega)
+    def test_perturbed_rejected(self, monkeypatch):
+        # the Moebius coefficients over CI(n) sum to 1, so adding 1 to every
+        # partitioned moment moves the resummed side by 1
+        original = cumulants.partitioned_moment
 
-    def test_mixed_powers(self):
-        rng = random.Random(11)
-        dim = 3
-        mat = random_symmetric_int_matrix(rng, dim)
-        phis, omegas = matrix_power_moments(mat, 12)
-        data = MomentData(phis, omegas)
-        for powers in ([2, 1, 1], [1, 3], [2, 2, 1, 1]):
-            assert moment_cumulant_check(data, len(powers), powers)
+        def perturbed(m, pi, functional="omega"):
+            return original(m, pi, functional) + 1
+
+        monkeypatch.setattr(cumulants, "partitioned_moment", perturbed)
+        outcome = moment_cumulant_check(k2_data(), 4)
+        assert not outcome
+        assert outcome.detail.startswith("lattice resummation differs")
 
 
 class TestAdditivity:
@@ -318,9 +308,7 @@ class TestAdditivity:
             ]
             big = model.boolean_embed(0, mats[0]) + model.boolean_embed(1, mats[1])
             order = 8
-            sum_phi = [vacuum_moment(big, k) for k in range(1, order + 1)]
-            sum_omega = [trace_moment(big, k) for k in range(1, order + 1)]
-            cs_sum = cyclic_boolean_cumulants(MomentData(sum_phi, sum_omega))
+            cs_sum = cyclic_boolean_cumulants(MomentData(*matrix_power_moments(big, order)))
             parts = []
             for mat in mats:
                 phis, omegas = matrix_power_moments(mat, order)

@@ -229,6 +229,20 @@ class TestIO:
             g = random_rooted_graph(rng, 7)
             assert graph_from_json(graph_to_json(g)) == g
 
+    @pytest.mark.parametrize("data, field", [
+        ({"n": 2.9, "root": 0.5, "edges": [[0.2, 1.7]]}, "edges"),
+        ({"n": 2.0, "root": 0, "edges": [[0, 1]]}, "n"),
+        ({"n": 2, "root": 0.5, "edges": [[0, 1]]}, "root"),
+        ({"n": 2, "root": False, "edges": [[0, 1]]}, "root"),
+        ({"n": True, "root": 0, "edges": []}, "n"),
+        ({"n": 2, "root": 0, "edges": [[False, True]]}, "edges"),
+        ({"n": "3", "root": 0, "edges": []}, "n"),
+        ({"n": 2, "root": 0, "edges": [["0", 1]]}, "edges"),
+    ])
+    def test_json_values_must_be_integers(self, data, field):
+        with pytest.raises(ValueError, match=f"field '{field}' must hold integers"):
+            graph_from_json(data)
+
     def test_text_format_shape(self):
         text = format_graph_text(k2())
         assert text.splitlines()[0] == "n 2 root 0"

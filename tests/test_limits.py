@@ -20,7 +20,6 @@ from cyclic_spectra.limits import (
     carleman_check,
     cb_clt_limits,
     cb_id_classify,
-    cb_id_nth_root,
     comb_limit_moment,
     finite_n_comb_moment,
     nth_root_round_trip,
@@ -34,7 +33,6 @@ from cyclic_spectra.models import (
     _merge_runs,
     eval_cyclic_monotone_word,
     matrix_power_moments,
-    trace_moment,
 )
 from cyclic_spectra.partitions import enumerate_partitions
 from cyclic_spectra.transforms import SpectrumReport, laurent_at_infinity, spectral_data
@@ -263,8 +261,9 @@ class TestFiniteNMoments:
         for n in range(1, 9):
             model = OperatorModel((2,) * n)
             big = sum(model.monotone_embed(i, a) for i in range(n))
+            _, traces = matrix_power_moments(big, 6)
             for k in range(1, 7):
-                assert finite_n_comb_moment(2, n, k, K2_PSI, K2_TR) == trace_moment(big, k)
+                assert finite_n_comb_moment(2, n, k, K2_PSI, K2_TR) == traces[k - 1]
 
     def test_matches_tensor_model_d3(self):
         rng = random.Random(8)
@@ -274,8 +273,9 @@ class TestFiniteNMoments:
         for n in range(1, 6):
             model = OperatorModel((3,) * n)
             big = sum(model.monotone_embed(i, a) for i in range(n))
+            _, traces = matrix_power_moments(big, 6)
             for k in range(1, 7):
-                assert finite_n_comb_moment(3, n, k, psi, tr) == trace_moment(big, k)
+                assert finite_n_comb_moment(3, n, k, psi, tr) == traces[k - 1]
 
     def test_scaled_convergence(self):
         for d in (2, 3):
@@ -469,21 +469,15 @@ class TestIDClassifier:
 
 
 class TestNthRoot:
-    def test_symmetric_pair(self):
-        root = cb_id_nth_root(-1, 1, 2)
-        assert abs(root.alpha + 1 / math.sqrt(2)) < 1e-12
-        assert abs(root.beta - 1 / math.sqrt(2)) < 1e-12
-        assert abs(root.weights[0] - 0.5) < 1e-12
-
-    def test_identity_root(self):
-        root = cb_id_nth_root(-1, 2, 1)
-        assert root.alpha == -1 and root.beta == 2
-        assert abs(root.weights[0] - F(1, 3)) < 1e-12
-        assert abs(root.weights[1] - F(2, 3)) < 1e-12
-
     def test_same_sign_rejected(self):
-        with pytest.raises(ValueError):
-            cb_id_nth_root(1, 2, 3)
+        for alpha, beta in ((1, 2), (-1, -2), (0, 3), (-2, 0)):
+            with pytest.raises(ValueError, match="opposite signs"):
+                nth_root_round_trip(alpha, beta, 3)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_fold_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            nth_root_round_trip(-1, 2, n)
 
     def test_round_trips_exact(self):
         rng = random.Random(31)
@@ -499,12 +493,12 @@ class TestNthRoot:
     def test_root_transforms_expand_to_moments(self):
         # the exact transform pair carries the root's power sums, which obey
         # p_k = s p_{k-1} - q p_{k-2} for the eigenvalue sum s and product q
-        root = cb_id_nth_root(F(-1), F(2), 3)
-        pair = root.transforms()
+        s, q = F(-1 + 2, 3), F(-1 * 2, 3)  # the cube root of (-1, 2)
+        pair = two_point_transforms(s, q)
         series = laurent_at_infinity(pair.rc, 7)
-        p = [F(2), root.sum_exact]
+        p = [F(2), s]
         for _ in range(2, 7):
-            p.append(root.sum_exact * p[-1] - root.product_exact * p[-2])
+            p.append(s * p[-1] - q * p[-2])
         for k in range(1, 7):
             assert series[k + 1] == p[k]
 

@@ -17,8 +17,6 @@ from cyclic_spectra.models import (
     matrix_power_moments,
     model_tables,
     multi_table_moments,
-    trace_moment,
-    vacuum_moment,
 )
 from cyclic_spectra.verify import random_symmetric_int_matrix, run_suite
 from kronecker import kron_word_moments
@@ -112,8 +110,9 @@ class TestEigensolve:
         for _ in range(5):
             m = np.array(random_symmetric_int_matrix(rng, 6), dtype=float)
             report = eigensolve(m)
+            _, traces = matrix_power_moments(np.array(m, dtype=object), 12)
             for k in range(1, 13):
-                via_powers = float(trace_moment(np.array(m, dtype=object), k))
+                via_powers = float(traces[k - 1])
                 via_eigs = sum(mult * value**k for value, mult in report.entries)
                 scale = max(1.0, abs(via_powers))
                 assert abs(via_powers - via_eigs) / scale < 1e-6
@@ -122,24 +121,34 @@ class TestEigensolve:
 class TestMoments:
     def test_k2_trace(self):
         a = np.array(adjacency(complete(2).graph), dtype=object)
-        assert trace_moment(a, 4) == 2
+        assert matrix_power_moments(a, 4)[1][3] == 2
 
     def test_k3_odd_trace(self):
         a = np.array(adjacency(complete(3).graph), dtype=object)
-        assert trace_moment(a, 3) == 6
+        assert matrix_power_moments(a, 3)[1][2] == 6
 
     def test_int64_input_does_not_overflow(self):
         a = np.array([[0, 2**20], [2**20, 0]])
         assert a.dtype == np.int64
-        assert trace_moment(a, 4) == 2 * 2**80
-        assert vacuum_moment(a, 4) == 2**80
         phis, omegas = matrix_power_moments(a, 4)
         assert (omegas[3], phis[3]) == (2 * 2**80, 2**80)
+        assert matrix_power_moments(a, 4, 1)[0][3] == 2**80
 
     def test_vacuum_is_degree(self):
         for g in (complete(3), star(4), friendship(2)):
             a = np.array(adjacency(g.graph), dtype=object)
-            assert vacuum_moment(a, 2, g.root) == g.root_degree()
+            assert matrix_power_moments(a, 2, g.root)[0][1] == g.root_degree()
+
+    def test_root_is_vertex_permuted_to_zero(self):
+        # the moments at root r are those of the matrix with r moved to coordinate 0
+        rng = random.Random(17)
+        for _ in range(20):
+            dim = rng.randint(1, 5)
+            a = np.array(random_symmetric_int_matrix(rng, dim), dtype=object)
+            for r in range(dim):
+                perm = [r] + [v for v in range(dim) if v != r]
+                permuted = a[np.ix_(perm, perm)]
+                assert matrix_power_moments(a, 6, r) == matrix_power_moments(permuted, 6)
 
 
 def word(*letters):
@@ -304,5 +313,4 @@ class TestWordsAgainstTensorModels:
             graph_adj = np.array(
                 adjacency(nfold_star(base, n).graph), dtype=object
             )
-            for k in range(1, 13):
-                assert trace_moment(big, k) == trace_moment(graph_adj, k)
+            assert matrix_power_moments(big, 12)[1] == matrix_power_moments(graph_adj, 12)[1]

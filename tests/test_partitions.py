@@ -10,10 +10,14 @@ from cyclic_spectra.partitions import (
     is_cyclic_interval,
     moebius,
     refinements,
-    refines,
     top,
 )
 from rotation import is_interval_partition, rotate_partition, rotate_to_interval
+
+
+def refines(rho, pi):
+    """Reference order: rho <= pi when each block of rho lies in one block of pi."""
+    return all(len({pi.labels[x - 1] for x in block}) == 1 for block in rho.blocks)
 
 
 class TestCounts:
@@ -137,7 +141,7 @@ class TestMoebius:
 
     def test_ground_sets_differ_rejected(self):
         with pytest.raises(ValueError, match="ground sets differ"):
-            refines(top(2), top(3))
+            moebius(top(2), top(3))
 
     def test_recursive_definition(self):
         # sum over sigma in [rho, pi] of mu(sigma, pi) is delta(rho, pi)
