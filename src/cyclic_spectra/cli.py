@@ -1,7 +1,11 @@
 """Command-line front end: spectrum | verify | cumulants | limits | idcheck.
 
-Output is machine-readable (JSON or CSV) and deterministic for a fixed seed.
+Output is machine-readable (JSON or CSV) and deterministic for a fixed seed;
+every command writes it through `_emit`, in one envelope.
 Exit codes: 0 success, 2 argument/parse error, 3 identity or pipeline mismatch.
+Commands raise and `main` alone maps the exception to its exit code:
+ValueError and OSError exit 2, ArithmeticError (a failed spectrum extraction
+or CRT check prime) and AssertionError (a failed internal identity check) exit 3.
 """
 
 from __future__ import annotations
@@ -48,31 +52,29 @@ EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 
 
-def _emit(args, payload: dict) -> None:
+def _emit(args, fields: dict, columns: list[str] | None = None, rows=()) -> None:
+    """Write {"schema", "command", fields..., "columns", "rows"} to stdout or --output.
+
+    JSON prints the whole payload; CSV prints the table, or, for a command
+    without one, a key,value line per field.
+    """
+    payload = {"schema": SCHEMA, "command": args.command, **fields}
+    if columns:
+        payload |= {"columns": columns, "rows": rows}
     if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True)
     else:
-        text = _to_csv(payload)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [columns, *rows] if rows
+            else [[key, payload[key]] for key in sorted(payload) if key != "schema"]
+        )
+        text = buf.getvalue().rstrip("\n")
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _to_csv(payload: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    rows = payload.get("rows")
-    if rows:
-        writer.writerow(payload["columns"])
-        for row in rows:
-            writer.writerow(row)
-    else:
-        for key in sorted(payload):
-            if key != "schema":
-                writer.writerow([key, payload[key]])
-    return buf.getvalue().rstrip("\n")
 
 
 _PRODUCT_WORDS = {"star-of": "star", "comb-of": "comb"}
@@ -93,10 +95,6 @@ def _parse_graph_arg(tokens: list[str]) -> tuple[graphs.RootedGraph, str]:
     raise ValueError(f"bad --family specification: {' '.join(tokens)}")
 
 
-def _spectrum_entries(report: SpectrumReport) -> list[list]:
-    return [[v, m] for v, m in report.entries]
-
-
 def _product(args) -> str:
     """The product named by the 'star-of'/'comb-of' word or by --product."""
     word = _PRODUCT_WORDS.get(args.family[0]) if len(args.family) == 2 else None
@@ -106,12 +104,8 @@ def _product(args) -> str:
 
 
 def cmd_spectrum(args) -> int:
-    try:
-        base, label = _parse_graph_arg(args.family)
-        product = _product(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    base, label = _parse_graph_arg(args.family)
+    product = _product(args)
     [sd] = spectral_data([base])
     fold = args.fold
     if product == "star":
@@ -122,42 +116,24 @@ def cmd_spectrum(args) -> int:
         rc = nfold_comb_transforms(sd, fold)
         dim = sd.dim**fold
         build_product = graphs.nfold_comb
-    try:
-        report = extract_spectrum(rc, dim)
-    except ValueError as exc:
-        print(f"error: spectrum extraction failed: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    payload = {
-        "schema": SCHEMA,
-        "command": "spectrum",
-        "family": label,
-        "fold": fold,
-        "product": product,
-        "dim": dim,
-        "columns": ["eigenvalue", "multiplicity", "oracle_diff"],
-    }
-    rows = [[v, m, None] for v, m in report.entries]
+    report = extract_spectrum(rc, dim)
+    fields = {"family": label, "fold": fold, "product": product, "dim": dim}
+    diffs = [None] * len(report.entries)
     status = EXIT_OK
     if dim <= args.oracle_max:
         product_graph = build_product(base, fold)
         oracle = eigensolve(graphs.adjacency(product_graph.graph).astype(float))
-        payload["oracle"] = _spectrum_entries(oracle)
+        fields["oracle"] = oracle.entries
         if [m for _, m in oracle.entries] != [m for _, m in report.entries]:
             status = EXIT_MISMATCH
-            payload["mismatch"] = "multiplicity structure differs"
+            fields["mismatch"] = "multiplicity structure differs"
         else:
-            diffs = [
-                abs(a - b) for (a, _), (b, _) in zip(report.entries, oracle.entries)
-            ]
-            rows = [
-                [v, m, d]
-                for (v, m), d in zip(report.entries, diffs)
-            ]
+            diffs = [abs(a - b) for (a, _), (b, _) in zip(report.entries, oracle.entries)]
             if max(diffs, default=0.0) > 1e-9:
                 status = EXIT_MISMATCH
-                payload["mismatch"] = f"max eigenvalue diff {max(diffs)}"
-    payload["rows"] = rows
-    _emit(args, payload)
+                fields["mismatch"] = f"max eigenvalue diff {max(diffs)}"
+    rows = [[v, m, d] for (v, m), d in zip(report.entries, diffs)]
+    _emit(args, fields, ["eigenvalue", "multiplicity", "oracle_diff"], rows)
     return status
 
 
@@ -168,17 +144,13 @@ def cmd_verify(args) -> int:
         max_vertices=args.max_vertices,
         seed=args.seed,
     )
-    payload = {
-        "schema": SCHEMA,
-        "command": "verify",
-        "suite": args.suite,
-        "trials": result.trials,
-        "passed": result.passed,
-        "failed": result.failed,
-        "columns": ["trial", "ok", "detail"],
-        "rows": [[c["trial"], c["ok"], c["detail"]] for c in result.certificates],
-    }
-    _emit(args, payload)
+    _emit(
+        args,
+        {"suite": args.suite, "trials": result.trials, "passed": result.passed,
+         "failed": result.failed},
+        ["trial", "ok", "detail"],
+        [[c["trial"], c["ok"], c["detail"]] for c in result.certificates],
+    )
     if result.failed:
         cert_path = args.certificate or "mismatch_certificate.json"
         with open(cert_path, "w") as fh:
@@ -201,62 +173,32 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _parse_fraction_list(text: str) -> list[Fraction]:
-    return [Fraction(tok) for tok in text.split(",") if tok]
+def _fraction(text: str) -> Fraction:
+    """A rational literal; a zero denominator is a parse error like any other."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def _moment_table(text: str, order: int) -> list[Fraction]:
+    """Comma-separated rationals, repeated periodically to order terms, so
+    '0,1' encodes an alternating sequence."""
+    values = [_fraction(tok) for tok in text.split(",") if tok]
+    if not values:
+        raise ValueError("empty moment list")
+    return [values[n % len(values)] for n in range(order)]
 
 
 def cmd_cumulants(args) -> int:
-    try:
-        phi = _parse_fraction_list(args.phi)
-        omega = _parse_fraction_list(args.omega)
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     order = args.order
-    if not phi or not omega:
-        print("error: empty moment list", file=sys.stderr)
-        return EXIT_USAGE
-    # short tables repeat periodically, so '0,1' encodes an alternating sequence
-    phi = [phi[n % len(phi)] for n in range(order)]
-    omega = [omega[n % len(omega)] for n in range(order)]
-    data = MomentData(phi, omega)
+    data = MomentData(_moment_table(args.phi, order), _moment_table(args.omega, order))
     bs = boolean_cumulants(data)
     cs = cyclic_boolean_cumulants(data)
     hs = h_coefficients(data)
-    payload = {
-        "schema": SCHEMA,
-        "command": "cumulants",
-        "order": order,
-        "columns": ["n", "c_n", "h_n", "b_n"],
-        "rows": [
-            [n + 1, str(cs[n]), str(hs[n]), str(bs[n])] for n in range(order)
-        ],
-    }
-    _emit(args, payload)
+    rows = [[n + 1, str(cs[n]), str(hs[n]), str(bs[n])] for n in range(order)]
+    _emit(args, {"order": order}, ["n", "c_n", "h_n", "b_n"], rows)
     return EXIT_OK
-
-
-def _limits_comb_payload(args) -> dict:
-    base, label = _parse_graph_arg([args.family])
-    if base.n < 2:
-        raise ValueError("comb base must have at least 2 vertices")
-    count = max(args.k_max, args.n_max) + 2
-    psi, tr = matrix_power_moments(graphs.adjacency(base.graph), count, base.root)
-    d = base.n
-    rows = []
-    for k in range(1, args.k_max + 1):
-        limit = comb_limit_moment(d, k, psi, tr)
-        for n in range(1, args.n_max + 1):
-            value = finite_n_comb_moment(d, n, k, psi, tr) / Fraction(d) ** n
-            rows.append([n, k, str(value), str(limit), abs(float(value - limit))])
-    return {
-        "schema": SCHEMA,
-        "command": "limits",
-        "table": "comb",
-        "family": label,
-        "columns": ["N", "k", "value", "limit", "abs_err"],
-        "rows": rows,
-    }
 
 
 def _star_base(family: str) -> tuple[graphs.RootedGraph, str, int]:
@@ -269,63 +211,47 @@ def _star_base(family: str) -> tuple[graphs.RootedGraph, str, int]:
 
 
 def cmd_limits(args) -> int:
+    fields = {"table": args.table}
     if args.table == "comb":
-        payload = _limits_comb_payload(args)
+        base, fields["family"] = _parse_graph_arg([args.family])
+        if base.n < 2:
+            raise ValueError("comb base must have at least 2 vertices")
+        count = max(args.k_max, args.n_max) + 2
+        psi, tr = matrix_power_moments(graphs.adjacency(base.graph), count, base.root)
+        d = base.n
+        columns = ["N", "k", "value", "limit", "abs_err"]
+        rows = []
+        for k in range(1, args.k_max + 1):
+            limit = comb_limit_moment(d, k, psi, tr)
+            for n in range(1, args.n_max + 1):
+                value = finite_n_comb_moment(d, n, k, psi, tr) / Fraction(d) ** n
+                rows.append([n, k, str(value), str(limit), abs(float(value - limit))])
     elif args.table == "gap":
-        base, label, deg = _star_base(args.family)
-        try:
-            rows = spectral_gap_report(spectral_data([base])[0], deg, args.n_max)
-        except ValueError as exc:
-            print(f"error: spectrum extraction failed: {exc}", file=sys.stderr)
-            return EXIT_MISMATCH
-        payload = {
-            "schema": SCHEMA,
-            "command": "limits",
-            "table": "gap",
-            "family": label,
-            "columns": ["N", "largest", "smallest", "largest_mult", "smallest_mult", "bulk_max"],
-            "rows": [
-                [r.n, r.largest, r.smallest, r.largest_mult, r.smallest_mult, r.bulk_max]
-                for r in rows
-            ],
-        }
+        base, fields["family"], deg = _star_base(args.family)
+        columns = ["N", "largest", "smallest", "largest_mult", "smallest_mult", "bulk_max"]
+        rows = [
+            [r.n, r.largest, r.smallest, r.largest_mult, r.smallest_mult, r.bulk_max]
+            for r in spectral_gap_report(spectral_data([base])[0], deg, args.n_max)
+        ]
     elif args.table == "beta":
-        table = beta_table(args.n)
-        payload = {
-            "schema": SCHEMA,
-            "command": "limits",
-            "table": "beta",
-            "columns": ["n", "beta_n"],
-            "rows": [[n, str(v)] for n, v in enumerate(table.values)],
-        }
+        columns = ["n", "beta_n"]
+        rows = [[n, str(v)] for n, v in enumerate(beta_table(args.n).values)]
     elif args.table == "carleman":
-        ok, partial = carleman_check(args.n)
-        payload = {
-            "schema": SCHEMA,
-            "command": "limits",
-            "table": "carleman",
-            "bound_holds": ok,
-            "columns": ["n", "partial_sum"],
-            "rows": [[n + 1, s] for n, s in enumerate(partial)],
-        }
+        bound_holds, partial = carleman_check(args.n)
+        fields["bound_holds"] = bound_holds
+        columns = ["n", "partial_sum"]
+        rows = [[n + 1, s] for n, s in enumerate(partial)]
     else:  # clt
-        base, label, deg = _star_base(args.family)
+        base, fields["family"], deg = _star_base(args.family)
         [sd] = spectral_data([base])
         sizes = [n for n in (1, 2, 4, 8, 16, 32, 64, 128, 256) if n <= args.n_max]
+        columns = ["k", "N", "omega_value", "phi_limit", "omega_limit"]
         rows = [
             [report.k, n, value, report.phi_limit, str(report.omega_limit)]
             for report in clt_report(sd, deg, args.n, sizes)
             for n, value in report.finite_n_values
         ]
-        payload = {
-            "schema": SCHEMA,
-            "command": "limits",
-            "table": "clt",
-            "family": label,
-            "columns": ["k", "N", "omega_value", "phi_limit", "omega_limit"],
-            "rows": rows,
-        }
-    _emit(args, payload)
+    _emit(args, fields, columns, rows)
     return EXIT_OK
 
 
@@ -336,32 +262,18 @@ def _parse_spectrum(text: str) -> SpectrumReport:
         m = int(mult)
         if m < 1:
             raise ValueError(f"multiplicity must be at least 1, got {m}")
-        entries.append((Fraction(value), m))
+        entries.append((_fraction(value), m))
     entries.sort()
     dim = sum(m for _, m in entries)
     return SpectrumReport(tuple(entries), dim)
 
 
 def cmd_idcheck(args) -> int:
-    try:
-        spectrum = _parse_spectrum(args.spectrum)
-        weights = [Fraction(w) for w in args.weights.split(",")]
-        verdict = cb_id_classify(spectrum, weights)
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    payload = {
-        "schema": SCHEMA,
-        "command": "idcheck",
-        "divisible": verdict.divisible,
-        "case": verdict.case,
-        "reason": verdict.reason,
-    }
-    if verdict.alpha is not None:
-        payload["alpha"] = verdict.alpha
-    if verdict.beta is not None:
-        payload["beta"] = verdict.beta
-    _emit(args, payload)
+    spectrum = _parse_spectrum(args.spectrum)
+    verdict = cb_id_classify(spectrum, [_fraction(w) for w in args.weights.split(",")])
+    fields = {"divisible": verdict.divisible, "case": verdict.case, "reason": verdict.reason,
+              "alpha": verdict.alpha, "beta": verdict.beta}
+    _emit(args, {key: value for key, value in fields.items() if value is not None})
     return EXIT_OK
 
 
@@ -473,8 +385,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # the exact core failed (e.g. a CRT check prime), or an internal identity
-    # check did (e.g. a moment-table weight)
+    # the pipeline failed (a spectrum extraction or a CRT check prime), or an
+    # internal identity check did (e.g. a moment-table weight)
     except (ArithmeticError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH

@@ -217,6 +217,14 @@ def format_graph_text(g: RootedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _text_int(token: str) -> int:
+    """token as an int if it is ASCII digits only; int() also takes signs,
+    underscores and the digits of other scripts."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"graph file values must be non-negative ASCII integers, got {token!r}")
+    return int(token)
+
+
 def parse_graph_text(text: str) -> RootedGraph:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -224,11 +232,11 @@ def parse_graph_text(text: str) -> RootedGraph:
     head = lines[0].split()
     if len(head) != 4 or head[0] != "n" or head[2] != "root":
         raise ValueError(f"bad header {lines[0]!r}")
-    n, root = int(head[1]), int(head[3])
+    n, root = _text_int(head[1]), _text_int(head[3])
     edges = []
     for ln in lines[1:]:
         i, j = ln.split()
-        edges.append((int(i), int(j)))
+        edges.append((_text_int(i), _text_int(j)))
     return RootedGraph(Graph(n, edges), root)
 
 

@@ -38,11 +38,12 @@ MomentFn = Callable[[int, int], Fraction]
 # ----------------------------------------------------------------------
 # dense symmetric eigensolver (LAPACK)
 
-def _check_symmetric(m: np.ndarray) -> np.ndarray:
-    a = np.asarray(m, dtype=float)
+def _symmetric_matrix(m, dtype) -> np.ndarray:
+    """m as an ndarray of dtype, checked to be square and symmetric."""
+    a = np.asarray(m, dtype=dtype)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    if not np.array_equal(a, a.T):
+    if not (a == a.T).all():
         raise ValueError("matrix must be symmetric")
     return a
 
@@ -53,7 +54,7 @@ def eigensolve(m: np.ndarray) -> SpectrumReport:
     ``eigvalsh`` reads only one triangle, so a non-symmetric matrix is rejected
     here instead of being solved as if it were symmetric.
     """
-    values = np.linalg.eigvalsh(_check_symmetric(m))
+    values = np.linalg.eigvalsh(_symmetric_matrix(m, float))
     n = len(values)
     entries = []
     i = 0
@@ -84,15 +85,6 @@ def _identity(dim: int) -> np.ndarray:
 _BELOW_SLOT = {"boolean": _rank_one_projector, "monotone": _identity}
 
 
-def _as_object_matrix(a) -> np.ndarray:
-    m = np.array(a, dtype=object)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    if not (m == m.T).all():
-        raise ValueError("matrix must be symmetric")
-    return m
-
-
 @dataclass(frozen=True)
 class OperatorModel:
     """Tensor-product model over factors with distinguished coordinate 0.
@@ -107,7 +99,7 @@ class OperatorModel:
     dims: tuple[int, ...]
 
     def _factors(self, i: int, a, kind: str) -> list[np.ndarray]:
-        a = _as_object_matrix(a)
+        a = _symmetric_matrix(a, object)
         if a.shape[0] != self.dims[i]:
             raise ValueError(f"operator dim {a.shape[0]} != slot dim {self.dims[i]}")
         if kind not in _BELOW_SLOT:
@@ -153,7 +145,7 @@ def matrix_power_moments(a, count: int, root: int = 0) -> tuple[list, list]:
     The vacuum moment of power k is the (root, root) entry of a^k.  Entries are
     Python objects, so int and Fraction matrices give exact values.
     """
-    m = _as_object_matrix(a)
+    m = _symmetric_matrix(a, object)
     phis, omegas = [], []
     p = m
     for _ in range(count):

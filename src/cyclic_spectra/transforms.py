@@ -406,13 +406,16 @@ def extract_spectrum(rc: RationalFunction, dim: int) -> SpectrumReport:
     exactly: at an exact pole it must equal m; any other pole must be a root
     of gcd(t.den, t.num - m t.den'), whose roots are the poles with residue m
     (Rothstein-Trager).  The multiplicities must sum to dim.
+
+    Every way rc fails to be a renormalized trace resolvent raises
+    ArithmeticError, as the exact core does: a pipeline failure, not bad input.
     """
     t = rc + RationalFunction(Polynomial.constant(dim), Polynomial.x())
     if t.num.degree >= t.den.degree:
-        raise ValueError("not a trace resolvent: must vanish at infinity")
+        raise ArithmeticError("not a trace resolvent: must vanish at infinity")
     roots = isolate_real_roots(t.den)
     if len(roots) != t.den.degree:
-        raise ValueError("not a trace resolvent: poles must be real and simple")
+        raise ArithmeticError("not a trace resolvent: poles must be real and simple")
     den_prime = t.den.derivative()
     gcds: dict[int, Polynomial] = {}
     entries = []
@@ -426,9 +429,12 @@ def extract_spectrum(rc: RationalFunction, dim: int) -> SpectrumReport:
                 gcds[m] = poly_gcd(t.den, t.num - den_prime * m)
             certified = gcds[m](root.lo) * gcds[m](root.hi) < 0
         if not certified:
-            raise ValueError(f"non-integer residue {float(residue)} at pole {root.value}")
+            raise ArithmeticError(f"non-integer residue {float(residue)} at pole {root.value}")
         if m < 1:
-            raise ValueError(f"non-positive multiplicity {m} at pole {root.value}")
+            raise ArithmeticError(f"non-positive multiplicity {m} at pole {root.value}")
         entries.append((root.value, m))
-    return SpectrumReport(tuple(entries), dim)
+    try:
+        return SpectrumReport(tuple(entries), dim)
+    except ValueError as exc:  # the multiplicities or the rounded poles
+        raise ArithmeticError(*exc.args) from exc
 

@@ -1,5 +1,6 @@
 """Command-line interface: output schemas, exit codes, determinism."""
 
+import ast
 import hashlib
 import json
 import math
@@ -459,6 +460,106 @@ class TestGoldenStdout:
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
 
 
+# sha256 of the stdout of the table commands and of the CSV form of each
+# command kind, recorded before the commands shared one output envelope.
+# `limits carleman` and `limits clt` print floats from libm's exp, log and pow,
+# so their digests hold for a correctly rounding libm such as glibc's on x86-64.
+GOLDEN_ENVELOPE = {
+    "limits carleman --n 200":
+        "a08d4f61fc252d7973b5d351f21082d9907effe3c41d45c0334a76f69474ba13",
+    "limits clt --family complete:3 --n 6 --n-max 256":
+        "731b4bdc2176189ff13a05eca5c877eb0b17db3c23e97ddc97637868584a795a",
+    "idcheck --spectrum -1:1,1:1 --weights 0.5,0.5":
+        "ba6c24753beb7d77f773733b0e145d0ec5e57126ffdd060a0e6fa1701c793a1e",
+    "idcheck --spectrum 1:1,2:1 --weights 0.5,0.5":
+        "76664008c3721fba657225fd5cb9f5689a2639f4a18c6b7e2c5fdc22a99858ca",
+    "spectrum --family star:3 --format csv --oracle-max 0":
+        "c21a1f60124ed985be76bcc46a565c3b077e775c1d800d72cbda2321eb4b7344",
+    "spectrum --family comb-of path:3 --fold 2 --format csv --oracle-max 0":
+        "c10d6b37091e612319c3c287cbc8c8b0c88f5b72537abd3cf3b63a446f00afc1",
+    "verify h-additivity --trials 5 --format csv":
+        "28587e6416ec8804ea5acefb8b53bc2710aeb210a582ba9f9e4c3388d7c089aa",
+    "cumulants --phi 1,2,5 --omega 3,1 --order 16 --format csv":
+        "8ec7f44c06c2d245fe02cbf2845ff0d7669cf6e3492de2fdc943ae924e989cc3",
+    "limits beta --n 9 --format csv":
+        "c8241128438a9b195862d8d8a741b7fc0722302731e24164e77310ab99227784",
+    "limits carleman --n 20 --format csv":
+        "4c8a7217fab6e406453c99db2e17053fdc3cd2e2ff4487c45f2434df76dd9091",
+    "limits clt --family complete:3 --n 4 --n-max 16 --format csv":
+        "d6662af47009816dc5fc142a71ddcdb6317caf1743a1714f404756f17b7bbfcf",
+    "limits comb --family path:3 --k-max 3 --n-max 4 --format csv":
+        "19737cd10a670823deaf396bf9e1be4061ac1f1eee16038b9568da3f262f61cf",
+    "limits gap --family complete:3 --n-max 8 --format csv":
+        "8524e710a95f587d3cda7735ec8c978813804a96fa2e43adab9782ec01e7d2e3",
+    "idcheck --spectrum -1:1,1:1 --weights 0.5,0.5 --format csv":
+        "e7eace9c2df9e768db309dbd354d6a23c06651c3318225ea301abc34285c6fe9",
+    "idcheck --spectrum 1:1,2:1 --weights 0.5,0.5 --format csv":
+        "450a1c58c254180a3649d9a356c5b5110430fd904a56535318eec23bdab684e2",
+}
+
+
+class TestGoldenEnvelope:
+    @pytest.mark.parametrize("command", sorted(GOLDEN_ENVELOPE))
+    def test_stdout_digest(self, capsys, command):
+        code, out = run(capsys, *shlex.split(command))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ENVELOPE[command]
+
+
+class TestExitRoute:
+    """`main` alone maps exceptions to exit codes."""
+
+    @staticmethod
+    def _holders(matches) -> set[str]:
+        """Top-level statements of cli.py that hold a node for which matches
+        is true: a function by its name, any other statement as '<module>'."""
+        tree = ast.parse(Path(cli.__file__).read_text())
+        return {
+            stmt.name if isinstance(stmt, ast.FunctionDef) else "<module>"
+            for stmt in tree.body
+            for node in ast.walk(stmt)
+            if matches(node)
+        }
+
+    def test_try_only_in_main_and_the_fraction_parser(self):
+        assert self._holders(lambda n: isinstance(n, ast.Try)) <= {"main", "_fraction"}
+
+    def test_exit_usage_returned_only_by_main(self):
+        def returns_usage(node):
+            return isinstance(node, ast.Return) and "EXIT_USAGE" in ast.unparse(node)
+
+        assert self._holders(returns_usage) == {"main"}
+
+    def test_gap_over_the_exact_cap_exit_2(self, capsys, tmp_path):
+        # the cap is an input limit, as it is for `spectrum` and `limits clt`
+        target = tmp_path / "path600.txt"
+        target.write_text("n 600 root 0\n" + "\n".join(f"{i} {i + 1}" for i in range(599)))
+        for table in (["gap", "--n-max", "2"], ["clt", "--n", "2", "--n-max", "2"]):
+            code = main(["limits", table[0], "--family", str(target), *table[1:]])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err == "error: matrix size 600 exceeds exact cap 512\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["cumulants", "--phi", "1/0", "--omega", "1"],
+        ["cumulants", "--phi", "1", "--omega", "2,1/0"],
+        ["idcheck", "--spectrum", "-1:1,1:1", "--weights", "1/0,1"],
+        ["idcheck", "--spectrum", "1/0:1", "--weights", "1"],
+    ])
+    def test_zero_denominator_exit_2(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: zero denominator in '")
+
+    @pytest.mark.parametrize("phi", [",", ",,"])
+    def test_empty_moment_list_exit_2(self, capsys, phi):
+        code = main(["cumulants", "--phi", phi, "--omega", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: empty moment list\n"
+
+
 class TestLimitsTables:
     def test_comb_report_rows(self, capsys):
         code, data = run_json(
@@ -562,6 +663,18 @@ class TestGraphFileInput:
         assert code == 2 and captured.out == ""
         assert f"field '{field}' must hold integers" in captured.err
 
+    @pytest.mark.parametrize("header, token", [
+        ("n 1_0 root +0", "1_0"),  # ran as a 10-vertex graph
+        ("n \u0663 root 0", "\u0663"),  # an Arabic-Indic digit; ran with dim 3
+    ])
+    def test_non_ascii_integer_text_exit_2(self, capsys, tmp_path, header, token):
+        target = tmp_path / "g.txt"
+        target.write_text(f"{header}\n0 1\n", encoding="utf-8")
+        code = main(["spectrum", "--family", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"non-negative ASCII integers, got {token!r}" in captured.err
+
     @pytest.mark.parametrize("root, named", [(2, "path:3"), (1, "star:2")])
     def test_comb_rows_of_a_rooted_file_graph(self, capsys, tmp_path, root, named):
         # the comb base is read at its root: P3 rooted at an end is path:3,
@@ -603,7 +716,7 @@ class TestCertificates:
         from cyclic_spectra import cli as cli_mod
 
         def failing_extract(rc, dim):
-            raise ValueError("non-integer residue 0.5 at pole 1.0")
+            raise ArithmeticError("non-integer residue 0.5 at pole 1.0")
 
         monkeypatch.setattr(cli_mod, "extract_spectrum", failing_extract)
         code = main(["spectrum", "--family", "star:3"])
@@ -616,7 +729,7 @@ class TestCertificates:
         from cyclic_spectra import limits as limits_mod
 
         def failing_extract(rc, dim):
-            raise ValueError("non-integer residue 0.5 at pole 1.0")
+            raise ArithmeticError("non-integer residue 0.5 at pole 1.0")
 
         monkeypatch.setattr(limits_mod, "extract_spectrum", failing_extract)
         code = main(["limits", "gap", "--family", "star:3", "--n-max", "2"])

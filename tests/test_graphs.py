@@ -1,6 +1,7 @@
 """Graph construction, products, named families, and I/O round trips."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -251,3 +252,16 @@ class TestIO:
     def test_bad_header(self):
         with pytest.raises(ValueError):
             parse_graph_text("vertices 3\n0 1\n")
+
+    @pytest.mark.parametrize("text, token", [
+        ("n 1_0 root +0\n0 1\n", "1_0"),  # int() reads 10
+        ("n \u0663 root 0\n0 1\n", "\u0663"),  # an Arabic-Indic 3
+        ("n 3 root +0\n0 1\n", "+0"),
+        ("n 3 root 0\n0 -1\n", "-1"),
+        ("n 3 root 0\n0 1_0\n", "1_0"),
+        ("n 3 root 0\n\uff10 1\n", "\uff10"),  # a fullwidth 0
+    ])
+    def test_text_values_must_be_ascii_digits(self, text, token):
+        message = f"non-negative ASCII integers, got {token!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_graph_text(text)

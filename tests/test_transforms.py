@@ -624,7 +624,7 @@ class TestExtractSpectrum:
 
     def test_non_integer_residue_rejected(self):
         rc = ratfun(poly(F(1, 2)), poly(-1, 1))  # residue 1/2 at pole 1
-        with pytest.raises(ValueError):
+        with pytest.raises(ArithmeticError):
             extract_spectrum(rc, 2)
 
     @pytest.mark.parametrize(
@@ -636,7 +636,7 @@ class TestExtractSpectrum:
     )
     def test_non_integer_residue_at_irrational_pole_rejected(self, num):
         rc = ratfun(num, poly(-2, 0, 1))
-        with pytest.raises(ValueError, match="non-integer residue"):
+        with pytest.raises(ArithmeticError, match="non-integer residue"):
             extract_spectrum(rc, 3)
 
     def test_pole_at_a_non_dyadic_rational_is_certified_by_gcd(self, monkeypatch):
@@ -655,13 +655,23 @@ class TestExtractSpectrum:
     def test_non_integer_residue_at_non_dyadic_rational_pole_rejected(self):
         # t = rc + 1/z = 1/z + (1/2)/(z - 1/3)
         rc = ratfun(poly(F(1, 2)), poly(F(-1, 3), 1))
-        with pytest.raises(ValueError, match="non-integer residue"):
+        with pytest.raises(ArithmeticError, match="non-integer residue"):
             extract_spectrum(rc, 1)
+
+    @pytest.mark.parametrize("rc, dim, match", [
+        (ratfun(poly(1), poly(1)), 1, "must vanish at infinity"),  # t = 1 + 1/z
+        (ratfun(poly(1), poly(-1, 1)), 1, "do not sum to dim"),  # t = 1/z + 1/(z - 1)
+    ])
+    def test_improper_and_wrong_sum_are_pipeline_failures(self, rc, dim, match):
+        # SpectrumReport raises ValueError for bad input; from the pipeline
+        # its sum to dim fails as ArithmeticError, the exit-3 class
+        with pytest.raises(ArithmeticError, match=match):
+            extract_spectrum(rc, dim)
 
     def test_non_real_poles_rejected(self):
         # t = rc + 1/z = 1/z - 2/(z^2 + 1) has residue 1 at its only real pole
         rc = ratfun(poly(-2), poly(1, 0, 1))
-        with pytest.raises(ValueError, match="real and simple"):
+        with pytest.raises(ArithmeticError, match="real and simple"):
             extract_spectrum(rc, 1)
 
     @pytest.mark.parametrize(
