@@ -255,14 +255,21 @@ def cmd_limits(args) -> int:
     return EXIT_OK
 
 
+_MULTIPLICITY_RULE = "multiplicity must be at least 1, in ASCII digits"
+
+
 def _parse_spectrum(text: str) -> SpectrumReport:
+    """value:multiplicity pairs; the verdict reports values as floats, so each must fit one."""
     entries = []
     for chunk in text.split(","):
         value, _, mult = chunk.partition(":")
-        m = int(mult)
+        v = _fraction(value)
+        if abs(v) > sys.float_info.max:
+            raise ValueError(f"eigenvalue {value!r} is beyond the largest float")
+        m = graphs._text_int(mult, _MULTIPLICITY_RULE)
         if m < 1:
-            raise ValueError(f"multiplicity must be at least 1, got {m}")
-        entries.append((_fraction(value), m))
+            raise ValueError(f"{_MULTIPLICITY_RULE}, got {mult!r}")
+        entries.append((v, m))
     entries.sort()
     dim = sum(m for _, m in entries)
     return SpectrumReport(tuple(entries), dim)

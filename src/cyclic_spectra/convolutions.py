@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 from .exact import Polynomial, RationalFunction, homogeneous_compose
-from .transforms import RootedSpectralData, green, renormalized_cauchy
+from .transforms import RootedSpectralData, green, renormalized_cauchy, renormalized_trace
 
 _Z = RationalFunction.x()
 _ONE_OVER_Z = RationalFunction(Polynomial.one(), Polynomial.x())
@@ -31,34 +31,27 @@ def transform_pair(sd: RootedSpectralData) -> TransformPair:
 # ----------------------------------------------------------------------
 # star product / additive convolution
 
-def h_transform(pair: TransformPair) -> RationalFunction:
-    """rc + d/dz log(z G); additive under the star product."""
-    return pair.rc + _ONE_OVER_Z + pair.green.log_derivative()
-
-
-def cyclic_boolean_multisum(
-    terms: Sequence[tuple[TransformPair, int]],
-) -> TransformPair:
-    """Transforms of a sum of cyclic-Boolean independent elements.
-
-    Each term is (pair_i, n_i): n_i independent copies of the element with
-    transforms pair_i. With N = sum n_i, the reciprocal Green function is
-    F = sum n_i F_i - (N - 1) z, and the h-transform is additive,
-    h = sum n_i h_i, so rc = sum n_i h_i - 1/z - G'/G.
-    """
-    return _fold_boolean_pieces([(_boolean_pieces(pair), n) for pair, n in terms])
+def h_transform(sd: RootedSpectralData) -> RationalFunction:
+    """h = rc + 1/z + G'/G in closed form: with G = psi/phi for psi = phi_(G-r),
+    h = psi'/psi - (dim - 1)/z = rc(G - r).  The star product's G - r is the
+    disjoint union of its factors' (Schwenk), so psi multiplies and h adds."""
+    return renormalized_trace(sd.phi_minus_root, sd.dim - 1)
 
 
 _Pieces = tuple[RationalFunction, RationalFunction]
 
 
-def _boolean_pieces(pair: TransformPair) -> _Pieces:
-    """(F_i, h_i): what the multisum is linear in, per element."""
-    return pair.green.reciprocal(), h_transform(pair)
+def _boolean_pieces(sd: RootedSpectralData) -> _Pieces:
+    """(F_i, h_i): what the cyclic-Boolean fold is linear in, per element."""
+    return RationalFunction(sd.phi, sd.phi_minus_root), h_transform(sd)
 
 
 def _fold_boolean_pieces(terms: Sequence[tuple[_Pieces, int]]) -> TransformPair:
-    """`cyclic_boolean_multisum` of terms whose pieces are already built."""
+    """Transforms of a sum of cyclic-Boolean independent elements.
+
+    Term ((F_i, h_i), n_i) is n_i copies of one element.  With N = sum n_i,
+    F = sum n_i F_i - (N - 1) z and h = sum n_i h_i, so rc = h - 1/z - G'/G.
+    """
     count = sum(n for _, n in terms)
     f = -(count - 1) * _Z
     h = -_ONE_OVER_Z
@@ -69,25 +62,25 @@ def _fold_boolean_pieces(terms: Sequence[tuple[_Pieces, int]]) -> TransformPair:
     return TransformPair(h - g.log_derivative(), g)
 
 
-def cyclic_boolean_sum(a: TransformPair, b: TransformPair) -> TransformPair:
+def cyclic_boolean_sum(a: RootedSpectralData, b: RootedSpectralData) -> TransformPair:
     """Transforms of a + b for cyclic-Boolean independent a, b."""
-    return cyclic_boolean_multisum(((a, 1), (b, 1)))
+    return _fold_boolean_pieces(((_boolean_pieces(a), 1), (_boolean_pieces(b), 1)))
 
 
-def star_powers(pair: TransformPair, ns: Sequence[int]) -> Iterator[TransformPair]:
+def star_powers(sd: RootedSpectralData, ns: Sequence[int]) -> Iterator[TransformPair]:
     """Transforms of the n-fold star power of one element, for each n in ns.
 
     The element's pieces are built once and folded per n.
     """
     if min(ns, default=1) < 1:
         raise ValueError("fold count must be >= 1")
-    pieces = _boolean_pieces(pair)
+    pieces = _boolean_pieces(sd)
     return (_fold_boolean_pieces(((pieces, n),)) for n in ns)
 
 
 def nfold_star_transforms(sd: RootedSpectralData, n: int) -> TransformPair:
     """Transforms of the n-fold star power, in closed form (no iteration)."""
-    (power,) = star_powers(transform_pair(sd), (n,))
+    (power,) = star_powers(sd, (n,))
     return power
 
 
@@ -180,10 +173,10 @@ def star_cauchy_identity_check(
     """Star-product identity for both transforms, checked exactly.
 
     The (rc, G) pair of the product must equal the cyclic-Boolean sum of the
-    factor pairs, computed by the same fold as the star-power spectra.
+    factors, computed by the same fold as the star-power spectra.
     """
     lhs = transform_pair(product_sd)
-    rhs = cyclic_boolean_sum(transform_pair(sd1), transform_pair(sd2))
+    rhs = cyclic_boolean_sum(sd1, sd2)
     return _compare("star-cauchy", lhs, rhs)
 
 
@@ -192,8 +185,10 @@ def h_additivity_check(
     sd2: RootedSpectralData,
     product_sd: RootedSpectralData,
 ) -> IdentityCheck:
-    lhs = h_transform(transform_pair(product_sd))
-    rhs = h_transform(transform_pair(sd1)) + h_transform(transform_pair(sd2))
+    """h of the product by its definition, rc + 1/z + G'/G, against the factors'."""
+    rc, g = transform_pair(product_sd)
+    lhs = rc + _ONE_OVER_Z + g.log_derivative()
+    rhs = h_transform(sd1) + h_transform(sd2)
     return _compare("h-additivity", lhs, rhs)
 
 

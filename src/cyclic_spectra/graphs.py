@@ -217,11 +217,13 @@ def format_graph_text(g: RootedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _text_int(token: str) -> int:
-    """token as an int if it is ASCII digits only; int() also takes signs,
-    underscores and the digits of other scripts."""
+def _text_int(
+    token: str, rule: str = "graph file values must be non-negative ASCII integers"
+) -> int:
+    """token as an int if it is ASCII digits only, else ValueError naming rule;
+    int() also takes signs, underscores and the digits of other scripts."""
     if not (token.isascii() and token.isdigit()):
-        raise ValueError(f"graph file values must be non-negative ASCII integers, got {token!r}")
+        raise ValueError(f"{rule}, got {token!r}")
     return int(token)
 
 

@@ -19,18 +19,14 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .convolutions import (
-    TransformPair,
-    cyclic_boolean_multisum,
-    star_powers,
-    transform_pair,
-)
+from .convolutions import nfold_star_transforms, star_powers, transform_pair
 from .exact import Polynomial
 from .transforms import (
     RootedSpectralData,
     SpectrumReport,
     extract_spectrum,
     laurent_at_infinity,
+    renormalized_cauchy,
 )
 
 BETA_CAP = 200
@@ -76,10 +72,9 @@ def clt_report(
     convolution pipeline, one star power per sample size, so the sizes can
     reach the hundreds; only the final normalization is floating point.
     """
-    pair = transform_pair(sd)
-    alpha = laurent_at_infinity(pair.rc, 3)[3] / root_degree
+    alpha = laurent_at_infinity(renormalized_cauchy(sd), 3)[3] / root_degree
     series = [
-        laurent_at_infinity(power.rc, k_max + 1) for power in star_powers(pair, n_values)
+        laurent_at_infinity(power.rc, k_max + 1) for power in star_powers(sd, n_values)
     ]
     reports = []
     for k in range(1, k_max + 1):
@@ -113,7 +108,7 @@ def spectral_gap_report(
         raise ValueError("root must have positive degree")
     rows = []
     ns = range(1, n_max + 1)
-    for n, power in zip(ns, star_powers(transform_pair(sd), ns)):
+    for n, power in zip(ns, star_powers(sd, ns)):
         dim = n * (sd.dim - 1) + 1
         report = extract_spectrum(power.rc, dim)
         scale = 1.0 / math.sqrt(root_degree * n)
@@ -381,11 +376,11 @@ def cb_id_classify(spectrum: SpectrumReport, weights: Sequence) -> IDVerdict:
     return IDVerdict(False, "none", reason="more than two non-zero eigenvalues")
 
 
-def two_point_transforms(s: Fraction, q: Fraction) -> TransformPair:
-    """Exact transform pair of a two-point element with eigenvalue sum s and
-    product q (q < 0), state weights on the divisible line: the element whose
-    characteristic pair is (z^2 - s z + q, z)."""
-    return transform_pair(RootedSpectralData(Polynomial((q, -s, 1)), Polynomial.x(), 2))
+def two_point_element(s: Fraction, q: Fraction) -> RootedSpectralData:
+    """The two-point element with eigenvalue sum s and product q (q < 0),
+    state weights on the divisible line: characteristic pair
+    (z^2 - s z + q, z)."""
+    return RootedSpectralData(Polynomial((q, -s, 1)), Polynomial.x(), 2)
 
 
 def nth_root_round_trip(alpha, beta, n: int) -> bool:
@@ -393,14 +388,12 @@ def nth_root_round_trip(alpha, beta, n: int) -> bool:
     (alpha, beta) element, folded n times, reproduces the element.
 
     The root is the two-point element with eigenvalue sum (alpha + beta)/n and
-    product alpha beta/n, built exactly by `two_point_transforms`.
+    product alpha beta/n, built exactly by `two_point_element`.
     """
     a, b = Fraction(alpha), Fraction(beta)
     if a * b >= 0:
         raise ValueError("eigenvalues must have opposite signs")
     if n < 1:
         raise ValueError("n must be >= 1")
-    root = two_point_transforms((a + b) / n, a * b / n)
-    acc = cyclic_boolean_multisum(((root, n),))
-    expected = two_point_transforms(a + b, a * b)
-    return acc.rc == expected.rc and acc.green == expected.green
+    root = two_point_element((a + b) / n, a * b / n)
+    return nfold_star_transforms(root, n) == transform_pair(two_point_element(a + b, a * b))

@@ -209,16 +209,16 @@ def green(sd: RootedSpectralData) -> RationalFunction:
     return RationalFunction(sd.phi_minus_root, sd.phi)
 
 
-def cauchy(sd: RootedSpectralData) -> RationalFunction:
-    """Trace of the resolvent: phi' / phi."""
-    return RationalFunction(sd.phi).log_derivative()
+def renormalized_trace(p: Polynomial, d: int) -> RationalFunction:
+    """p'/p - d/z, as the one quotient (z p' - d p) / (z p); for p = phi of
+    an element of d vertices, its trace resolvent less the order-zero term."""
+    z = Polynomial.x()
+    return RationalFunction(z * p.derivative() - p.scale(d), z * p)
 
 
 def renormalized_cauchy(sd: RootedSpectralData) -> RationalFunction:
-    """cauchy minus dim/z, dropping the order-zero trace term."""
-    return cauchy(sd) - RationalFunction(
-        Polynomial.constant(sd.dim), Polynomial.x()
-    )
+    """The renormalized trace resolvent rc = phi'/phi - dim/z."""
+    return renormalized_trace(sd.phi, sd.dim)
 
 
 def laurent_at_infinity(f: RationalFunction, order: int) -> tuple[Fraction, ...]:

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -344,6 +345,33 @@ class TestIdcheck:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "multiplicity must be at least 1" in captured.err
+
+    @pytest.mark.parametrize("spectrum, token", [
+        ("-1:1,1:1_0", "1_0"),  # ran with multiplicity 10
+        ("-1:1,1:+1", "+1"),
+        ("-1:1,1:\u0661", "\u0661"),  # an Arabic-Indic digit
+    ])
+    def test_non_ascii_multiplicity_exit_2(self, capsys, spectrum, token):
+        code = main(["idcheck", "--spectrum", spectrum, "--weights", "0.5,0.5"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            f"error: multiplicity must be at least 1, in ASCII digits, got {token!r}\n"
+        )
+
+    @pytest.mark.parametrize("value", ["1e400", "-1e400", "2e308"])
+    def test_eigenvalue_beyond_the_float_report_exit_2(self, capsys, value):
+        # the verdict reports alpha as a float, which exited 3 on overflow
+        code = main(["idcheck", "--spectrum", f"{value}:1", "--weights", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: eigenvalue {value!r} is beyond the largest float\n"
+
+    def test_largest_float_eigenvalue_is_reported(self, capsys):
+        largest = repr(sys.float_info.max)
+        code, data = run_json(capsys, "idcheck", "--spectrum", f"{largest}:1", "--weights", "1")
+        assert code == 0
+        assert data["alpha"] == sys.float_info.max
 
 
 class TestDeterminism:
@@ -813,7 +841,7 @@ class TestCertificates:
 
         h = convolutions.h_transform
         offset = RationalFunction(Polynomial.one(), Polynomial((0, 0, 1)))
-        monkeypatch.setattr(convolutions, "h_transform", lambda pair: h(pair) + offset)
+        monkeypatch.setattr(convolutions, "h_transform", lambda sd: h(sd) + offset)
         cert = tmp_path / "cert.json"
         code = main([
             "verify", "h-additivity", "--trials", "5", "--certificate", str(cert),
@@ -824,7 +852,29 @@ class TestCertificates:
         assert data["suite"] == "h-additivity"
         assert [f["identity"] for f in data["failures"]] == ["h-additivity"] * 5
         assert _details_digest(data) == (
-            "a7b92a3f148f1ecc00691f38d5f5439f9e771c01b6151188aafdce2d62a9dc08"
+            "d2669622d98c6ce0f07e035440683b7c76fecc602b48dd608708053e48f2ec8f"
+        )
+
+    def test_star_cauchy_checks_the_closed_form_h(self, tmp_path, capsys, monkeypatch):
+        # the fold reads each factor's h from h_transform, so a wrong closed
+        # form must fail the star-cauchy suite as well as h-additivity
+        from cyclic_spectra import convolutions
+        from cyclic_spectra.exact import Polynomial, RationalFunction
+
+        h = convolutions.h_transform
+        offset = RationalFunction(Polynomial.one(), Polynomial((0, 0, 1)))
+        monkeypatch.setattr(convolutions, "h_transform", lambda sd: h(sd) + offset)
+        cert = tmp_path / "cert.json"
+        code = main([
+            "verify", "star-cauchy", "--trials", "5", "--certificate", str(cert),
+        ])
+        capsys.readouterr()
+        assert code == 3
+        data = json.loads(cert.read_text())
+        assert data["suite"] == "star-cauchy"
+        assert [f["identity"] for f in data["failures"]] == ["star-cauchy"] * 5
+        assert _details_digest(data) == (
+            "dac4139ce3eb87336f77441a23d18895c2a7fa492ec110f6f5bb822ee2aab943"
         )
 
     def test_comb_trace_checks_the_cli_fold(self, tmp_path, capsys, monkeypatch):

@@ -56,38 +56,36 @@ def sd_vertex():
 class TestBooleanFSum:
     # F of a cyclic-Boolean sum is F1 + F2 - z
     def test_two_edges(self):
-        pair = transform_pair(sd_k2())
         # z - 2/z = (z^2 - 2)/z
-        f = cyclic_boolean_sum(pair, pair).green.reciprocal()
+        f = cyclic_boolean_sum(sd_k2(), sd_k2()).green.reciprocal()
         assert f == RationalFunction(poly(-2, 0, 1), poly(0, 1))
 
     def test_neutral_element(self):
-        pair = transform_pair(sd_k2())
-        total = cyclic_boolean_sum(pair, transform_pair(sd_vertex()))
+        total = cyclic_boolean_sum(sd_k2(), sd_vertex())
         assert total.green.reciprocal() == green(sd_k2()).reciprocal()
 
     def test_nfold_closed_form(self):
-        pair = transform_pair(sd_k2())
+        # left fold; each partial sum's data is its star power's, by Schwenk
+        sd = sd_k2()
+        partial, iterated = sd, transform_pair(sd)
         for n in range(1, 17):
-            iterated = pair
-            for _ in range(n - 1):
-                iterated = cyclic_boolean_sum(iterated, pair)
             closed = RationalFunction(poly(-n, 0, 1), poly(0, 1))  # z - n/z
             assert iterated.green.reciprocal() == closed
             assert nfold_star_transforms(sd_k2(), n).green == closed.reciprocal()
+            iterated = cyclic_boolean_sum(partial, sd)
+            partial = star_char_poly(partial, sd)
+            assert transform_pair(partial) == iterated
 
 
 class TestCyclicBooleanSum:
     def test_k2_pair_gives_star2(self):
-        pair = transform_pair(sd_k2())
-        total = cyclic_boolean_sum(pair, pair)
+        total = cyclic_boolean_sum(sd_k2(), sd_k2())
         # 4 / (z (z^2 - 2))
         assert total.rc == RationalFunction(poly(4), poly(0, -2, 0, 1))
 
     def test_neutral(self):
         pair = transform_pair(sd_k2())
-        trivial = transform_pair(sd_vertex())
-        total = cyclic_boolean_sum(pair, trivial)
+        total = cyclic_boolean_sum(sd_k2(), sd_vertex())
         assert total.rc == pair.rc
         assert total.green == pair.green
 
@@ -101,10 +99,11 @@ class TestCyclicBooleanSum:
     def test_left_fold_matches_closed_form(self):
         for base in (complete(2), complete(3)):
             sd = spectral_data([base])[0]
-            pair = transform_pair(sd)
-            acc = pair
+            partial = sd
             for n in range(2, 9):
-                acc = cyclic_boolean_sum(acc, pair)
+                acc = cyclic_boolean_sum(partial, sd)
+                partial = star_char_poly(partial, sd)
+                assert transform_pair(partial) == acc
                 closed = nfold_star_transforms(sd, n)
                 assert acc.rc == closed.rc
                 assert acc.green == closed.green
@@ -113,21 +112,20 @@ class TestCyclicBooleanSum:
         for base in (complete(2), complete(3), star(3), friendship(2)):
             sd = spectral_data([base])[0]
             ns = [1, 2, 3, 5, 8, 2]
-            for n, power in zip(ns, star_powers(transform_pair(sd), ns)):
+            for n, power in zip(ns, star_powers(sd, ns)):
                 assert power == nfold_star_transforms(sd, n)
 
     def test_star_powers_reject_fold_below_one(self):
-        pair = transform_pair(sd_k2())
         for ns in ([0], [2, -1], range(0, 3)):
             with pytest.raises(ValueError, match="fold count"):
-                star_powers(pair, ns)
+                star_powers(sd_k2(), ns)
 
     def test_matches_star_product_on_corpus(self):
         rng = random.Random(42)
         for _ in range(60):
             g1 = random_rooted_graph(rng, 8)
             g2 = random_rooted_graph(rng, 8)
-            total = cyclic_boolean_sum(*map(transform_pair, spectral_data([g1, g2])))
+            total = cyclic_boolean_sum(*spectral_data([g1, g2]))
             product_sd = spectral_data([star_product(g1, g2)])[0]
             assert total.rc == renormalized_cauchy(product_sd)
             assert total.green == green(product_sd)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cyclic_spectra import limits
-from cyclic_spectra.convolutions import nfold_star_transforms
+from cyclic_spectra.convolutions import nfold_star_transforms, transform_pair
 from cyclic_spectra.exact import Polynomial, RationalFunction
 from cyclic_spectra.graphs import complete
 from cyclic_spectra.limits import (
@@ -25,7 +25,7 @@ from cyclic_spectra.limits import (
     nth_root_round_trip,
     ordered_partition_moment_sums,
     spectral_gap_report,
-    two_point_transforms,
+    two_point_element,
 )
 from cyclic_spectra.models import (
     MixedWord,
@@ -494,7 +494,7 @@ class TestNthRoot:
         # the exact transform pair carries the root's power sums, which obey
         # p_k = s p_{k-1} - q p_{k-2} for the eigenvalue sum s and product q
         s, q = F(-1 + 2, 3), F(-1 * 2, 3)  # the cube root of (-1, 2)
-        pair = two_point_transforms(s, q)
+        pair = transform_pair(two_point_element(s, q))
         series = laurent_at_infinity(pair.rc, 7)
         p = [F(2), s]
         for _ in range(2, 7):
@@ -508,6 +508,6 @@ class TestNthRoot:
         for s in (F(0), F(1), F(-3, 2), F(5, 7), F(-8)):
             for q in (F(-1), F(-1, 3), F(-9, 4), F(-12)):
                 quad = Polynomial((q, -s, 1))
-                pair = two_point_transforms(s, q)
+                pair = transform_pair(two_point_element(s, q))
                 assert pair.rc == RationalFunction(Polynomial((-2 * q, s)), z * quad)
                 assert pair.green == RationalFunction(z, quad)

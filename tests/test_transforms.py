@@ -16,9 +16,8 @@ from cyclic_spectra.convolutions import (
     h_transform,
     nfold_comb_transforms,
     nfold_star_transforms,
-    transform_pair,
 )
-from cyclic_spectra.exact import Polynomial, RationalFunction
+from cyclic_spectra.exact import Polynomial, RationalFunction, poly_gcd
 from cyclic_spectra.graphs import (
     Graph,
     RootedGraph,
@@ -35,7 +34,6 @@ from cyclic_spectra.graphs import (
 from cyclic_spectra.models import eigensolve, matrix_power_moments
 from cyclic_spectra.transforms import (
     char_poly,
-    cauchy,
     extract_spectrum,
     green,
     isolate_real_roots,
@@ -371,17 +369,34 @@ class TestCauchy:
         sd = spectral_data([RootedGraph(Graph(1), 0)])[0]
         assert renormalized_cauchy(sd).is_zero()
 
-    def test_cauchy_is_log_derivative(self):
+    def test_rc_is_log_derivative_minus_dim_over_z(self):
         sd = spectral_data([friendship(2)])[0]
-        assert cauchy(sd) == RationalFunction(sd.phi).log_derivative()
+        dim_over_z = ratfun(Polynomial.constant(sd.dim), poly(0, 1))
+        assert renormalized_cauchy(sd) == RationalFunction(sd.phi).log_derivative() - dim_over_z
+
+
+def _h_by_definition(sd):
+    """rc + 1/z + G'/G, the sum that h_transform has in closed form."""
+    one_over_z = ratfun(Polynomial.one(), poly(0, 1))
+    return renormalized_cauchy(sd) + one_over_z + green(sd).log_derivative()
 
 
 class TestHTransform:
     def test_k2_vanishes(self):
-        assert h_transform(transform_pair(spectral_data([complete(2)])[0])).is_zero()
+        assert h_transform(spectral_data([complete(2)])[0]).is_zero()
 
     def test_single_vertex(self):
-        assert h_transform(transform_pair(spectral_data([RootedGraph(Graph(1), 0)])[0])).is_zero()
+        assert h_transform(spectral_data([RootedGraph(Graph(1), 0)])[0]).is_zero()
+
+    def test_closed_form_is_the_definition(self):
+        # h = rc(G - r), also where phi and psi share a factor
+        rng = random.Random(21)
+        graphs = [RootedGraph(Graph(1), 0), complete(2)]
+        graphs += [random_rooted_graph(rng, 8) for _ in range(200)]
+        sds = spectral_data(graphs)
+        for sd in sds:
+            assert h_transform(sd) == _h_by_definition(sd)
+        assert any(poly_gcd(sd.phi, sd.phi_minus_root).degree > 0 for sd in sds)
 
     def test_leading_coefficients(self):
         # h_1 = w_1 - m_1 and h_2 = w_2 + m_1^2 - 2 m_2 for any small graph
@@ -389,7 +404,7 @@ class TestHTransform:
         for _ in range(12):
             g = random_rooted_graph(rng, 6)
             sd = spectral_data([g])[0]
-            h = h_transform(transform_pair(sd))
+            h = h_transform(sd)
             series = laurent_at_infinity(h, 4)
             a = adjacency(g.graph)
             w1, w2 = int(a.trace()), int((a @ a).trace())
