@@ -35,11 +35,14 @@ from .limits import (
     finite_n_comb_moment,
     spectral_gap_report,
 )
-from .models import eigensolve, matrix_power_moments
+from .models import eigensolve
 from .transforms import (
     EXACT_CHARPOLY_CAP,
     SpectrumReport,
     extract_spectrum,
+    green,
+    laurent_at_infinity,
+    renormalized_cauchy,
     spectral_data,
 )
 from .verify import STAR_FACTOR_CAP, STAR_SUITES, SUITES, run_suite
@@ -216,9 +219,12 @@ def cmd_limits(args) -> int:
         base, fields["family"] = _parse_graph_arg([args.family])
         if base.n < 2:
             raise ValueError("comb base must have at least 2 vertices")
-        count = max(args.k_max, args.n_max) + 2
-        psi, tr = matrix_power_moments(graphs.adjacency(base.graph), count, base.root)
-        d = base.n
+        [sd] = spectral_data([base])
+        # green = sum_k psi_k z^(-k-1) and rc = sum_(k>=1) tr(A^k) z^(-k-1);
+        # the table reads orders 1..k_max
+        psi = laurent_at_infinity(green(sd), args.k_max + 1)[2:]
+        tr = laurent_at_infinity(renormalized_cauchy(sd), args.k_max + 1)[2:]
+        d = sd.dim
         columns = ["N", "k", "value", "limit", "abs_err"]
         rows = []
         for k in range(1, args.k_max + 1):
@@ -266,6 +272,8 @@ def _parse_spectrum(text: str) -> SpectrumReport:
         v = _fraction(value)
         if abs(v) > sys.float_info.max:
             raise ValueError(f"eigenvalue {value!r} is beyond the largest float")
+        if v and not float(v):
+            raise ValueError(f"eigenvalue {value!r} is nonzero but below the smallest float")
         m = graphs._text_int(mult, _MULTIPLICITY_RULE)
         if m < 1:
             raise ValueError(f"{_MULTIPLICITY_RULE}, got {mult!r}")

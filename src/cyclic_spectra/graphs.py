@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -68,15 +69,6 @@ def adjacency(g: Graph) -> np.ndarray:
         a[i, j] = 1
         a[j, i] = 1
     return a
-
-
-def adjacency_rows(g: Graph) -> list[list[int]]:
-    """Adjacency matrix as plain Python int rows (for exact big-int work)."""
-    rows = [[0] * g.n for _ in range(g.n)]
-    for i, j in g.edges:
-        rows[i][j] = 1
-        rows[j][i] = 1
-    return rows
 
 
 def delete_root(g: RootedGraph) -> Graph:
@@ -159,28 +151,28 @@ def nfold_comb(g: RootedGraph, n: int) -> RootedGraph:
 
 
 # ----------------------------------------------------------------------
-# named families
+# named families; each hands Graph its edges as a generator, so that
+# VERTEX_CAP is checked before any edge exists
 
 def complete(d: int) -> RootedGraph:
     if d < 1:
         raise ValueError("complete graph needs at least one vertex")
-    edges = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    return RootedGraph(Graph(d, edges), 0)
+    return RootedGraph(Graph(d, ((i, j) for i in range(d) for j in range(i + 1, d))), 0)
 
 
 def star(n: int) -> RootedGraph:
     """Star graph on n+1 vertices, rooted at the center."""
     if n < 1:
         raise ValueError("star graph needs at least one ray")
-    return RootedGraph(Graph(n + 1, [(0, i) for i in range(1, n + 1)]), 0)
+    return RootedGraph(Graph(n + 1, ((0, i) for i in range(1, n + 1))), 0)
 
 
 def friendship(n: int) -> RootedGraph:
     """n triangles sharing one hub vertex, rooted at the hub."""
     if n < 1:
         raise ValueError("friendship graph needs at least one triangle")
-    edges = [(0, i) for i in range(1, 2 * n + 1)]
-    edges += [(2 * i - 1, 2 * i) for i in range(1, n + 1)]
+    spokes = ((0, i) for i in range(1, 2 * n + 1))
+    edges = chain(spokes, ((2 * i - 1, 2 * i) for i in range(1, n + 1)))
     return RootedGraph(Graph(2 * n + 1, edges), 0)
 
 
@@ -188,7 +180,7 @@ def path(n: int) -> RootedGraph:
     """Path on n vertices, rooted at an endpoint."""
     if n < 1:
         raise ValueError("path needs at least one vertex")
-    return RootedGraph(Graph(n, [(i, i + 1) for i in range(n - 1)]), 0)
+    return RootedGraph(Graph(n, ((i, i + 1) for i in range(n - 1))), 0)
 
 
 _FAMILIES = {
@@ -201,11 +193,13 @@ _FAMILIES = {
 
 def named(spec: str) -> RootedGraph:
     """Build a named family from a 'name:param' string, e.g. 'complete:3'."""
+    name, _, arg = spec.partition(":")
+    if name not in _FAMILIES:
+        raise ValueError(f"bad graph family spec {spec!r}: unknown family {name!r}")
     try:
-        name, _, arg = spec.partition(":")
         return _FAMILIES[name](int(arg))
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"bad graph family spec {spec!r}") from exc
+    except ValueError as exc:  # a bad size, or one above VERTEX_CAP
+        raise ValueError(f"bad graph family spec {spec!r}: {exc}") from exc
 
 
 # ----------------------------------------------------------------------

@@ -158,10 +158,12 @@ def _line_run_weights(length: int, psi: Sequence[Fraction]) -> list[list[Fractio
     return lw
 
 
-def _circle_block_weights(s: int, psi: Sequence[Fraction]) -> list[Fraction]:
+def _circle_block_weights(
+    s: int, psi: Sequence[Fraction], lw: list[list[Fraction]]
+) -> list[Fraction]:
     """w[m]: total arc weight of proper nonempty subsets of the s-cycle with m
-    elements, each subset weighted by the product of psi over its maximal arcs."""
-    lw = _line_run_weights(s, psi)
+    elements, each subset weighted by the product of psi over its maximal arcs;
+    lw is `_line_run_weights` of length at least s - 1."""
     w = [Fraction(0)] * s
     for m in range(1, s):
         total = lw[s - 1][m]  # subsets avoiding a fixed base point
@@ -192,7 +194,8 @@ def ordered_partition_moment_sums(
     tr = [Fraction(x) for x in tr_moments]
     if len(psi) < k or len(tr) < k:
         raise ValueError("moment tables too short")
-    weights = {s: _circle_block_weights(s, psi) for s in range(1, k + 1)}
+    lw = _line_run_weights(k, psi)
+    weights = {s: _circle_block_weights(s, psi, lw) for s in range(1, k + 1)}
     v = [[Fraction(0)] * (k + 1) for _ in range(k + 1)]  # v[s][p]
     for s in range(1, k + 1):
         v[s][1] = tr[s - 1]

@@ -13,7 +13,7 @@ and reads a word's trace and vacuum entry as products over the slots, by the
 mixed-product property (A⊗B)(C⊗D) = AC⊗BD.
 
 Matrix moment tables have one routine, `matrix_power_moments`, which reads
-the state moments at any root vertex and the trace moments of the same powers.
+the state moments at coordinate 0 and the trace moments of the same powers.
 
 Everything here is deliberately independent of the transform pipeline so that
 the two sides can arbitrate each other in tests.
@@ -139,17 +139,17 @@ class OperatorModel:
         return math.prod(p.trace() for p in slots), math.prod(p[0, 0] for p in slots)
 
 
-def matrix_power_moments(a, count: int, root: int = 0) -> tuple[list, list]:
+def matrix_power_moments(a, count: int) -> tuple[list, list]:
     """(vacuum, trace) moment tables for powers 1..count of one matrix.
 
-    The vacuum moment of power k is the (root, root) entry of a^k.  Entries are
+    The vacuum moment of power k is the [0, 0] entry of a^k.  Entries are
     Python objects, so int and Fraction matrices give exact values.
     """
     m = _symmetric_matrix(a, object)
     phis, omegas = [], []
     p = m
     for _ in range(count):
-        phis.append(p[root, root])
+        phis.append(p[0, 0])
         omegas.append(p.trace())
         p = p.dot(m)
     return phis, omegas

@@ -25,12 +25,12 @@ from .exact import (
     poly_gcd,
     square_free_part,
 )
-from .graphs import RootedGraph, adjacency_rows
+from .graphs import RootedGraph, adjacency
 
-#: largest matrix `char_poly` accepts; larger inputs raise ValueError
+#: largest graph `char_poly` accepts; larger inputs raise ValueError
 EXACT_CHARPOLY_CAP = 512
 
-#: float64 residue matrices ((matrix, prime) pairs x n x n) held at once by
+#: float64 residue matrices ((graph, prime) pairs x n x n) held at once by
 #: `char_poly`
 _BATCH_ENTRIES = 1 << 16
 
@@ -40,64 +40,50 @@ _ONE = Fraction(1)
 # ----------------------------------------------------------------------
 # characteristic polynomials
 
-def char_poly(
-    matrices: Sequence[list[list[int]]], roots: Sequence[int] | None = None
-) -> list[Polynomial] | list[tuple[Polynomial, Polynomial]]:
-    """det(xI - A) for each integer matrix A, by multimodular Faddeev-LeVerrier.
+def char_poly(graphs: Sequence[RootedGraph]) -> list[tuple[Polynomial, Polynomial]]:
+    """(det(xI - A), det(xI - A')) for the adjacency matrix A of each rooted
+    graph, where A' is A without the root's row and column, by multimodular
+    Faddeev-LeVerrier.
 
-    With roots, returns for each A the pair (det(xI - A), det(xI - A')), where
-    A' is A without row and column roots[i].  By Cramer's rule det(xI - A') is
-    the (r, r) entry of adj(xI - A) = sum_k M_(k+1) x^(n-1-k), and the
-    recurrence forms each M_(k+1) anyway, so one run gives both.  Results are
-    in input order; the matrices of one size run as one stack.
+    By Cramer's rule det(xI - A') is the (r, r) entry of adj(xI - A) =
+    sum_k M_(k+1) x^(n-1-k), and the recurrence forms each M_(k+1) anyway, so
+    one run gives both.  Results are in input order; the graphs of one size
+    run as one stack.
 
-    Let F be the sum of the squared entries of the n x n matrix A.  The
-    coefficient of x^(n-k) is, up to sign, e_k of the eigenvalues, and
+    The coefficient of x^(n-k) is, up to sign, e_k of the eigenvalues, and
     |e_k(lambda)| <= e_k(|lambda|) <= binom(n, k) (sum |lambda| / n)^k by
     Maclaurin's inequality.  Cauchy-Schwarz gives sum |lambda| <=
-    sqrt(n sum |lambda|^2) and Schur's inequality sum |lambda|^2 <= F, so the
-    coefficient is at most binom(n, k) (F/n)^(k/2).  A' is (n - 1) x (n - 1)
-    and its squared entries sum to at most F, so binom(n - 1, k)
-    (F/(n - 1))^(k/2) covers det(xI - A').  Each matrix runs modulo its own
-    primes, whose product exceeds twice its bound, and its polynomials are
-    joined by the CRT.  They must also agree modulo the next prime, which the
-    CRT did not use; otherwise ArithmeticError is raised.
+    sqrt(n sum |lambda|^2), and sum |lambda|^2 = tr A^2 = F for F = 2|E|, so
+    the coefficient is at most binom(n, k) (F/n)^(k/2).  A' has at most the
+    edges of A, so binom(n - 1, k) (F/(n - 1))^(k/2) covers det(xI - A').
+    Each graph runs modulo its own primes, whose product exceeds twice its
+    bound, and its polynomials are joined by the CRT.  They must also agree
+    modulo the next prime, which the CRT did not use; otherwise
+    ArithmeticError is raised.
     """
-    out: list = [None] * len(matrices)
+    for g in graphs:
+        if g.n > EXACT_CHARPOLY_CAP:
+            raise ValueError(f"matrix size {g.n} exceeds exact cap {EXACT_CHARPOLY_CAP}")
+    out: list = [None] * len(graphs)
     groups: dict[int, list[int]] = {}
-    for i, rows in enumerate(matrices):
-        n = len(rows)
-        if n > EXACT_CHARPOLY_CAP:
-            raise ValueError(f"matrix size {n} exceeds exact cap {EXACT_CHARPOLY_CAP}")
-        if roots is not None and not 0 <= roots[i] < n:
-            raise ValueError(f"root {roots[i]} is not an index of a {n} x {n} matrix")
-        groups.setdefault(n, []).append(i)
+    for i, g in enumerate(graphs):
+        groups.setdefault(g.n, []).append(i)
     for n, members in groups.items():
-        if n == 0:
-            for i in members:
-                out[i] = Polynomial.one()
-            continue
-        group = [matrices[i] for i in members]
+        group = [graphs[i] for i in members]
         primes = []
-        for rows in group:
-            f = sum(v * v for row in rows for v in row)
-            bound = _coefficient_bound(n, f)
-            if roots is not None:
-                bound = max(bound, _coefficient_bound(n - 1, f))
+        for g in group:
+            f = 2 * len(g.graph.edges)
+            bound = max(_coefficient_bound(n, f), _coefficient_bound(n - 1, f))
             primes.append(_primes_above(2 * bound))
-        group_roots = [0] * len(group) if roots is None else [roots[i] for i in members]
-        residues = _leverrier_residues(group, group_roots, primes)
-        for i, ps, res in zip(members, primes, residues):
+        for i, ps, res in zip(members, primes, _leverrier_residues(group, primes)):
             coeffs = _crt_checked(ps, res)
-            phi = Polynomial._from_ints(coeffs[: n + 1], _ONE)
-            out[i] = phi if roots is None else (phi, Polynomial._from_ints(coeffs[n + 1 :], _ONE))
+            out[i] = (Polynomial._from_ints(coeffs[: n + 1], _ONE),
+                      Polynomial._from_ints(coeffs[n + 1 :], _ONE))
     return out
 
 
 def _coefficient_bound(n: int, f: int) -> int:
     """An integer above binom(n, k) (f/n)^(k/2) for every k <= n."""
-    if n == 0:
-        return 1
     return max(math.isqrt(math.comb(n, k) ** 2 * f**k // n**k) + 1 for k in range(n + 1))
 
 
@@ -130,37 +116,35 @@ def _crt_checked(primes: list[int], residues: list[list[int]]) -> list[int]:
 
 
 def _leverrier_residues(
-    matrices: list[list[list[int]]], roots: list[int], primes: list[list[int]]
+    graphs: list[RootedGraph], primes: list[list[int]]
 ) -> list[list[list[int]]]:
-    """For n x n matrices A_i, out[i][j] holds the residues modulo primes[i][j]
-    of det(xI - A_i), then of det(xI - A_i') for A_i' without row and column
-    roots[i], each constant term first.
+    """For rooted graphs G_i of n vertices with adjacency matrices A_i,
+    out[i][j] holds the residues modulo primes[i][j] of det(xI - A_i), then
+    of det(xI - A_i') for A_i' without the root's row and column, each
+    constant term first.
 
     Faddeev-LeVerrier: with P = A M_k, c_k = -tr(P)/k and M_(k+1) = P + c_k I,
     starting from M_1 = I; (M_(k+1))_rr is the coefficient of x^(n-1-k) in
-    det(xI - A').  The (matrix, prime) pairs run in chunks of stacked float64
+    det(xI - A').  The (graph, prime) pairs run in chunks of stacked float64
     matrices with entries in [0, p), so a matrix product, and tr(P) times the
     inverse of k, stays below n (p - 1)^2, which is below 2^53, so exact in
     float64, for p < _PRIME_LIMIT and n <= EXACT_CHARPOLY_CAP.
     """
-    n = len(matrices[0])
+    n = graphs[0].n
     pairs = [(i, p) for i, ps in enumerate(primes) for p in ps]
     inverses = {p: [pow(k, -1, p) for k in range(1, n + 1)] for p in {p for _, p in pairs}}
-    out: list[list[list[int]]] = [[] for _ in matrices]
+    out: list[list[list[int]]] = [[] for _ in graphs]
     step = max(1, _BATCH_ENTRIES // (n * n))
     for start in range(0, len(pairs), step):
         chunk = pairs[start : start + step]
         first = chunk[0][0]
-        index = np.array([i - first for i, _ in chunk])
         batch = [p for _, p in chunk]
         ps = np.array(batch, dtype=np.float64)
         inv = np.array([inverses[p] for p in batch], dtype=np.float64).T
-        try:
-            a = np.array(matrices[first : chunk[-1][0] + 1], dtype=np.int64)
-        except OverflowError:  # entries beyond int64 are reduced as Python ints
-            a = np.array(matrices[first : chunk[-1][0] + 1], dtype=object)
-        am = (a[index] % np.array(batch, dtype=a.dtype)[:, None, None]).astype(np.float64)
-        stack, minor = np.arange(len(chunk)), np.array([roots[i] for i, _ in chunk])
+        # 0/1 entries are their own residues modulo every prime
+        a = np.stack([adjacency(g.graph) for g in graphs[first : chunk[-1][0] + 1]])
+        am = a[[i - first for i, _ in chunk]].astype(np.float64)
+        stack, minor = np.arange(len(chunk)), np.array([graphs[i].root for i, _ in chunk])
         prod = am.copy()
         coeffs = np.ones((len(chunk), 2 * n + 1))  # M_1 = I gives x^(n-1) in the minor
         for k in range(1, n + 1):
@@ -197,7 +181,7 @@ class RootedSpectralData:
 def spectral_data(graphs: Sequence[RootedGraph]) -> list[RootedSpectralData]:
     """The characteristic polynomial pair of each rooted graph, in input order,
     from one batched `char_poly` run."""
-    pairs = char_poly([adjacency_rows(g.graph) for g in graphs], [g.root for g in graphs])
+    pairs = char_poly(graphs)
     return [RootedSpectralData(phi, minus, g.n) for g, (phi, minus) in zip(graphs, pairs)]
 
 

@@ -367,6 +367,25 @@ class TestIdcheck:
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: eigenvalue {value!r} is beyond the largest float\n"
 
+    @pytest.mark.parametrize("spectrum, weights, value", [
+        ("1e-400:1", "1", "1e-400"),
+        ("-1e-400:1,1e-400:1", "0.5,0.5", "-1e-400"),
+    ])
+    def test_eigenvalue_below_the_float_report_exit_2(self, capsys, spectrum, weights, value):
+        # the verdict reported these nonzero eigenvalues as alpha 0.0 and beta 0.0
+        code = main(["idcheck", "--spectrum", spectrum, "--weights", weights])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            f"error: eigenvalue {value!r} is nonzero but below the smallest float\n"
+        )
+
+    def test_smallest_subnormal_eigenvalue_is_reported(self, capsys):
+        tiny = repr(5e-324)
+        code, data = run_json(capsys, "idcheck", "--spectrum", f"{tiny}:1", "--weights", "1")
+        assert code == 0
+        assert data["alpha"] == 5e-324
+
     def test_largest_float_eigenvalue_is_reported(self, capsys):
         largest = repr(sys.float_info.max)
         code, data = run_json(capsys, "idcheck", "--spectrum", f"{largest}:1", "--weights", "1")
@@ -568,6 +587,37 @@ class TestExitRoute:
             assert code == 2 and captured.out == ""
             assert captured.err == "error: matrix size 600 exceeds exact cap 512\n"
 
+    def test_every_exact_command_over_the_cap_exit_2(self, capsys, monkeypatch, tmp_path):
+        # the cap is checked on the graph, before any Faddeev-LeVerrier run
+        from cyclic_spectra import transforms
+
+        def refuse(graphs, primes):
+            raise AssertionError("a Faddeev-LeVerrier run started")
+
+        monkeypatch.setattr(transforms, "_leverrier_residues", refuse)
+        target = tmp_path / "path513.txt"
+        target.write_text("n 513 root 0\n" + "\n".join(f"{i} {i + 1}" for i in range(512)))
+        for argv in (
+            ["spectrum", "--family", str(target)],
+            ["limits", "gap", "--family", str(target), "--n-max", "2"],
+            ["limits", "clt", "--family", str(target), "--n", "2", "--n-max", "2"],
+            ["limits", "comb", "--family", str(target), "--k-max", "2", "--n-max", "2"],
+        ):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err == "error: matrix size 513 exceeds exact cap 512\n"
+
+    def test_family_over_the_vertex_cap_exit_2(self, capsys):
+        # complete:25000 built about 312M edges first, and died of MemoryError
+        code = main(["spectrum", "--family", "complete:25000"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            "error: bad graph family spec 'complete:25000': "
+            "vertex count 25000 exceeds cap 20000\n"
+        )
+
     @pytest.mark.parametrize("argv", [
         ["cumulants", "--phi", "1/0", "--omega", "1"],
         ["cumulants", "--phi", "1", "--omega", "2,1/0"],
@@ -718,6 +768,37 @@ class TestGraphFileInput:
         assert code == 0
         assert data["rows"] == expected["rows"]
 
+    @pytest.mark.parametrize("root", [1, 3, 4])
+    def test_comb_matches_the_moment_table_of_the_root_first_matrix(
+        self, capsys, tmp_path, root
+    ):
+        # the table once read psi and tr(A^k) from matrix powers; the Laurent
+        # coefficients of green and rc must give the same rows
+        from fractions import Fraction
+
+        from cyclic_spectra.graphs import Graph, RootedGraph, format_graph_text
+        from cyclic_spectra.limits import comb_limit_moment, finite_n_comb_moment
+        from cyclic_spectra.models import matrix_power_moments
+        from rooted import root_first_adjacency
+
+        g = RootedGraph(Graph(5, [(0, 1), (1, 2), (2, 3), (1, 4), (3, 4)]), root)
+        target = tmp_path / "g.txt"
+        target.write_text(format_graph_text(g))
+        k_max, n_max = 5, 6
+        code, data = run_json(
+            capsys, "limits", "comb", "--family", str(target),
+            "--k-max", str(k_max), "--n-max", str(n_max),
+        )
+        assert code == 0
+        psi, tr = matrix_power_moments(root_first_adjacency(g), k_max)
+        expected = []
+        for k in range(1, k_max + 1):
+            limit = comb_limit_moment(g.n, k, psi, tr)
+            for n in range(1, n_max + 1):
+                value = finite_n_comb_moment(g.n, n, k, psi, tr) / Fraction(g.n) ** n
+                expected.append([n, k, str(value), str(limit), abs(float(value - limit))])
+        assert data["rows"] == expected
+
     def test_directory_family_exit_2(self, capsys, tmp_path):
         code = main(["spectrum", "--family", str(tmp_path)])
         captured = capsys.readouterr()
@@ -776,9 +857,9 @@ class TestCertificates:
 
         residues = transforms._leverrier_residues
 
-        def corrupt(matrices, roots, primes):
-            # one residue of the last matrix of each run
-            out = residues(matrices, roots, primes)
+        def corrupt(graphs, primes):
+            # one residue of the last graph of each run
+            out = residues(graphs, primes)
             out[-1][0][0] = (out[-1][0][0] + 1) % primes[-1][0]
             return out
 

@@ -2,6 +2,7 @@
 
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,6 +75,21 @@ class TestNamed:
         for spec in ("star:0", "complete:-1", "bogus:3", "star"):
             with pytest.raises(ValueError):
                 named(spec)
+
+    @pytest.mark.parametrize(
+        "spec", ["complete:25000", "star:20000", "friendship:10000", "path:20001"]
+    )
+    def test_over_the_vertex_cap_builds_no_edge(self, spec):
+        # VERTEX_CAP is checked before the family's edges exist: complete:25000
+        # built about 312M edge tuples first
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"'{spec}': vertex count .* exceeds cap 20000"):
+                named(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 18
 
 
 class TestStarProduct:

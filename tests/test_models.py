@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cyclic_spectra.graphs import adjacency, complete, friendship, nfold_star, star
+from cyclic_spectra.graphs import RootedGraph, adjacency, complete, friendship, nfold_star, star
 from cyclic_spectra.models import (
     MixedWord,
     OperatorModel,
@@ -20,6 +20,7 @@ from cyclic_spectra.models import (
 )
 from cyclic_spectra.verify import random_symmetric_int_matrix, run_suite
 from kronecker import kron_word_moments
+from rooted import root_first_adjacency
 
 F = Fraction
 
@@ -132,23 +133,11 @@ class TestMoments:
         assert a.dtype == np.int64
         phis, omegas = matrix_power_moments(a, 4)
         assert (omegas[3], phis[3]) == (2 * 2**80, 2**80)
-        assert matrix_power_moments(a, 4, 1)[0][3] == 2**80
 
     def test_vacuum_is_degree(self):
-        for g in (complete(3), star(4), friendship(2)):
-            a = np.array(adjacency(g.graph), dtype=object)
-            assert matrix_power_moments(a, 2, g.root)[0][1] == g.root_degree()
-
-    def test_root_is_vertex_permuted_to_zero(self):
-        # the moments at root r are those of the matrix with r moved to coordinate 0
-        rng = random.Random(17)
-        for _ in range(20):
-            dim = rng.randint(1, 5)
-            a = np.array(random_symmetric_int_matrix(rng, dim), dtype=object)
-            for r in range(dim):
-                perm = [r] + [v for v in range(dim) if v != r]
-                permuted = a[np.ix_(perm, perm)]
-                assert matrix_power_moments(a, 6, r) == matrix_power_moments(permuted, 6)
+        for g in (complete(3), star(4), friendship(2), RootedGraph(star(4).graph, 2)):
+            a = root_first_adjacency(g)
+            assert matrix_power_moments(a, 2)[0][1] == g.root_degree()
 
 
 def word(*letters):

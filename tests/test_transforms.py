@@ -22,7 +22,6 @@ from cyclic_spectra.graphs import (
     Graph,
     RootedGraph,
     adjacency,
-    adjacency_rows,
     complete,
     delete_root,
     friendship,
@@ -41,7 +40,8 @@ from cyclic_spectra.transforms import (
     renormalized_cauchy,
     spectral_data,
 )
-from cyclic_spectra.verify import random_rooted_graph, random_symmetric_int_matrix
+from cyclic_spectra.verify import random_rooted_graph
+from rooted import root_first_adjacency
 
 F = Fraction
 
@@ -70,9 +70,6 @@ class TestSpectralData:
         sd = spectral_data([RootedGraph(Graph(1), 0)])[0]
         assert sd.phi == poly(0, 1)
         assert sd.phi_minus_root == Polynomial.one()
-
-    def test_char_poly_empty(self):
-        assert char_poly([[]])[0] == Polynomial.one()
 
 
 def _reference_char_poly(rows):
@@ -105,86 +102,64 @@ def _path_char_poly(n):
     return cur
 
 
-def _graph_rows(n, edges):
-    return adjacency_rows(Graph(n, edges))
+def _graph(n, edges, root=0):
+    return RootedGraph(Graph(n, edges), root)
+
+
+def _random_graph(rng, n):
+    """A graph on n vertices with edge probability drawn from 0.1, 0.5, 0.9,
+    rooted at a random vertex."""
+    p = rng.choice((0.1, 0.5, 0.9))
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    return _graph(n, edges, rng.randrange(n))
+
+
+def _reference_pair(g):
+    """(phi_G, phi_(G-r)) by _reference_char_poly."""
+    return (
+        _reference_char_poly(adjacency(g.graph).tolist()),
+        _reference_char_poly(adjacency(delete_root(g)).tolist()),
+    )
 
 
 class TestCharPoly:
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 40), st.integers(1, 5), st.randoms(use_true_random=False))
-    def test_matches_reference_on_symmetric_matrices(self, n, bound, rng):
-        rows = random_symmetric_int_matrix(rng, n, bound)
-        assert char_poly([rows])[0] == _reference_char_poly(rows)
+    @given(st.integers(1, 40), st.randoms(use_true_random=False))
+    def test_matches_reference_on_symmetric_matrices(self, n, rng):
+        g = _random_graph(rng, n)
+        assert char_poly([g]) == [_reference_pair(g)]
 
     @pytest.mark.parametrize("n", [1, 2, 5, 17, 40])
     def test_complete_graph(self, n):
         # spectrum {n - 1, -1 x (n - 1)}
-        rows = _graph_rows(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
         expected = poly(-(n - 1), 1) * poly(1, 1) ** (n - 1)
-        assert char_poly([rows])[0] == expected
+        assert char_poly([complete(n)])[0][0] == expected
 
     @pytest.mark.parametrize("n", [1, 2, 3, 12, 40])
     def test_path(self, n):
-        rows = _graph_rows(n, [(i, i + 1) for i in range(n - 1)])
-        assert char_poly([rows])[0] == _path_char_poly(n)
+        # rooted at an endpoint, so G - r is the path on n - 1 vertices
+        assert char_poly([named(f"path:{n}")]) == [(_path_char_poly(n), _path_char_poly(n - 1))]
 
     @pytest.mark.parametrize("n", [3, 4, 9, 40])
     def test_cycle(self, n):
         # phi(C_n) = phi(P_n) - phi(P_(n-2)) - 2, from 2 T_n(x/2) - 2
-        rows = _graph_rows(n, [(i, (i + 1) % n) for i in range(n)])
+        g = _graph(n, [(i, (i + 1) % n) for i in range(n)])
         expected = _path_char_poly(n) - _path_char_poly(n - 2) - poly(2)
-        assert char_poly([rows])[0] == expected
+        assert char_poly([g]) == [(expected, _path_char_poly(n - 1))]
 
     @pytest.mark.parametrize("n", [1, 7, 40])
     def test_empty_graph(self, n):
-        assert char_poly([_graph_rows(n, [])])[0] == Polynomial.x() ** n
+        assert char_poly([_graph(n, [])]) == [(Polynomial.x() ** n, Polynomial.x() ** (n - 1))]
 
     def test_one_dimension(self):
-        # n = 0 is TestSpectralData.test_char_poly_empty
-        assert char_poly([[[0]]])[0] == poly(0, 1)
-        assert char_poly([[[-7]]])[0] == poly(7, 1)
-        assert char_poly([[[2**70]]])[0] == poly(-(2**70), 1)
-
-    def test_entries_beyond_int64(self):
-        # such entries are reduced as Python ints; read as uint64 or float64
-        # they lost their low bits on every prime alike, so the check passed
-        big = 2**63 + 5
-        got = char_poly([[[big]], [[-7]], [[big, 1], [1, 0]], [[2**70, 3], [-(2**64), 1]]])
-        assert got == [
-            poly(-big, 1),
-            poly(7, 1),
-            poly(-1, -big, 1),
-            poly(2**70 + 3 * 2**64, -(2**70) - 1, 1),
-        ]
+        assert char_poly([_graph(1, [])]) == [(poly(0, 1), Polynomial.one())]
 
     @settings(max_examples=20, deadline=None)
-    @given(st.data())
-    def test_batch_matches_reference_in_input_order(self, data):
-        # mixed sizes, symmetric and not, rooted anywhere or not rooted
-        rng = data.draw(st.randoms(use_true_random=False))
-        rooted = data.draw(st.booleans())
-        sizes = data.draw(st.lists(st.integers(int(rooted), 40), min_size=1, max_size=5))
-        matrices = []
-        for n in sizes:
-            bound = rng.randint(1, 5)
-            if rng.random() < 0.5:
-                matrices.append(random_symmetric_int_matrix(rng, n, bound))
-            else:
-                matrices.append([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)])
-        if not rooted:
-            assert char_poly(matrices) == [_reference_char_poly(rows) for rows in matrices]
-            return
-        roots = [rng.randrange(n) for n in sizes]
-        expected = [
-            (
-                _reference_char_poly(rows),
-                _reference_char_poly(
-                    [[v for j, v in enumerate(row) if j != r] for i, row in enumerate(rows) if i != r]
-                ),
-            )
-            for rows, r in zip(matrices, roots)
-        ]
-        assert char_poly(matrices, roots) == expected
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=5), st.randoms(use_true_random=False))
+    def test_batch_matches_reference_in_input_order(self, sizes, rng):
+        # mixed sizes, each rooted anywhere
+        graphs = [_random_graph(rng, n) for n in sizes]
+        assert char_poly(graphs) == [_reference_pair(g) for g in graphs]
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 24), st.integers(1, 9), st.randoms(use_true_random=False))
@@ -202,56 +177,52 @@ class TestCharPoly:
         primes = transforms._primes_above
         assert len(primes(2 * bound)) <= len(primes(2 * hadamard))
 
-    def test_dense_plus_minus_two_needs_most_primes(self, monkeypatch):
-        # F/n = 160, so the bound is max_k binom(40, k) 160^(k/2) ~ 2^149:
-        # seven primes below 2^22 and the check prime
-        rng = random.Random(7)
-        rows = [[0] * 40 for _ in range(40)]
-        for i in range(40):
-            for j in range(i, 40):
-                rows[i][j] = rows[j][i] = rng.choice((-2, 2))
+    def test_complete_graph_needs_most_primes(self, monkeypatch):
+        # K_40 has F = 2|E| = 1560, so the bound is max_k binom(40, k)
+        # 39^(k/2) ~ 2^112: six primes below 2^22 and the check prime
+        g = complete(40)
         seen = []
         residues = transforms._leverrier_residues
 
-        def spy(matrices, roots, primes):
+        def spy(graphs, primes):
             seen.append([len(ps) for ps in primes])
-            return residues(matrices, roots, primes)
+            return residues(graphs, primes)
 
         monkeypatch.setattr(transforms, "_leverrier_residues", spy)
-        assert char_poly([rows])[0] == _reference_char_poly(rows)
-        assert seen == [[8]]
+        assert char_poly([g]) == [_reference_pair(g)]
+        assert seen == [[7]]
 
     @pytest.mark.parametrize("prime_index", [0, 1, 2])
     def test_corrupt_residue_fails_the_check_prime(self, monkeypatch, prime_index):
         # K_16 has F/n = 15 and bound max_k binom(16, k) 15^(k/2) ~ 2^35:
         # two primes for the CRT, then the check prime
-        rows = _graph_rows(16, [(i, j) for i in range(16) for j in range(i + 1, 16)])
-        assert char_poly([rows])[0] == _reference_char_poly(rows)
+        g = complete(16)
+        assert char_poly([g]) == [_reference_pair(g)]
         residues = transforms._leverrier_residues
 
-        def corrupt(matrices, roots, primes):
+        def corrupt(graphs, primes):
             assert [len(ps) for ps in primes] == [3]
-            out = residues(matrices, roots, primes)
+            out = residues(graphs, primes)
             out[0][prime_index][3] = (out[0][prime_index][3] + 1) % primes[0][prime_index]
             return out
 
         monkeypatch.setattr(transforms, "_leverrier_residues", corrupt)
         with pytest.raises(ArithmeticError, match="check prime"):
-            char_poly([rows])
+            char_poly([g])
 
     def test_corrupt_residue_in_a_batch_fails_the_check_prime(self, monkeypatch):
-        # one residue of the last of three 5 x 5 matrices is off by one
-        matrices = [_graph_rows(5, [(0, 1)]), _graph_rows(5, []), _graph_rows(5, [(1, 2)])]
+        # one residue of the last of three 5-vertex graphs is off by one
+        graphs = [_graph(5, [(0, 1)]), _graph(5, []), _graph(5, [(1, 2)])]
         residues = transforms._leverrier_residues
 
-        def corrupt(matrices, roots, primes):
-            out = residues(matrices, roots, primes)
+        def corrupt(graphs, primes):
+            out = residues(graphs, primes)
             out[-1][0][2] = (out[-1][0][2] + 1) % primes[-1][0]
             return out
 
         monkeypatch.setattr(transforms, "_leverrier_residues", corrupt)
         with pytest.raises(ArithmeticError, match="check prime"):
-            char_poly(matrices)
+            char_poly(graphs)
 
     def test_primes_are_every_prime_3_mod_4_in_range(self):
         # a sieve of Eratosthenes up to the limit; the probable-prime test must
@@ -271,43 +242,35 @@ class TestCharPoly:
         p_max = transforms._PRIME_LIMIT - 1
         assert transforms.EXACT_CHARPOLY_CAP * (p_max - 1) ** 2 < 2**53
 
-    def test_root_out_of_range_raises(self):
-        with pytest.raises(ValueError, match="not an index"):
-            char_poly([[[0, 1], [1, 0]]], [2])
-        with pytest.raises(ValueError, match="not an index"):
-            char_poly([[]], [0])
+    def test_above_cap_raises(self, monkeypatch):
+        # every size is checked before any graph of the batch runs
+        def refuse(graphs, primes):
+            raise AssertionError("a Faddeev-LeVerrier run started")
 
-    def test_above_cap_raises(self):
+        monkeypatch.setattr(transforms, "_leverrier_residues", refuse)
         n = transforms.EXACT_CHARPOLY_CAP + 1
-        with pytest.raises(ValueError, match="exceeds exact cap"):
-            char_poly([[[0] * n for _ in range(n)]])
+        with pytest.raises(ValueError, match=f"matrix size {n} exceeds exact cap"):
+            char_poly([complete(2), _graph(n, [])])
 
 
 class TestRootedCharPoly:
     """spectral_data reads phi_(G-r) off the adjugate of the run for phi_G."""
 
     @settings(max_examples=40, deadline=None)
-    @given(st.data())
-    def test_minor_matches_the_deleted_root(self, data):
-        n = data.draw(st.integers(1, 40))
-        root = data.draw(st.integers(0, n - 1))
-        p = data.draw(st.sampled_from([0.1, 0.5, 0.9]))
-        rng = data.draw(st.randoms(use_true_random=False))
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-        g = RootedGraph(Graph(n, edges), root)
+    @given(st.integers(1, 40), st.randoms(use_true_random=False))
+    def test_minor_matches_the_deleted_root(self, n, rng):
+        g = _random_graph(rng, n)
         sd = spectral_data([g])[0]
-        rows = adjacency_rows(delete_root(g))
-        assert sd.phi == char_poly([adjacency_rows(g.graph)])[0]
-        assert sd.phi_minus_root == char_poly([rows])[0] == _reference_char_poly(rows)
+        assert (sd.phi, sd.phi_minus_root) == _reference_pair(g)
 
     def test_one_leverrier_run_per_graph(self, monkeypatch):
         # each graph is in exactly one run, with every graph of its size
         seen = []
         residues = transforms._leverrier_residues
 
-        def spy(matrices, roots, primes):
-            seen.append((len(matrices[0]), len(matrices)))
-            return residues(matrices, roots, primes)
+        def spy(graphs, primes):
+            seen.append((graphs[0].n, len(graphs)))
+            return residues(graphs, primes)
 
         monkeypatch.setattr(transforms, "_leverrier_residues", spy)
         graphs = [
@@ -322,14 +285,12 @@ class TestRootedCharPoly:
         # columns n + 1 .. 2n hold the minor, constant term first
         n = 16
         g = RootedGraph(complete(n).graph, 4)
-        assert spectral_data([g])[0].phi_minus_root == _reference_char_poly(
-            adjacency_rows(delete_root(g))
-        )
+        assert spectral_data([g])[0].phi_minus_root == _reference_pair(g)[1]
         residues = transforms._leverrier_residues
 
-        def corrupt(matrices, roots, primes):
+        def corrupt(graphs, primes):
             assert [len(ps) for ps in primes] == [3]
-            out = residues(matrices, roots, primes)
+            out = residues(graphs, primes)
             mod_p = out[0][prime_index]
             mod_p[n + 1 + 3] = (mod_p[n + 1 + 3] + 1) % primes[0][prime_index]
             return out
@@ -461,7 +422,7 @@ class TestLaurent:
             g = random_rooted_graph(rng, 7)
             sd = spectral_data([g])[0]
             series = laurent_at_infinity(green(sd), 13)
-            walks, _ = matrix_power_moments(adjacency(g.graph), 12, g.root)
+            walks, _ = matrix_power_moments(root_first_adjacency(g), 12)
             for n in range(1, 13):
                 assert series[n + 1] == walks[n - 1]
 
