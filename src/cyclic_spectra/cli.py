@@ -33,6 +33,7 @@ from .limits import (
     clt_report,
     comb_limit_moment,
     finite_n_comb_moment,
+    ordered_partition_moment_sums,
     spectral_gap_report,
 )
 from .models import eigensolve
@@ -225,12 +226,13 @@ def cmd_limits(args) -> int:
         psi = laurent_at_infinity(green(sd), args.k_max + 1)[2:]
         tr = laurent_at_infinity(renormalized_cauchy(sd), args.k_max + 1)[2:]
         d = sd.dim
+        sums = ordered_partition_moment_sums(args.k_max, psi, tr)
         columns = ["N", "k", "value", "limit", "abs_err"]
         rows = []
         for k in range(1, args.k_max + 1):
-            limit = comb_limit_moment(d, k, psi, tr)
+            limit = comb_limit_moment(d, sums[k])
             for n in range(1, args.n_max + 1):
-                value = finite_n_comb_moment(d, n, k, psi, tr) / Fraction(d) ** n
+                value = finite_n_comb_moment(d, n, sums[k]) / Fraction(d) ** n
                 rows.append([n, k, str(value), str(limit), abs(float(value - limit))])
     elif args.table == "gap":
         base, fields["family"], deg = _star_base(args.family)

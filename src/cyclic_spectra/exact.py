@@ -278,34 +278,22 @@ def _mul_ints(a, b) -> list[int]:
     return out
 
 
-def _pseudo_divmod(a, b) -> tuple[list[int], list[int], int]:
-    """Integers q, r and f > 0 with f a = q b + r and deg r < deg b.
-
-    Long division over the integers: when the top of the remainder is not a
-    multiple of lc(b), the remainder and quotient so far are multiplied by the
-    least factor that makes it one, so an exact division never scales.
-    """
-    n, lc = len(b) - 1, b[-1]
-    rem, q, f = list(a), [0] * (len(a) - n), 1
-    for k in range(len(q) - 1, -1, -1):
-        t = rem.pop()
-        if t % lc:
-            s = lc // math.gcd(t, lc)
-            rem, q, f, t = [s * c for c in rem], [s * c for c in q], f * s, t * s
-        t //= lc
-        q[k] = t
-        if t:
-            rem[k:] = [c - t * e for c, e in zip(rem[k:], b)]
-    return q, rem, f
-
-
 def _quotient(a, b) -> list[int] | None:
     """a / b in Z[x] if b divides a there, else None.
 
-    When b divides a the long division never scales, so f = 1 and r = 0.
+    Long division over the integers: it stops at the first top coefficient
+    that lc(b) does not divide, and at a nonzero remainder.
     """
-    q, r, f = _pseudo_divmod(a, b)
-    return q if f == 1 and not any(r) else None
+    n, lc = len(b) - 1, b[-1]
+    rem, q = list(a), [0] * (len(a) - n)
+    for k in range(len(q) - 1, -1, -1):
+        t, r = divmod(rem.pop(), lc)
+        if r:
+            return None
+        q[k] = t
+        if t:
+            rem[k:] = [c - t * e for c, e in zip(rem[k:], b)]
+    return None if any(rem) else q
 
 
 # ----------------------------------------------------------------------

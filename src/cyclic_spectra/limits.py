@@ -179,10 +179,10 @@ def _circle_block_weights(
 
 def ordered_partition_moment_sums(
     k: int, psi_moments: Sequence, tr_moments: Sequence
-) -> list[Fraction]:
-    """v[p] = sum of the partition moments over ordered set partitions of [k]
-    with exactly p blocks, computed by a circular-run recursion (no
-    enumeration, so k may exceed enumeration caps).
+) -> list[list[Fraction]]:
+    """v[s][p] for p <= s <= k: the sum of the partition moments over ordered
+    set partitions of [s] with exactly p blocks, computed by a circular-run
+    recursion (no enumeration, so k may exceed enumeration caps).
 
     The moment of an ordered partition is the cyclic-monotone trace moment
     (`models.eval_cyclic_monotone_word`) of the word that labels each element
@@ -195,37 +195,26 @@ def ordered_partition_moment_sums(
     if len(psi) < k or len(tr) < k:
         raise ValueError("moment tables too short")
     lw = _line_run_weights(k, psi)
-    weights = {s: _circle_block_weights(s, psi, lw) for s in range(1, k + 1)}
-    v = [[Fraction(0)] * (k + 1) for _ in range(k + 1)]  # v[s][p]
+    v = [[Fraction(0)]]
     for s in range(1, k + 1):
-        v[s][1] = tr[s - 1]
-        for p in range(2, s + 1):
-            total = Fraction(0)
-            for m in range(1, s):
-                if v[s - m][p - 1]:
-                    total += weights[s][m] * v[s - m][p - 1]
-            v[s][p] = total
-    return v[k]
+        w = _circle_block_weights(s, psi, lw)
+        # a last block of m elements leaves s - m >= p - 1 to the other blocks
+        v.append([Fraction(0), tr[s - 1]] + [
+            sum(w[m] * v[s - m][p - 1] for m in range(1, s - p + 2))
+            for p in range(2, s + 1)
+        ])
+    return v
 
 
-def finite_n_comb_moment(
-    d: int, n: int, k: int, psi_moments: Sequence, tr_moments: Sequence
-) -> Fraction:
-    """Exact trace moment of order k of the n-fold ordered iid sum."""
-    v = ordered_partition_moment_sums(k, psi_moments, tr_moments)
-    return sum(
-        (alpha_k(d, n, p) * v[p] for p in range(1, k + 1)), start=Fraction(0)
-    )
+def finite_n_comb_moment(d: int, n: int, sums: Sequence[Fraction]) -> Fraction:
+    """Exact trace moment of order len(sums) - 1 of the n-fold ordered iid
+    sum; sums is that row of `ordered_partition_moment_sums`."""
+    return sum((alpha_k(d, n, p) * v for p, v in enumerate(sums) if p), start=Fraction(0))
 
 
-def comb_limit_moment(
-    d: int, k: int, psi_moments: Sequence, tr_moments: Sequence
-) -> Fraction:
-    """Limit of d^-n times the finite-n moments."""
-    v = ordered_partition_moment_sums(k, psi_moments, tr_moments)
-    return sum(
-        (v[p] / Fraction(d - 1) ** p for p in range(1, k + 1)), start=Fraction(0)
-    )
+def comb_limit_moment(d: int, sums: Sequence[Fraction]) -> Fraction:
+    """Limit of d^-n times the finite-n moments, from the same row."""
+    return sum((v / Fraction(d - 1) ** p for p, v in enumerate(sums) if p), start=Fraction(0))
 
 
 # ----------------------------------------------------------------------

@@ -39,6 +39,7 @@ from cyclic_spectra.limits import (
     comb_limit_moment,
     finite_n_comb_moment,
     nth_root_round_trip,
+    ordered_partition_moment_sums,
     spectral_gap_report,
 )
 from cyclic_spectra.models import (
@@ -284,6 +285,8 @@ def test_criterion_08_beta_table():
 
 
 def test_criterion_09_comb_limit_moments():
+    # one triangle of ordered-partition sums serves every check below
+    sums = ordered_partition_moment_sums(14, K2_PSI, K2_TR)
     # exact agreement with the tensor model, d = 2, N <= 8, k <= 6
     a = np.array([[0, 1], [1, 0]], dtype=object)
     for n in range(1, 9):
@@ -292,15 +295,15 @@ def test_criterion_09_comb_limit_moments():
         power = None
         for k in range(1, 7):
             power = big if power is None else power.dot(big)
-            assert finite_n_comb_moment(2, n, k, K2_PSI, K2_TR) == power.trace()
+            assert finite_n_comb_moment(2, n, sums[k]) == power.trace()
     # even limits reproduce the integer moment table
     table = beta_table(7)
     for n in range(1, 8):
-        assert comb_limit_moment(2, 2 * n, K2_PSI, K2_TR) == table.values[n]
+        assert comb_limit_moment(2, sums[2 * n]) == table.values[n]
     # scaled finite-N values within 1% of the limit at N = 30
     for k in range(1, 11):
-        limit = comb_limit_moment(2, k, K2_PSI, K2_TR)
-        scaled = finite_n_comb_moment(2, 30, k, K2_PSI, K2_TR) / F(2) ** 30
+        limit = comb_limit_moment(2, sums[k])
+        scaled = finite_n_comb_moment(2, 30, sums[k]) / F(2) ** 30
         if limit == 0:
             assert scaled == 0
         else:

@@ -651,6 +651,26 @@ class TestLimitsTables:
         errs = [r[4] for r in k2_rows]
         assert errs == sorted(errs, reverse=True)
 
+    def test_comb_builds_one_triangle(self, capsys, monkeypatch):
+        # the ordered-partition sums are built once, at --k-max, and every
+        # row of the table reads one row of them
+        from cyclic_spectra import limits
+
+        orders, build = [], limits.ordered_partition_moment_sums
+
+        def spy(k, psi, tr):
+            orders.append(k)
+            return build(k, psi, tr)
+
+        monkeypatch.setattr(limits, "ordered_partition_moment_sums", spy)
+        monkeypatch.setattr(cli, "ordered_partition_moment_sums", spy)
+        code, data = run_json(
+            capsys, "limits", "comb", "--family", "complete:2",
+            "--k-max", "6", "--n-max", "12",
+        )
+        assert code == 0 and len(data["rows"]) == 6 * 12
+        assert orders == [6]
+
     def test_gap_report(self, capsys):
         code, data = run_json(
             capsys, "limits", "gap", "--family", "complete:3", "--n-max", "6",
@@ -777,7 +797,11 @@ class TestGraphFileInput:
         from fractions import Fraction
 
         from cyclic_spectra.graphs import Graph, RootedGraph, format_graph_text
-        from cyclic_spectra.limits import comb_limit_moment, finite_n_comb_moment
+        from cyclic_spectra.limits import (
+            comb_limit_moment,
+            finite_n_comb_moment,
+            ordered_partition_moment_sums,
+        )
         from cyclic_spectra.models import matrix_power_moments
         from rooted import root_first_adjacency
 
@@ -791,11 +815,12 @@ class TestGraphFileInput:
         )
         assert code == 0
         psi, tr = matrix_power_moments(root_first_adjacency(g), k_max)
+        sums = ordered_partition_moment_sums(k_max, psi, tr)
         expected = []
         for k in range(1, k_max + 1):
-            limit = comb_limit_moment(g.n, k, psi, tr)
+            limit = comb_limit_moment(g.n, sums[k])
             for n in range(1, n_max + 1):
-                value = finite_n_comb_moment(g.n, n, k, psi, tr) / Fraction(g.n) ** n
+                value = finite_n_comb_moment(g.n, n, sums[k]) / Fraction(g.n) ** n
                 expected.append([n, k, str(value), str(limit), abs(float(value - limit))])
         assert data["rows"] == expected
 

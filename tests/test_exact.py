@@ -182,6 +182,16 @@ class TestModularGcd:
         assert poly_gcd(g * poly(-3, 1), g * poly(-3 - q, 1)) == g
         assert drawn[:2] == [p, q] and len(drawn) == 5
 
+    def test_trial_division_is_exact_only(self):
+        # coefficient lists, constant term first; b = 2x + 1
+        b = [1, 2]
+        # x^2 + 1: lc(b) = 2 does not divide the top coefficient 1
+        assert exact._quotient([1, 0, 1], b) is None
+        # 2x^2 + 3x + 2 = (2x + 1)(x + 1) + 1: every step exact, remainder 1
+        assert exact._quotient([2, 3, 2], b) is None
+        # (2x + 1)(x - 3) = 2x^2 - 5x - 3
+        assert exact._quotient([-3, -5, 2], b) == [-3, 1]
+
     def test_large_coefficients_and_content(self):
         g = poly(F(3**44, 5), 2**70 + 1, F(7, 3))
         a = g * poly(F(1, 2), 1) * poly(0, 1)

@@ -10,7 +10,11 @@ import numpy as np
 import pytest
 
 from cyclic_spectra import limits
-from cyclic_spectra.convolutions import nfold_star_transforms, transform_pair
+from cyclic_spectra.convolutions import (
+    nfold_comb_transforms,
+    nfold_star_transforms,
+    transform_pair,
+)
 from cyclic_spectra.exact import Polynomial, RationalFunction
 from cyclic_spectra.graphs import complete
 from cyclic_spectra.limits import (
@@ -37,6 +41,7 @@ from cyclic_spectra.models import (
 from cyclic_spectra.partitions import enumerate_partitions
 from cyclic_spectra.transforms import SpectrumReport, laurent_at_infinity, spectral_data
 from cyclic_spectra.verify import random_rooted_graph
+from rooted import root_first_adjacency
 
 F = Fraction
 
@@ -216,35 +221,38 @@ class TestOmegaOfOrderedPartition:
         for _ in range(6):
             psi = [F(rng.randint(-3, 3)) for _ in range(8)]
             tr = [F(rng.randint(-3, 3)) for _ in range(8)]
+            sums = ordered_partition_moment_sums(6, psi, tr)
             for k in range(1, 7):
-                sums = ordered_partition_moment_sums(k, psi, tr)
                 brute = [F(0)] * (k + 1)
                 for sp in enumerate_partitions(k, "SP"):
                     for blocks in itertools.permutations(sp.blocks):
                         brute[len(blocks)] += ordered_partition_moment(blocks, psi, tr)
-                assert sums[1:] == brute[1:]
+                assert sums[k][1:] == brute[1:]
 
 
 class TestFiniteNMoments:
     def test_first_moment(self):
         psi = [F(p + 2) for p in range(8)]
         tr = [F(3 * p + 1) for p in range(8)]
+        sums = ordered_partition_moment_sums(1, psi, tr)
         for d in (2, 3):
             for n in range(0, 7):
-                assert finite_n_comb_moment(d, n, 1, psi, tr) == alpha_k(d, n, 1) * tr[0]
+                assert finite_n_comb_moment(d, n, sums[1]) == alpha_k(d, n, 1) * tr[0]
 
     def test_second_moment_closed_form(self):
         psi = [F(p + 2) for p in range(8)]
         tr = [F(3 * p + 1) for p in range(8)]
+        sums = ordered_partition_moment_sums(2, psi, tr)
         for d in (2, 3, 4):
             for n in range(1, 8):
                 nd = F(d**n - 1, d - 1)
                 expected = F(2, d - 1) * (nd - n) * tr[0] * psi[0] + nd * tr[1]
-                assert finite_n_comb_moment(d, n, 2, psi, tr) == expected
+                assert finite_n_comb_moment(d, n, sums[2]) == expected
 
     def test_third_moment_closed_form(self):
         psi = [F(p + 2) for p in range(8)]
         tr = [F(3 * p + 1) for p in range(8)]
+        sums = ordered_partition_moment_sums(3, psi, tr)
         for d in (2, 3):
             for n in range(1, 8):
                 nd = F(d**n - 1, d - 1)
@@ -254,37 +262,53 @@ class TestFiniteNMoments:
                     + 3 * x * (nd - n) * (tr[1] * psi[0] + tr[0] * psi[1])
                     + nd * tr[2]
                 )
-                assert finite_n_comb_moment(d, n, 3, psi, tr) == expected
+                assert finite_n_comb_moment(d, n, sums[3]) == expected
 
     def test_matches_tensor_model_d2(self):
         a = np.array([[0, 1], [1, 0]], dtype=object)
+        sums = ordered_partition_moment_sums(6, K2_PSI, K2_TR)
         for n in range(1, 9):
             model = OperatorModel((2,) * n)
             big = sum(model.monotone_embed(i, a) for i in range(n))
             _, traces = matrix_power_moments(big, 6)
             for k in range(1, 7):
-                assert finite_n_comb_moment(2, n, k, K2_PSI, K2_TR) == traces[k - 1]
+                assert finite_n_comb_moment(2, n, sums[k]) == traces[k - 1]
 
     def test_matches_tensor_model_d3(self):
         rng = random.Random(8)
         mat = [[0, 1, 1], [1, 0, 0], [1, 0, 0]]
         a = np.array(mat, dtype=object)
         psi, tr = matrix_power_moments(a, 8)
+        sums = ordered_partition_moment_sums(6, psi, tr)
         for n in range(1, 6):
             model = OperatorModel((3,) * n)
             big = sum(model.monotone_embed(i, a) for i in range(n))
             _, traces = matrix_power_moments(big, 6)
             for k in range(1, 7):
-                assert finite_n_comb_moment(3, n, k, psi, tr) == traces[k - 1]
+                assert finite_n_comb_moment(3, n, sums[k]) == traces[k - 1]
+
+    def test_matches_the_comb_fold(self):
+        # row k resummed against coefficient k + 1 of the n-fold comb's rc
+        rng = random.Random(13)
+        for _ in range(20):
+            g = random_rooted_graph(rng, 4)
+            psi, tr = matrix_power_moments(root_first_adjacency(g), 6)
+            sums = ordered_partition_moment_sums(6, psi, tr)
+            sd = spectral_data([g])[0]
+            for n in range(1, 4):
+                series = laurent_at_infinity(nfold_comb_transforms(sd, n), 7)
+                for k in range(1, 7):
+                    assert finite_n_comb_moment(g.n, n, sums[k]) == series[k + 1]
 
     def test_scaled_convergence(self):
+        sums = ordered_partition_moment_sums(6, K2_PSI, K2_TR)
         for d in (2, 3):
             for k in range(1, 7):
-                limit = comb_limit_moment(d, k, K2_PSI, K2_TR)
+                limit = comb_limit_moment(d, sums[k])
                 if limit == 0:
                     continue
                 n = 30
-                scaled = finite_n_comb_moment(d, n, k, K2_PSI, K2_TR) / F(d) ** n
+                scaled = finite_n_comb_moment(d, n, sums[k]) / F(d) ** n
                 assert abs(scaled - limit) <= abs(limit) * F(1, 100)
 
 
@@ -305,17 +329,18 @@ class TestBetaTable:
 
     def test_comb_limit_matches_beta(self):
         table = beta_table(7)
+        sums = ordered_partition_moment_sums(14, K2_PSI, K2_TR)
         for n in range(1, 8):
-            assert comb_limit_moment(2, 2 * n, K2_PSI, K2_TR) == table.values[n]
+            assert comb_limit_moment(2, sums[2 * n]) == table.values[n]
         for k in (1, 3, 5, 7):
-            assert comb_limit_moment(2, k, K2_PSI, K2_TR) == 0
+            assert comb_limit_moment(2, sums[k]) == 0
 
     def test_gamma_matches_block_count_sums(self):
         table = beta_table(5)
+        sums = ordered_partition_moment_sums(10, K2_PSI, K2_TR)
         for n in range(1, 6):
-            sums = ordered_partition_moment_sums(2 * n, K2_PSI, K2_TR)
-            assert tuple(sums[1 : n + 1]) == table.gamma[n]
-            assert all(v == 0 for v in sums[n + 1 :])
+            assert tuple(sums[2 * n][1 : n + 1]) == table.gamma[n]
+            assert all(v == 0 for v in sums[2 * n][n + 1 :])
 
     def test_carleman(self):
         ok, partial = carleman_check(50)

@@ -17,6 +17,7 @@ from cyclic_spectra.convolutions import (
     nfold_comb_transforms,
     nfold_star_transforms,
 )
+from cyclic_spectra.cumulants import MomentData, h_coefficients
 from cyclic_spectra.exact import Polynomial, RationalFunction, poly_gcd
 from cyclic_spectra.graphs import (
     Graph,
@@ -359,6 +360,17 @@ class TestHTransform:
             assert h_transform(sd) == _h_by_definition(sd)
         assert any(poly_gcd(sd.phi, sd.phi_minus_root).degree > 0 for sd in sds)
 
+    def test_series_is_the_cumulant_route(self):
+        # the Laurent coefficients of the closed form against h_n = c_n - n b_n
+        # from the graph's moment tables
+        rng = random.Random(5)
+        order = 8
+        for _ in range(50):
+            g = random_rooted_graph(rng, 8)
+            psi, tr = matrix_power_moments(root_first_adjacency(g), order)
+            series = laurent_at_infinity(h_transform(spectral_data([g])[0]), order + 1)
+            assert list(series[2:]) == h_coefficients(MomentData(psi, tr))
+
     def test_leading_coefficients(self):
         # h_1 = w_1 - m_1 and h_2 = w_2 + m_1^2 - 2 m_2 for any small graph
         rng = random.Random(2)
@@ -627,6 +639,15 @@ class TestExtractSpectrum:
         report = extract_spectrum(ratfun(poly(F(1, 3)), poly(0, F(-1, 3), 1)), 2)
         assert report.entries == ((0.0, 1), (float(F(1, 3)), 1))
         assert len(calls) == 1
+
+    def test_double_pole_at_a_non_dyadic_rational_rejected(self):
+        # t = rc + 1/z = 1/z + 1/(z - 1/3)^2; isolation takes the square-free
+        # part of t.den first, since Descartes' count never falls below 2 on
+        # an interval around a non-dyadic double root, so without that gcd
+        # this call does not end
+        rc = ratfun(poly(1), poly(F(-1, 3), 1) ** 2)
+        with pytest.raises(ArithmeticError, match="poles must be real and simple"):
+            extract_spectrum(rc, 1)
 
     def test_non_integer_residue_at_non_dyadic_rational_pole_rejected(self):
         # t = rc + 1/z = 1/z + (1/2)/(z - 1/3)
