@@ -20,12 +20,7 @@ from fractions import Fraction
 
 from . import graphs
 from .convolutions import nfold_comb_transforms, nfold_star_transforms
-from .cumulants import (
-    MomentData,
-    boolean_cumulants,
-    cyclic_boolean_cumulants,
-    h_coefficients,
-)
+from .cumulants import boolean_cumulants, cyclic_boolean_cumulants, h_coefficients
 from .limits import (
     beta_table,
     carleman_check,
@@ -36,7 +31,7 @@ from .limits import (
     ordered_partition_moment_sums,
     spectral_gap_report,
 )
-from .models import eigensolve
+from .models import MomentData, eigensolve
 from .transforms import (
     EXACT_CHARPOLY_CAP,
     SpectrumReport,
@@ -223,10 +218,12 @@ def cmd_limits(args) -> int:
         [sd] = spectral_data([base])
         # green = sum_k psi_k z^(-k-1) and rc = sum_(k>=1) tr(A^k) z^(-k-1);
         # the table reads orders 1..k_max
-        psi = laurent_at_infinity(green(sd), args.k_max + 1)[2:]
-        tr = laurent_at_infinity(renormalized_cauchy(sd), args.k_max + 1)[2:]
+        moments = MomentData(
+            laurent_at_infinity(green(sd), args.k_max + 1)[2:],
+            laurent_at_infinity(renormalized_cauchy(sd), args.k_max + 1)[2:],
+        )
         d = sd.dim
-        sums = ordered_partition_moment_sums(args.k_max, psi, tr)
+        sums = ordered_partition_moment_sums(args.k_max, moments)
         columns = ["N", "k", "value", "limit", "abs_err"]
         rows = []
         for k in range(1, args.k_max + 1):

@@ -2,9 +2,11 @@
 partitioned moments on the free-product word algebra, and Moebius-defined
 cumulants.
 
-One type, `MomentData`, carries an element's state and trace moment tables;
-partitioned moments read them for every independent copy of the element,
-with a partition's labels as the word's letters, each of power one.
+Everything reads one `models.MomentData`, an element's state and trace
+moment tables held as ints where integral, so integer tables run the
+recurrences and the lattice in integer arithmetic.  Partitioned moments read
+it for every independent copy of the element, with a partition's labels,
+counted from 1, as the word's letters, each of power one.
 Multivariate cumulants come from one lattice sum, written once for both
 functionals: a sum of cumulants over a family of partitions gathers integer
 Moebius coefficients per refinement, so each partitioned moment is evaluated
@@ -17,46 +19,29 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .convolutions import IdentityCheck
-from .models import MixedWord, _merge_runs, eval_cyclic_boolean_word
+from .models import MixedWord, MomentData, _merge_runs, eval_cyclic_boolean_word
 from .partitions import SetPartition, enumerate_partitions, moebius, refinements
 
 LATTICE_CAP = 8
 
 
-@dataclass(frozen=True)
-class MomentData:
-    """State and trace moment sequences of one element; index k-1 is power k."""
-
-    phi: tuple[Fraction, ...]
-    omega: tuple[Fraction, ...]
-
-    def __init__(self, phi: Sequence, omega: Sequence):
-        object.__setattr__(self, "phi", tuple(Fraction(x) for x in phi))
-        object.__setattr__(self, "omega", tuple(Fraction(x) for x in omega))
-        if len(self.phi) != len(self.omega):
-            raise ValueError("phi and omega tables must have equal length")
-        if not self.phi:
-            raise ValueError("need at least one moment")
-
-
-def boolean_cumulants(m: MomentData) -> list[Fraction]:
+def boolean_cumulants(m: MomentData) -> list[int | Fraction]:
     """b_1..b_K, the coefficients of B = M / (1 + M).
 
     Comparing coefficients in B (1 + M) = M gives
     b_n = m_n - sum_{j<n} b_j m_{n-j}.
     """
-    bs: list[Fraction] = []
+    bs: list[int | Fraction] = []
     for n, m_n in enumerate(m.phi, start=1):
         bs.append(m_n - sum(bs[j - 1] * m.phi[n - j - 1] for j in range(1, n)))
     return bs
 
 
-def _cyclic_from_boolean(m: MomentData, bs: Sequence[Fraction]) -> list[Fraction]:
+def _cyclic_from_boolean(m: MomentData, bs: Sequence[int | Fraction]) -> list[int | Fraction]:
     # coefficients of C = M-hat - z M B': c_n = omega_n - sum_{j<n} j b_j m_{n-j}
     return [
         w_n - sum(j * bs[j - 1] * m.phi[n - j - 1] for j in range(1, n))
@@ -64,7 +49,7 @@ def _cyclic_from_boolean(m: MomentData, bs: Sequence[Fraction]) -> list[Fraction
     ]
 
 
-def cyclic_boolean_cumulants(m: MomentData) -> list[Fraction]:
+def cyclic_boolean_cumulants(m: MomentData) -> list[int | Fraction]:
     """c_1..c_K of the linearizing trace-side transform C = M-hat - z M B'.
 
     c_1 is the first trace moment, c_2 the trace variance.
@@ -72,7 +57,7 @@ def cyclic_boolean_cumulants(m: MomentData) -> list[Fraction]:
     return _cyclic_from_boolean(m, boolean_cumulants(m))
 
 
-def h_coefficients(m: MomentData) -> list[Fraction]:
+def h_coefficients(m: MomentData) -> list[int | Fraction]:
     """Expansion coefficients of the additive transform: h_n = c_n - n b_n."""
     bs = boolean_cumulants(m)
     cs = _cyclic_from_boolean(m, bs)
@@ -84,19 +69,17 @@ def h_coefficients(m: MomentData) -> list[Fraction]:
 
 def partitioned_moment(
     m: MomentData, pi: SetPartition, functional: str = "omega"
-) -> Fraction:
+) -> int | Fraction:
     """omega_pi (or phi_pi): the product functional on the word whose letters
     are the labels of pi, each block a separate independent copy of the
     element m."""
     if pi.n > len(m.phi):
         raise ValueError(f"moment tables too short for total power {pi.n}")
-    word = MixedWord(tuple(map(tuple, _merge_runs((label, 1) for label in pi.labels))))
-    return eval_cyclic_boolean_word(
-        word, lambda i, p: m.phi[p - 1], lambda i, p: m.omega[p - 1], functional
-    )
+    word = MixedWord(tuple(map(tuple, _merge_runs((label + 1, 1) for label in pi.labels))))
+    return eval_cyclic_boolean_word(word, [m] * len(pi), functional)
 
 
-def _lattice_sum(m: MomentData, pis: Iterable[SetPartition], functional: str) -> Fraction:
+def _lattice_sum(m: MomentData, pis: Iterable[SetPartition], functional: str) -> int | Fraction:
     """Sum over pi in pis of the Moebius inversion of the partitioned moments,
     sum_{rho <= pi} mu(rho, pi) m_rho, regrouped as sum_rho c(rho) m_rho.
 
@@ -111,13 +94,13 @@ def _lattice_sum(m: MomentData, pis: Iterable[SetPartition], functional: str) ->
             coefficients[rho] += moebius(rho, pi)
     return sum(
         (c * partitioned_moment(m, rho, functional) for rho, c in coefficients.items() if c),
-        start=Fraction(0),
+        start=0,
     )
 
 
 def partition_cumulant(
     m: MomentData, pi: SetPartition, functional: str = "omega"
-) -> Fraction:
+) -> int | Fraction:
     """Moebius inversion of the partitioned moments over the refinements of pi.
 
     On the trace side ("omega") this is the partitioned cyclic-Boolean

@@ -2,7 +2,8 @@
 
 Covers the central-limit behavior of iterated star powers (spectral gap), the
 trace-moment limits of iterated comb powers as sums over ordered set
-partitions (computed by a circular-run recursion, with no enumeration), the
+partitions (computed by a circular-run recursion, with no enumeration, from
+one `models.MomentData`, and resummed with alpha_k in closed form), the
 integer moment table of the two-point comb limit with every recursion weight
 checked against a Lucas polynomial, and the classification of additively
 divisible trace spectra, with an exact check that the n-th root of a divisible
@@ -21,6 +22,7 @@ from typing import Iterator, Sequence
 
 from .convolutions import nfold_star_transforms, star_powers, transform_pair
 from .exact import Polynomial
+from .models import MomentData
 from .transforms import (
     RootedSpectralData,
     SpectrumReport,
@@ -128,8 +130,9 @@ def spectral_gap_report(
 def alpha_k(d: int, n: int, k: int) -> int:
     """Sum of d^(j_1 - 1) over increasing k-tuples from {1..n}; 0 when n < k.
 
-    The tuples with least index j number binom(n - j, k - 1), so the sum is
-    sum_(j=1..n) d^(j-1) binom(n - j, k - 1); the empty tuple gives 1 at k = 0.
+    For k >= 1 this is sum_(i>=k) binom(n, i) (d - 1)^(i-k), computed as
+    (d^n - sum_(i<k) binom(n, i) (d - 1)^i) / (d - 1)^k: k terms, not n.
+    The empty tuple gives 1 at k = 0.
     """
     if d < 2:
         raise ValueError("factor dimension must be >= 2")
@@ -137,14 +140,18 @@ def alpha_k(d: int, n: int, k: int) -> int:
         raise ValueError("negative arguments")
     if k == 0:
         return 1
-    return sum(d ** (j - 1) * math.comb(n - j, k - 1) for j in range(1, n + 1))
+    num = d**n - sum(math.comb(n, i) * (d - 1) ** i for i in range(k))
+    q, r = divmod(num, (d - 1) ** k)
+    if r:
+        raise AssertionError("non-integer alpha_k")
+    return q
 
 
-def _line_run_weights(length: int, psi: Sequence[Fraction]) -> list[list[Fraction]]:
+def _line_run_weights(length: int, psi: Sequence) -> list[list]:
     """lw[L][m]: weighted count of 0/1 lines of length L with m ones, where
     each maximal run of ones of length j carries weight psi[j-1]."""
-    lw = [[Fraction(0)] * (length + 1) for _ in range(length + 1)]
-    lw[0][0] = Fraction(1)
+    lw = [[0] * (length + 1) for _ in range(length + 1)]
+    lw[0][0] = 1
     for ln in range(1, length + 1):
         for m in range(0, ln + 1):
             total = lw[ln - 1][m]  # last position empty
@@ -158,13 +165,11 @@ def _line_run_weights(length: int, psi: Sequence[Fraction]) -> list[list[Fractio
     return lw
 
 
-def _circle_block_weights(
-    s: int, psi: Sequence[Fraction], lw: list[list[Fraction]]
-) -> list[Fraction]:
+def _circle_block_weights(s: int, psi: Sequence, lw: list[list]) -> list:
     """w[m]: total arc weight of proper nonempty subsets of the s-cycle with m
     elements, each subset weighted by the product of psi over its maximal arcs;
     lw is `_line_run_weights` of length at least s - 1."""
-    w = [Fraction(0)] * s
+    w = [0] * s
     for m in range(1, s):
         total = lw[s - 1][m]  # subsets avoiding a fixed base point
         for j in range(1, min(m, s - 1) + 1):
@@ -177,42 +182,38 @@ def _circle_block_weights(
     return w
 
 
-def ordered_partition_moment_sums(
-    k: int, psi_moments: Sequence, tr_moments: Sequence
-) -> list[list[Fraction]]:
+def ordered_partition_moment_sums(k: int, m: MomentData) -> list[list[int | Fraction]]:
     """v[s][p] for p <= s <= k: the sum of the partition moments over ordered
     set partitions of [s] with exactly p blocks, computed by a circular-run
     recursion (no enumeration, so k may exceed enumeration caps).
 
     The moment of an ordered partition is the cyclic-monotone trace moment
     (`models.eval_cyclic_monotone_word`) of the word that labels each element
-    with its block's position, every letter read from the one (psi, tr) pair:
-    the last block's maximal circular arcs each give a state moment of their
+    with its block's position, every letter read from the one table m: the
+    last block's maximal circular arcs each give a state moment of their
     length, and the last block left reads the trace table.
     """
-    psi = [Fraction(x) for x in psi_moments]
-    tr = [Fraction(x) for x in tr_moments]
-    if len(psi) < k or len(tr) < k:
+    if len(m.phi) < k:
         raise ValueError("moment tables too short")
-    lw = _line_run_weights(k, psi)
-    v = [[Fraction(0)]]
+    lw = _line_run_weights(k, m.phi)
+    v = [[0]]
     for s in range(1, k + 1):
-        w = _circle_block_weights(s, psi, lw)
-        # a last block of m elements leaves s - m >= p - 1 to the other blocks
-        v.append([Fraction(0), tr[s - 1]] + [
-            sum(w[m] * v[s - m][p - 1] for m in range(1, s - p + 2))
+        w = _circle_block_weights(s, m.phi, lw)
+        # a last block of j elements leaves s - j >= p - 1 to the other blocks
+        v.append([0, m.omega[s - 1]] + [
+            sum(w[j] * v[s - j][p - 1] for j in range(1, s - p + 2))
             for p in range(2, s + 1)
         ])
     return v
 
 
-def finite_n_comb_moment(d: int, n: int, sums: Sequence[Fraction]) -> Fraction:
+def finite_n_comb_moment(d: int, n: int, sums: Sequence) -> int | Fraction:
     """Exact trace moment of order len(sums) - 1 of the n-fold ordered iid
     sum; sums is that row of `ordered_partition_moment_sums`."""
-    return sum((alpha_k(d, n, p) * v for p, v in enumerate(sums) if p), start=Fraction(0))
+    return sum(alpha_k(d, n, p) * v for p, v in enumerate(sums) if p)
 
 
-def comb_limit_moment(d: int, sums: Sequence[Fraction]) -> Fraction:
+def comb_limit_moment(d: int, sums: Sequence) -> Fraction:
     """Limit of d^-n times the finite-n moments, from the same row."""
     return sum((v / Fraction(d - 1) ** p for p, v in enumerate(sums) if p), start=Fraction(0))
 

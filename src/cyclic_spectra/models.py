@@ -12,8 +12,9 @@ compare against. The `verify mixed-words` suite never builds those products:
 and reads a word's trace and vacuum entry as products over the slots, by the
 mixed-product property (A⊗B)(C⊗D) = AC⊗BD.
 
-Matrix moment tables have one routine, `matrix_power_moments`, which reads
-the state moments at coordinate 0 and the trace moments of the same powers.
+One type, `MomentData`, carries every state and trace moment table, with
+ints where integral: `matrix_power_moments` builds one, and the word rules
+(one per algebra), `cumulants` and `limits` read it.
 
 Everything here is deliberately independent of the transform pipeline so that
 the two sides can arbitrate each other in tests.
@@ -21,18 +22,17 @@ the two sides can arbitrate each other in tests.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .transforms import SpectrumReport
 
 CLUSTER_TOL = 1e-8
-
-MomentFn = Callable[[int, int], Fraction]
 
 
 # ----------------------------------------------------------------------
@@ -139,20 +139,40 @@ class OperatorModel:
         return math.prod(p.trace() for p in slots), math.prod(p[0, 0] for p in slots)
 
 
-def matrix_power_moments(a, count: int) -> tuple[list, list]:
-    """(vacuum, trace) moment tables for powers 1..count of one matrix.
+def _exact(x) -> int | Fraction:
+    """x as an exact scalar: an int when it is integral, otherwise a Fraction."""
+    if type(x) is int:  # the common entry; building a Fraction from it costs more
+        return x
+    q = Fraction(x)
+    return int(q.numerator) if q.denominator == 1 else q
+
+
+@dataclass(frozen=True)
+class MomentData:
+    """State and trace moment tables of one element, index k-1 for power k,
+    each entry stored by `_exact`."""
+
+    phi: tuple[int | Fraction, ...]
+    omega: tuple[int | Fraction, ...]
+
+    def __init__(self, phi: Iterable, omega: Iterable):
+        object.__setattr__(self, "phi", tuple(map(_exact, phi)))
+        object.__setattr__(self, "omega", tuple(map(_exact, omega)))
+        if len(self.phi) != len(self.omega):
+            raise ValueError("phi and omega tables must have equal length")
+        if not self.phi:
+            raise ValueError("need at least one moment")
+
+
+def matrix_power_moments(a, count: int) -> MomentData:
+    """Vacuum and trace moment tables for powers 1..count of one matrix.
 
     The vacuum moment of power k is the [0, 0] entry of a^k.  Entries are
     Python objects, so int and Fraction matrices give exact values.
     """
     m = _symmetric_matrix(a, object)
-    phis, omegas = [], []
-    p = m
-    for _ in range(count):
-        phis.append(p[0, 0])
-        omegas.append(p.trace())
-        p = p.dot(m)
-    return phis, omegas
+    powers = list(itertools.accumulate(itertools.repeat(m, count), np.dot))
+    return MomentData([p[0, 0] for p in powers], [p.trace() for p in powers])
 
 
 # ----------------------------------------------------------------------
@@ -160,7 +180,7 @@ def matrix_power_moments(a, count: int) -> tuple[list, list]:
 
 @dataclass(frozen=True)
 class MixedWord:
-    """Alternating word: letters (algebra index, power), adjacent indices distinct."""
+    """Alternating word: letters (algebra index from 1, power), adjacent indices distinct."""
 
     letters: tuple[tuple[int, int], ...]
 
@@ -168,6 +188,8 @@ class MixedWord:
         for (i, p), (j, _) in zip(self.letters, self.letters[1:]):
             if i == j:
                 raise ValueError("adjacent letters must use distinct algebras")
+        if any(i < 1 for i, _ in self.letters):
+            raise ValueError("algebra indices start at 1")
         if any(p < 1 for _, p in self.letters):
             raise ValueError("powers must be positive")
 
@@ -182,10 +204,19 @@ def _merge_runs(letters: Iterable[Sequence[int]]) -> list[list[int]]:
     return out
 
 
+def _moment(tables: Sequence[MomentData], idx: int, power: int, functional: str):
+    """The phi or omega moment of algebra idx at the given power."""
+    table = getattr(tables[idx - 1], functional)
+    if power > len(table):
+        raise ValueError(f"moment table too short for power {power}")
+    return table[power - 1]
+
+
 def eval_cyclic_boolean_word(
-    word: MixedWord, phi: MomentFn, omega: MomentFn, functional: str = "omega"
+    word: MixedWord, tables: Sequence[MomentData], functional: str = "omega"
 ):
-    """Mixed moment of an alternating word under full factorization rules.
+    """Mixed moment of an alternating word under full factorization rules;
+    algebra i reads tables[i - 1].
 
     phi-words factor into single-letter state moments. omega-words first merge
     matching end letters cyclically; a single remaining letter uses the trace
@@ -195,20 +226,17 @@ def eval_cyclic_boolean_word(
     if functional == "omega":
         letters = _merge_cyclic(letters)
         if len(letters) == 1:
-            idx, power = letters[0]
-            return omega(idx, power)
+            return _moment(tables, *letters[0], "omega")
     elif functional != "phi":
         raise ValueError("functional must be 'phi' or 'omega'")
-    prod = Fraction(1)
-    for idx, power in letters:
-        prod *= phi(idx, power)
-    return prod
+    return math.prod(_moment(tables, idx, power, "phi") for idx, power in letters)
 
 
 def eval_cyclic_monotone_word(
-    word: MixedWord, phi: MomentFn, omega: MomentFn, functional: str = "omega"
+    word: MixedWord, tables: Sequence[MomentData], functional: str = "omega"
 ):
-    """Mixed moment of a word over an ordered family, by local-maximum peeling.
+    """Mixed moment of a word over an ordered family, by local-maximum peeling;
+    algebra i reads tables[i - 1].
 
     Each step removes one letter whose index is a strict local maximum
     (boundary conventions: minus infinity for phi-words, wrap-around for
@@ -217,24 +245,24 @@ def eval_cyclic_monotone_word(
     """
     letters = [list(l) for l in word.letters]
     if functional == "phi":
-        prod = Fraction(1)
+        prod = 1
         while len(letters) > 1:
             p = _linear_local_max(letters)
             idx, power = letters.pop(p)
-            prod *= phi(idx, power)
+            prod *= _moment(tables, idx, power, "phi")
             letters = _merge_runs(letters)
-        return prod * phi(letters[0][0], letters[0][1])
+        return prod * _moment(tables, *letters[0], "phi")
     if functional != "omega":
         raise ValueError("functional must be 'phi' or 'omega'")
-    prod = Fraction(1)
+    prod = 1
     while True:
         letters = _merge_cyclic(letters)
         if len(letters) == 1:
             break
         p = _cyclic_local_max(letters)
         idx, power = letters.pop(p)
-        prod *= phi(idx, power)
-    return prod * omega(letters[0][0], letters[0][1])
+        prod *= _moment(tables, idx, power, "phi")
+    return prod * _moment(tables, *letters[0], "omega")
 
 
 def _linear_local_max(letters: list[list[int]]) -> int:
@@ -266,9 +294,9 @@ def _merge_cyclic(letters: Iterable[Sequence[int]]) -> list[list[int]]:
 
 
 def model_tables(
-    model: OperatorModel, tables: Sequence[tuple[list, list]], kind: str
-) -> tuple[MomentFn, MomentFn]:
-    """(phi, omega) moment functions matching the embedded operators.
+    model: OperatorModel, tables: Sequence[MomentData], kind: str
+) -> list[MomentData]:
+    """The moment tables of the embedded operators, one per slot.
 
     tables[i] is `matrix_power_moments` of the operator in slot i, so one set
     of tables serves both kinds.  For the ordered embedding the trace picks up
@@ -277,25 +305,9 @@ def model_tables(
     """
     if kind not in ("boolean", "monotone"):
         raise ValueError("kind must be 'boolean' or 'monotone'")
-    phis = []
-    omegas = []
-    below = 1
-    for i, (phi_t, omega_t) in enumerate(tables):
-        if kind == "monotone":
-            omega_t = [below * w for w in omega_t]
-            below *= model.dims[i]
-        phis.append(phi_t)
-        omegas.append(omega_t)
-    return multi_table_moments(phis), multi_table_moments(omegas)
-
-
-def multi_table_moments(tables: Sequence[Sequence]) -> MomentFn:
-    """Moment function for several algebras: tables[i][k-1] for algebra i+1."""
-
-    def fn(index: int, power: int) -> Fraction:
-        table = tables[index - 1]
-        if power > len(table):
-            raise ValueError(f"moment table too short for power {power}")
-        return Fraction(table[power - 1])
-
-    return fn
+    if kind == "boolean":
+        return list(tables)
+    return [
+        MomentData(m.phi, [math.prod(model.dims[:i]) * w for w in m.omega])
+        for i, m in enumerate(tables)
+    ]

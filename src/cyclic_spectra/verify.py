@@ -21,7 +21,7 @@ from .convolutions import (
     schwenk_star_check,
     star_cauchy_identity_check,
 )
-from .cumulants import MomentData, moment_cumulant_check
+from .cumulants import moment_cumulant_check
 from .graphs import Graph, RootedGraph, comb_product, graph_to_json, star_product
 from .models import (
     MixedWord,
@@ -107,9 +107,8 @@ def _pair_trials(
 def _moment_cumulant_trial(rng: random.Random) -> dict:
     dim = rng.randint(2, 3)
     mat = random_symmetric_int_matrix(rng, dim)
-    data = MomentData(*matrix_power_moments(mat, 8))
     n = rng.randint(1, 5)
-    outcome = moment_cumulant_check(data, n)
+    outcome = moment_cumulant_check(matrix_power_moments(mat, 8), n)
     return {"ok": outcome.ok, "detail": outcome.detail}
 
 
@@ -142,10 +141,10 @@ def _mixed_words_trial(rng: random.Random) -> dict:
         ("boolean", eval_cyclic_boolean_word),
         ("monotone", eval_cyclic_monotone_word),
     ):
-        phi_fn, omega_fn = model_tables(model, tables, kind)
+        embedded = model_tables(model, tables, kind)
         model_trace, model_vacuum = model.word_moments(ops, kind)
-        got_omega = evaluator(word, phi_fn, omega_fn, "omega")
-        got_phi = evaluator(word, phi_fn, omega_fn, "phi")
+        got_omega = evaluator(word, embedded, "omega")
+        got_phi = evaluator(word, embedded, "phi")
         if got_omega != model_trace:
             return {
                 "ok": False,

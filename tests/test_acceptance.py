@@ -20,7 +20,6 @@ from cyclic_spectra.convolutions import (
     star_cauchy_identity_check,
 )
 from cyclic_spectra.cumulants import (
-    MomentData,
     cyclic_boolean_cumulants,
     moment_cumulant_check,
     partition_cumulant,
@@ -44,6 +43,7 @@ from cyclic_spectra.limits import (
 )
 from cyclic_spectra.models import (
     MixedWord,
+    MomentData,
     OperatorModel,
     eigensolve,
     eval_cyclic_boolean_word,
@@ -70,7 +70,7 @@ F = Fraction
 EIG_TOL = 1e-9
 
 K2_PSI = [F(0) if k % 2 else F(1) for k in range(1, 21)]
-K2_TR = [2 * x for x in K2_PSI]
+K2 = MomentData(K2_PSI, [2 * x for x in K2_PSI])
 
 
 def merge_expected(entries):
@@ -198,8 +198,7 @@ def test_criterion_06_cumulant_suite():
     for _ in range(20):
         dim = rng.randint(2, 3)
         mat = random_symmetric_int_matrix(rng, dim)
-        phis, omegas = matrix_power_moments(mat, 8)
-        models.append(MomentData(phis, omegas))
+        models.append(matrix_power_moments(mat, 8))
     # vanishing outside cyclic intervals, n <= 6, all partitions, 20 models
     non_ci = {
         n: [p for p in enumerate_partitions(n, "SP") if not is_cyclic_interval(p)]
@@ -220,12 +219,8 @@ def test_criterion_06_cumulant_suite():
         mats = [np.array(random_symmetric_int_matrix(rng, d), dtype=object) for d in dims]
         big = model.boolean_embed(0, mats[0]) + model.boolean_embed(1, mats[1])
         order = 8
-        sum_data = MomentData(*matrix_power_moments(big, order))
-        cs_sum = cyclic_boolean_cumulants(sum_data)
-        cs_parts = []
-        for mat in mats:
-            phis, omegas = matrix_power_moments(mat, order)
-            cs_parts.append(cyclic_boolean_cumulants(MomentData(phis, omegas)))
+        cs_sum = cyclic_boolean_cumulants(matrix_power_moments(big, order))
+        cs_parts = [cyclic_boolean_cumulants(matrix_power_moments(mat, order)) for mat in mats]
         for n in range(order):
             assert cs_sum[n] == cs_parts[0][n] + cs_parts[1][n]
     print("\nACCEPTANCE 6 PASS - cumulant vanishing (n<=6, 20 models), "
@@ -251,14 +246,14 @@ def test_criterion_07_mixed_word_oracle():
         ("boolean", eval_cyclic_boolean_word),
         ("monotone", eval_cyclic_monotone_word),
     ):
-        phi_fn, omega_fn = model_tables(model, tables, kind)
+        embedded = model_tables(model, tables, kind)
         for length in range(1, 7):
             for indices in _alternating_index_tuples(length, 3):
                 word = MixedWord(tuple((i, 1) for i in indices))
                 ops = [(idx - 1, mats[idx - 1]) for idx in indices]
                 trace, vacuum = kron_word_moments(model, ops, kind)
-                assert evaluator(word, phi_fn, omega_fn, "omega") == trace
-                assert evaluator(word, phi_fn, omega_fn, "phi") == vacuum
+                assert evaluator(word, embedded, "omega") == trace
+                assert evaluator(word, embedded, "phi") == vacuum
                 checked += 1
     # 200 seeded randomized trials with random models and per-letter powers
     from cyclic_spectra.verify import run_suite
@@ -286,7 +281,7 @@ def test_criterion_08_beta_table():
 
 def test_criterion_09_comb_limit_moments():
     # one triangle of ordered-partition sums serves every check below
-    sums = ordered_partition_moment_sums(14, K2_PSI, K2_TR)
+    sums = ordered_partition_moment_sums(14, K2)
     # exact agreement with the tensor model, d = 2, N <= 8, k <= 6
     a = np.array([[0, 1], [1, 0]], dtype=object)
     for n in range(1, 9):

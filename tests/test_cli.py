@@ -658,9 +658,9 @@ class TestLimitsTables:
 
         orders, build = [], limits.ordered_partition_moment_sums
 
-        def spy(k, psi, tr):
+        def spy(k, m):
             orders.append(k)
-            return build(k, psi, tr)
+            return build(k, m)
 
         monkeypatch.setattr(limits, "ordered_partition_moment_sums", spy)
         monkeypatch.setattr(cli, "ordered_partition_moment_sums", spy)
@@ -814,8 +814,8 @@ class TestGraphFileInput:
             "--k-max", str(k_max), "--n-max", str(n_max),
         )
         assert code == 0
-        psi, tr = matrix_power_moments(root_first_adjacency(g), k_max)
-        sums = ordered_partition_moment_sums(k_max, psi, tr)
+        moments = matrix_power_moments(root_first_adjacency(g), k_max)
+        sums = ordered_partition_moment_sums(k_max, moments)
         expected = []
         for k in range(1, k_max + 1):
             limit = comb_limit_moment(g.n, sums[k])
@@ -1043,8 +1043,8 @@ class TestCertificates:
         # against the tensor model
         exact = getattr(verify, rule)
 
-        def off_by_one(word, phi, omega, which):
-            value = exact(word, phi, omega, which)
+        def off_by_one(word, tables, which):
+            value = exact(word, tables, which)
             return value + 1 if which == functional else value
 
         monkeypatch.setattr(verify, rule, off_by_one)

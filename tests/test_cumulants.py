@@ -9,7 +9,6 @@ import pytest
 from cyclic_spectra import cumulants
 from cyclic_spectra.cumulants import (
     LATTICE_CAP,
-    MomentData,
     boolean_cumulants,
     cyclic_boolean_cumulants,
     h_coefficients,
@@ -18,7 +17,7 @@ from cyclic_spectra.cumulants import (
     partitioned_moment,
 )
 from cyclic_spectra.exact import Polynomial
-from cyclic_spectra.models import OperatorModel, matrix_power_moments
+from cyclic_spectra.models import MomentData, OperatorModel, matrix_power_moments
 from cyclic_spectra.partitions import (
     SetPartition,
     enumerate_partitions,
@@ -170,7 +169,7 @@ class TestPartitionCumulants:
     def _model_data(self, rng):
         dim = rng.randint(2, 3)
         mat = random_symmetric_int_matrix(rng, dim)
-        return MomentData(*matrix_power_moments(mat, 10))
+        return matrix_power_moments(mat, 10)
 
     def test_vanishing_outside_cyclic_intervals(self):
         rng = random.Random(5)
@@ -258,10 +257,29 @@ class TestMomentCumulant:
         for _ in range(5):
             dim = rng.randint(2, 3)
             mat = random_symmetric_int_matrix(rng, dim)
-            phis, omegas = matrix_power_moments(mat, 8)
-            data = MomentData(phis, omegas)
+            data = matrix_power_moments(mat, 8)
             for n in range(1, 9):
                 assert moment_cumulant_check(data, n)
+
+    def test_int_and_fraction_tables_agree(self):
+        # one table as ints and as Fractions, and the element halved, whose
+        # moments and cumulants of order n scale by 2^-n, on the Fraction path
+        rng = random.Random(11)
+        for _ in range(5):
+            ints = matrix_power_moments(random_symmetric_int_matrix(rng, 3), 8)
+            fractions = MomentData(map(F, ints.phi), map(F, ints.omega))
+            halved = MomentData(
+                (F(x, 2**n) for n, x in enumerate(ints.phi, 1)),
+                (F(x, 2**n) for n, x in enumerate(ints.omega, 1)),
+            )
+            assert cyclic_boolean_cumulants(fractions) == cyclic_boolean_cumulants(ints)
+            assert cyclic_boolean_cumulants(halved) == [
+                F(c, 2**n) for n, c in enumerate(cyclic_boolean_cumulants(ints), 1)
+            ]
+            for n in range(1, 9):
+                assert moment_cumulant_check(ints, n)
+                assert moment_cumulant_check(fractions, n)
+                assert moment_cumulant_check(halved, n)
 
     def test_each_partitioned_moment_evaluated_once(self, monkeypatch):
         # the check gathers integer coefficients over all of CI(8) first, so no
@@ -275,7 +293,7 @@ class TestMomentCumulant:
 
         monkeypatch.setattr(cumulants, "partitioned_moment", counted)
         rng = random.Random(10)
-        data = MomentData(*matrix_power_moments(random_symmetric_int_matrix(rng, 3), 8))
+        data = matrix_power_moments(random_symmetric_int_matrix(rng, 3), 8)
         assert moment_cumulant_check(data, 8)
         assert len(seen) == len(set(seen))
         assert len(seen) <= len(enumerate_partitions(8, "SP")) == 4140
@@ -308,10 +326,7 @@ class TestAdditivity:
             ]
             big = model.boolean_embed(0, mats[0]) + model.boolean_embed(1, mats[1])
             order = 8
-            cs_sum = cyclic_boolean_cumulants(MomentData(*matrix_power_moments(big, order)))
-            parts = []
-            for mat in mats:
-                phis, omegas = matrix_power_moments(mat, order)
-                parts.append(cyclic_boolean_cumulants(MomentData(phis, omegas)))
+            cs_sum = cyclic_boolean_cumulants(matrix_power_moments(big, order))
+            parts = [cyclic_boolean_cumulants(matrix_power_moments(mat, order)) for mat in mats]
             for n in range(order):
                 assert cs_sum[n] == parts[0][n] + parts[1][n]

@@ -33,6 +33,7 @@ from cyclic_spectra.limits import (
 )
 from cyclic_spectra.models import (
     MixedWord,
+    MomentData,
     OperatorModel,
     _merge_runs,
     eval_cyclic_monotone_word,
@@ -46,7 +47,15 @@ from rooted import root_first_adjacency
 F = Fraction
 
 K2_PSI = [F(0) if k % 2 else F(1) for k in range(1, 21)]
-K2_TR = [2 * x for x in K2_PSI]
+K2 = MomentData(K2_PSI, [2 * x for x in K2_PSI])
+
+
+def alpha_k_by_least_index(d, n, k):
+    """Reference: the tuples with least index j number binom(n - j, k - 1),
+    so alpha_k is sum_(j=1..n) d^(j-1) binom(n - j, k - 1); 1 at k = 0."""
+    if k == 0:
+        return 1
+    return sum(d ** (j - 1) * math.comb(n - j, k - 1) for j in range(1, n + 1))
 
 
 class TestCltLimits:
@@ -179,41 +188,44 @@ class TestAlpha:
                     peeled = sum(alpha_k(d, j - 1, k - 1) for j in range(k, n + 1))
                     assert alpha_k(d, n, k) == peeled
 
+    def test_closed_form_matches_least_index_sum(self):
+        for d in range(2, 6):
+            for n in range(30):
+                for k in range(12):
+                    assert alpha_k(d, n, k) == alpha_k_by_least_index(d, n, k)
+
     def test_normalized_limit(self):
         d, k = 2, 3
         value = alpha_k(d, 40, k) / Fraction(d) ** 40
         assert abs(float(value) - 1 / (d - 1) ** k) < 1e-9
 
 
-def ordered_partition_moment(blocks, psi, tr):
+def ordered_partition_moment(blocks, m):
     """Trace moment of an ordered set partition: the cyclic-monotone moment of
-    the word that labels each element with its block's position."""
+    the word that labels each element with its block's position, every block
+    an independent copy of m."""
     label = {x: pos for pos, block in enumerate(blocks, start=1) for x in block}
     letters = _merge_runs((label[x], 1) for x in sorted(label))
     word = MixedWord(tuple(map(tuple, letters)))
-    return eval_cyclic_monotone_word(
-        word, lambda i, p: F(psi[p - 1]), lambda i, p: F(tr[p - 1])
-    )
+    return eval_cyclic_monotone_word(word, [m] * len(blocks))
 
 
 class TestOmegaOfOrderedPartition:
     def test_single_block(self):
-        assert ordered_partition_moment([(1, 2, 3, 4)], K2_PSI, K2_TR) == 2
+        assert ordered_partition_moment([(1, 2, 3, 4)], K2) == 2
 
     def test_three_letter_example(self):
         blocks = [(1, 3), (2,)]
-        psi = [F(p + 3) for p in range(6)]
-        tr = [F(10 * p + 7) for p in range(6)]
+        m = MomentData([p + 3 for p in range(6)], [10 * p + 7 for p in range(6)])
         # peel {2}: one arc of size 1, then the remaining pair is one circle
-        assert ordered_partition_moment(blocks, psi, tr) == psi[0] * tr[1]
-        assert ordered_partition_moment(blocks, K2_PSI, K2_TR) == 0
+        assert ordered_partition_moment(blocks, m) == m.phi[0] * m.omega[1]
+        assert ordered_partition_moment(blocks, K2) == 0
 
     def test_six_letter_example(self):
         blocks = [(3,), (2, 4, 6), (1, 5)]
-        psi = [F(p + 3) for p in range(8)]
-        tr = [F(10 * p + 7) for p in range(8)]
-        expected = psi[0] ** 2 * psi[2] * tr[0]
-        assert ordered_partition_moment(blocks, psi, tr) == expected
+        m = MomentData([p + 3 for p in range(8)], [10 * p + 7 for p in range(8)])
+        expected = m.phi[0] ** 2 * m.phi[2] * m.omega[0]
+        assert ordered_partition_moment(blocks, m) == expected
 
     def test_moment_sums_match_enumeration(self):
         # every order of the blocks of every set partition of [k]
@@ -221,12 +233,13 @@ class TestOmegaOfOrderedPartition:
         for _ in range(6):
             psi = [F(rng.randint(-3, 3)) for _ in range(8)]
             tr = [F(rng.randint(-3, 3)) for _ in range(8)]
-            sums = ordered_partition_moment_sums(6, psi, tr)
+            m = MomentData(psi, tr)
+            sums = ordered_partition_moment_sums(6, m)
             for k in range(1, 7):
                 brute = [F(0)] * (k + 1)
                 for sp in enumerate_partitions(k, "SP"):
                     for blocks in itertools.permutations(sp.blocks):
-                        brute[len(blocks)] += ordered_partition_moment(blocks, psi, tr)
+                        brute[len(blocks)] += ordered_partition_moment(blocks, m)
                 assert sums[k][1:] == brute[1:]
 
 
@@ -234,7 +247,7 @@ class TestFiniteNMoments:
     def test_first_moment(self):
         psi = [F(p + 2) for p in range(8)]
         tr = [F(3 * p + 1) for p in range(8)]
-        sums = ordered_partition_moment_sums(1, psi, tr)
+        sums = ordered_partition_moment_sums(1, MomentData(psi, tr))
         for d in (2, 3):
             for n in range(0, 7):
                 assert finite_n_comb_moment(d, n, sums[1]) == alpha_k(d, n, 1) * tr[0]
@@ -242,7 +255,7 @@ class TestFiniteNMoments:
     def test_second_moment_closed_form(self):
         psi = [F(p + 2) for p in range(8)]
         tr = [F(3 * p + 1) for p in range(8)]
-        sums = ordered_partition_moment_sums(2, psi, tr)
+        sums = ordered_partition_moment_sums(2, MomentData(psi, tr))
         for d in (2, 3, 4):
             for n in range(1, 8):
                 nd = F(d**n - 1, d - 1)
@@ -252,7 +265,7 @@ class TestFiniteNMoments:
     def test_third_moment_closed_form(self):
         psi = [F(p + 2) for p in range(8)]
         tr = [F(3 * p + 1) for p in range(8)]
-        sums = ordered_partition_moment_sums(3, psi, tr)
+        sums = ordered_partition_moment_sums(3, MomentData(psi, tr))
         for d in (2, 3):
             for n in range(1, 8):
                 nd = F(d**n - 1, d - 1)
@@ -266,11 +279,11 @@ class TestFiniteNMoments:
 
     def test_matches_tensor_model_d2(self):
         a = np.array([[0, 1], [1, 0]], dtype=object)
-        sums = ordered_partition_moment_sums(6, K2_PSI, K2_TR)
+        sums = ordered_partition_moment_sums(6, K2)
         for n in range(1, 9):
             model = OperatorModel((2,) * n)
             big = sum(model.monotone_embed(i, a) for i in range(n))
-            _, traces = matrix_power_moments(big, 6)
+            traces = matrix_power_moments(big, 6).omega
             for k in range(1, 7):
                 assert finite_n_comb_moment(2, n, sums[k]) == traces[k - 1]
 
@@ -278,12 +291,11 @@ class TestFiniteNMoments:
         rng = random.Random(8)
         mat = [[0, 1, 1], [1, 0, 0], [1, 0, 0]]
         a = np.array(mat, dtype=object)
-        psi, tr = matrix_power_moments(a, 8)
-        sums = ordered_partition_moment_sums(6, psi, tr)
+        sums = ordered_partition_moment_sums(6, matrix_power_moments(a, 8))
         for n in range(1, 6):
             model = OperatorModel((3,) * n)
             big = sum(model.monotone_embed(i, a) for i in range(n))
-            _, traces = matrix_power_moments(big, 6)
+            traces = matrix_power_moments(big, 6).omega
             for k in range(1, 7):
                 assert finite_n_comb_moment(3, n, sums[k]) == traces[k - 1]
 
@@ -292,8 +304,7 @@ class TestFiniteNMoments:
         rng = random.Random(13)
         for _ in range(20):
             g = random_rooted_graph(rng, 4)
-            psi, tr = matrix_power_moments(root_first_adjacency(g), 6)
-            sums = ordered_partition_moment_sums(6, psi, tr)
+            sums = ordered_partition_moment_sums(6, matrix_power_moments(root_first_adjacency(g), 6))
             sd = spectral_data([g])[0]
             for n in range(1, 4):
                 series = laurent_at_infinity(nfold_comb_transforms(sd, n), 7)
@@ -301,7 +312,7 @@ class TestFiniteNMoments:
                     assert finite_n_comb_moment(g.n, n, sums[k]) == series[k + 1]
 
     def test_scaled_convergence(self):
-        sums = ordered_partition_moment_sums(6, K2_PSI, K2_TR)
+        sums = ordered_partition_moment_sums(6, K2)
         for d in (2, 3):
             for k in range(1, 7):
                 limit = comb_limit_moment(d, sums[k])
@@ -329,7 +340,7 @@ class TestBetaTable:
 
     def test_comb_limit_matches_beta(self):
         table = beta_table(7)
-        sums = ordered_partition_moment_sums(14, K2_PSI, K2_TR)
+        sums = ordered_partition_moment_sums(14, K2)
         for n in range(1, 8):
             assert comb_limit_moment(2, sums[2 * n]) == table.values[n]
         for k in (1, 3, 5, 7):
@@ -337,7 +348,7 @@ class TestBetaTable:
 
     def test_gamma_matches_block_count_sums(self):
         table = beta_table(5)
-        sums = ordered_partition_moment_sums(10, K2_PSI, K2_TR)
+        sums = ordered_partition_moment_sums(10, K2)
         for n in range(1, 6):
             assert tuple(sums[2 * n][1 : n + 1]) == table.gamma[n]
             assert all(v == 0 for v in sums[2 * n][n + 1 :])

@@ -10,13 +10,13 @@ import pytest
 from cyclic_spectra.graphs import RootedGraph, adjacency, complete, friendship, nfold_star, star
 from cyclic_spectra.models import (
     MixedWord,
+    MomentData,
     OperatorModel,
     eigensolve,
     eval_cyclic_boolean_word,
     eval_cyclic_monotone_word,
     matrix_power_moments,
     model_tables,
-    multi_table_moments,
 )
 from cyclic_spectra.verify import random_symmetric_int_matrix, run_suite
 from kronecker import kron_word_moments
@@ -111,7 +111,7 @@ class TestEigensolve:
         for _ in range(5):
             m = np.array(random_symmetric_int_matrix(rng, 6), dtype=float)
             report = eigensolve(m)
-            _, traces = matrix_power_moments(np.array(m, dtype=object), 12)
+            traces = matrix_power_moments(np.array(m, dtype=object), 12).omega
             for k in range(1, 13):
                 via_powers = float(traces[k - 1])
                 via_eigs = sum(mult * value**k for value, mult in report.entries)
@@ -122,42 +122,72 @@ class TestEigensolve:
 class TestMoments:
     def test_k2_trace(self):
         a = np.array(adjacency(complete(2).graph), dtype=object)
-        assert matrix_power_moments(a, 4)[1][3] == 2
+        assert matrix_power_moments(a, 4).omega[3] == 2
 
     def test_k3_odd_trace(self):
         a = np.array(adjacency(complete(3).graph), dtype=object)
-        assert matrix_power_moments(a, 3)[1][2] == 6
+        assert matrix_power_moments(a, 3).omega[2] == 6
 
     def test_int64_input_does_not_overflow(self):
         a = np.array([[0, 2**20], [2**20, 0]])
         assert a.dtype == np.int64
-        phis, omegas = matrix_power_moments(a, 4)
-        assert (omegas[3], phis[3]) == (2 * 2**80, 2**80)
+        m = matrix_power_moments(a, 4)
+        assert (m.omega[3], m.phi[3]) == (2 * 2**80, 2**80)
 
     def test_vacuum_is_degree(self):
         for g in (complete(3), star(4), friendship(2), RootedGraph(star(4).graph, 2)):
             a = root_first_adjacency(g)
-            assert matrix_power_moments(a, 2)[0][1] == g.root_degree()
+            assert matrix_power_moments(a, 2).phi[1] == g.root_degree()
+
+    def test_entries_are_exact_scalars(self):
+        # ints stay ints, integral Fractions become ints, the rest stay Fractions
+        m = MomentData([3, F(4, 2), F(1, 3)], [-7, F(-6, 3), F(5, 2)])
+        assert m.phi == (3, 2, F(1, 3)) and m.omega == (-7, -2, F(5, 2))
+        assert [type(x) for x in m.phi + m.omega] == [int, int, F, int, int, F]
+        halves = matrix_power_moments(np.array([[F(1, 2), 1], [1, 0]], dtype=object), 3)
+        assert [type(x) for x in halves.phi] == [F, F, F] and halves.omega[1] == F(9, 4)
+        ints = matrix_power_moments(np.array([[0, 2], [2, 1]]), 6)
+        assert {type(x) for x in ints.phi + ints.omega} == {int}
+
+    def test_tables_of_unequal_length_or_empty_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            MomentData([1, 2], [1])
+        with pytest.raises(ValueError, match="at least one moment"):
+            MomentData([], [])
 
 
 def word(*letters):
     return MixedWord(tuple(letters))
 
 
-class TestBooleanWords:
+class MarkerTables:
+    """Three algebras with distinctive marker moments, so factorization
+    mistakes show up; phi(i, p) and omega(i, p) read algebra i at power p."""
+
+    length = 9
+
     def setup_method(self):
-        # distinctive marker values so factorization mistakes show up
-        self.phi = multi_table_moments(
-            [[F((i + 1) * 100 + p) for p in range(1, 10)] for i in range(3)]
-        )
-        self.omega = multi_table_moments(
-            [[F((i + 1) * 10000 + p) for p in range(1, 10)] for i in range(3)]
-        )
+        self.tables = [
+            MomentData(
+                [(i + 1) * 100 + p for p in range(1, self.length + 1)],
+                [(i + 1) * 10000 + p for p in range(1, self.length + 1)],
+            )
+            for i in range(3)
+        ]
+
+    def phi(self, i, p):
+        return self.tables[i - 1].phi[p - 1]
+
+    def omega(self, i, p):
+        return self.tables[i - 1].omega[p - 1]
+
+
+class TestBooleanWords(MarkerTables):
 
     def test_cyclic_merge(self):
         # indices b a b c b with powers 1 2 1 2 1; ends merge into power 2
         w = word((2, 1), (1, 2), (2, 1), (3, 2), (2, 1))
-        got = eval_cyclic_boolean_word(w, self.phi, self.omega, "omega")
+        got = eval_cyclic_boolean_word(w, self.tables, "omega")
         expected = (
             self.phi(2, 2) * self.phi(1, 2) * self.phi(2, 1) * self.phi(3, 2)
         )
@@ -165,7 +195,7 @@ class TestBooleanWords:
 
     def test_phi_factorizes_fully(self):
         w = word((2, 1), (1, 2), (2, 1), (3, 2), (2, 1))
-        got = eval_cyclic_boolean_word(w, self.phi, self.omega, "phi")
+        got = eval_cyclic_boolean_word(w, self.tables, "phi")
         expected = (
             self.phi(2, 1) ** 3 * self.phi(1, 2) * self.phi(3, 2)
         )
@@ -173,32 +203,36 @@ class TestBooleanWords:
 
     def test_single_letter_uses_trace(self):
         w = word((1, 3))
-        assert eval_cyclic_boolean_word(w, self.phi, self.omega, "omega") == self.omega(1, 3)
+        assert eval_cyclic_boolean_word(w, self.tables, "omega") == self.omega(1, 3)
 
     def test_adjacent_equal_rejected(self):
         with pytest.raises(ValueError):
             word((1, 1), (1, 2))
 
+    def test_algebra_index_below_one_rejected(self):
+        # index 0 would read tables[-1], the last algebra's table
+        for letters in (((0, 2),), ((1, 1), (0, 1)), ((-1, 1),)):
+            with pytest.raises(ValueError, match="algebra indices start at 1"):
+                MixedWord(letters)
 
-class TestMonotoneWords:
-    def setup_method(self):
-        self.phi = multi_table_moments(
-            [[F((i + 1) * 100 + p) for p in range(1, 12)] for i in range(3)]
-        )
-        self.omega = multi_table_moments(
-            [[F((i + 1) * 10000 + p) for p in range(1, 12)] for i in range(3)]
-        )
+    def test_table_shorter_than_the_power_rejected(self):
+        with pytest.raises(ValueError, match="too short for power 10"):
+            eval_cyclic_boolean_word(word((1, 10)), self.tables, "omega")
+
+
+class TestMonotoneWords(MarkerTables):
+    length = 11
 
     def test_phi_peeling(self):
         # b a^2 b a c^2 b with order a < b < c
         w = word((2, 1), (1, 2), (2, 1), (1, 1), (3, 2), (2, 1))
-        got = eval_cyclic_monotone_word(w, self.phi, self.omega, "phi")
+        got = eval_cyclic_monotone_word(w, self.tables, "phi")
         expected = self.phi(3, 2) * self.phi(2, 1) ** 3 * self.phi(1, 3)
         assert got == expected
 
     def test_omega_peeling(self):
         w = word((2, 1), (1, 2), (2, 1), (1, 1), (3, 2), (2, 1))
-        got = eval_cyclic_monotone_word(w, self.phi, self.omega, "omega")
+        got = eval_cyclic_monotone_word(w, self.tables, "omega")
         expected = (
             self.phi(3, 2) * self.phi(2, 1) * self.phi(2, 2) * self.omega(1, 3)
         )
@@ -206,7 +240,7 @@ class TestMonotoneWords:
 
     def test_single_letter(self):
         assert (
-            eval_cyclic_monotone_word(word((2, 5)), self.phi, self.omega, "omega")
+            eval_cyclic_monotone_word(word((2, 5)), self.tables, "omega")
             == self.omega(2, 5)
         )
 
@@ -242,7 +276,7 @@ class TestMonotoneWords:
                     indices.append(nxt)
             letters = tuple((i, rng.randint(1, 2)) for i in indices)
             w = MixedWord(letters)
-            assert eval_cyclic_monotone_word(w, self.phi, self.omega, "omega") == eval_rightmost(w)
+            assert eval_cyclic_monotone_word(w, self.tables, "omega") == eval_rightmost(w)
 
 
 class TestWordsAgainstTensorModels:
@@ -256,7 +290,7 @@ class TestWordsAgainstTensorModels:
                 for d in dims
             ]
             tables = [matrix_power_moments(a, 24) for a in mats]
-            phi_fn, omega_fn = model_tables(model, tables, kind)
+            embedded = model_tables(model, tables, kind)
             length = rng.randint(1, 6)
             indices = [rng.randint(1, 3)]
             while len(indices) < length:
@@ -269,8 +303,8 @@ class TestWordsAgainstTensorModels:
                 for idx, power in w.letters
             ]
             trace, vacuum = kron_word_moments(model, ops, kind)
-            assert evaluator(w, phi_fn, omega_fn, "omega") == trace
-            assert evaluator(w, phi_fn, omega_fn, "phi") == vacuum
+            assert evaluator(w, embedded, "omega") == trace
+            assert evaluator(w, embedded, "phi") == vacuum
 
     def test_boolean_words_match_model(self):
         self._run("boolean", eval_cyclic_boolean_word, seed=100)
@@ -302,4 +336,4 @@ class TestWordsAgainstTensorModels:
             graph_adj = np.array(
                 adjacency(nfold_star(base, n).graph), dtype=object
             )
-            assert matrix_power_moments(big, 12)[1] == matrix_power_moments(graph_adj, 12)[1]
+            assert matrix_power_moments(big, 12).omega == matrix_power_moments(graph_adj, 12).omega
