@@ -22,6 +22,7 @@ from . import graphs
 from .convolutions import nfold_comb_transforms, nfold_star_transforms
 from .cumulants import boolean_cumulants, cyclic_boolean_cumulants, h_coefficients
 from .limits import (
+    alpha_row,
     beta_table,
     carleman_check,
     cb_id_classify,
@@ -224,12 +225,14 @@ def cmd_limits(args) -> int:
         )
         d = sd.dim
         sums = ordered_partition_moment_sums(args.k_max, moments)
+        # alpha_p(d, N) does not depend on the order k: one row per N
+        alphas = {n: alpha_row(d, n, args.k_max) for n in range(1, args.n_max + 1)}
         columns = ["N", "k", "value", "limit", "abs_err"]
         rows = []
         for k in range(1, args.k_max + 1):
             limit = comb_limit_moment(d, sums[k])
             for n in range(1, args.n_max + 1):
-                value = finite_n_comb_moment(d, n, sums[k]) / Fraction(d) ** n
+                value = finite_n_comb_moment(alphas[n], sums[k]) / Fraction(d) ** n
                 rows.append([n, k, str(value), str(limit), abs(float(value - limit))])
     elif args.table == "gap":
         base, fields["family"], deg = _star_base(args.family)

@@ -3,7 +3,7 @@
 Covers the central-limit behavior of iterated star powers (spectral gap), the
 trace-moment limits of iterated comb powers as sums over ordered set
 partitions (computed by a circular-run recursion, with no enumeration, from
-one `models.MomentData`, and resummed with alpha_k in closed form), the
+one `models.MomentData`, and resummed with one row of alpha_k(d, N) per N), the
 integer moment table of the two-point comb limit with every recursion weight
 checked against a Lucas polynomial, and the classification of additively
 divisible trace spectra, with an exact check that the n-th root of a divisible
@@ -127,24 +127,26 @@ def spectral_gap_report(
 # ----------------------------------------------------------------------
 # comb power moments via ordered set partitions
 
-def alpha_k(d: int, n: int, k: int) -> int:
-    """Sum of d^(j_1 - 1) over increasing k-tuples from {1..n}; 0 when n < k.
+def alpha_row(d: int, n: int, k_max: int) -> list[int]:
+    """alpha_k(d, n) for k = 0..k_max: the sum of d^(j_1 - 1) over increasing
+    k-tuples from {1..n}, so 1 at k = 0 and 0 when n < k.
 
     For k >= 1 this is sum_(i>=k) binom(n, i) (d - 1)^(i-k), computed as
-    (d^n - sum_(i<k) binom(n, i) (d - 1)^i) / (d - 1)^k: k terms, not n.
-    The empty tuple gives 1 at k = 0.
+    (d^n - sum_(i<k) binom(n, i) (d - 1)^i) / (d - 1)^k, the partial sum
+    growing by one term from each k to the next.
     """
     if d < 2:
         raise ValueError("factor dimension must be >= 2")
-    if k < 0 or n < 0:
+    if k_max < 0 or n < 0:
         raise ValueError("negative arguments")
-    if k == 0:
-        return 1
-    num = d**n - sum(math.comb(n, i) * (d - 1) ** i for i in range(k))
-    q, r = divmod(num, (d - 1) ** k)
-    if r:
-        raise AssertionError("non-integer alpha_k")
-    return q
+    row, num = [1], d**n
+    for k in range(1, k_max + 1):
+        num -= math.comb(n, k - 1) * (d - 1) ** (k - 1)
+        q, r = divmod(num, (d - 1) ** k)
+        if r:
+            raise AssertionError("non-integer alpha_k")
+        row.append(q)
+    return row
 
 
 def _line_run_weights(length: int, psi: Sequence) -> list[list]:
@@ -207,10 +209,12 @@ def ordered_partition_moment_sums(k: int, m: MomentData) -> list[list[int | Frac
     return v
 
 
-def finite_n_comb_moment(d: int, n: int, sums: Sequence) -> int | Fraction:
+def finite_n_comb_moment(alphas: Sequence[int], sums: Sequence) -> int | Fraction:
     """Exact trace moment of order len(sums) - 1 of the n-fold ordered iid
-    sum; sums is that row of `ordered_partition_moment_sums`."""
-    return sum(alpha_k(d, n, p) * v for p, v in enumerate(sums) if p)
+    sum of d-dimensional elements; sums is that row of
+    `ordered_partition_moment_sums` and alphas is `alpha_row(d, n, k)` for
+    some k >= len(sums) - 1."""
+    return sum(alphas[p] * v for p, v in enumerate(sums) if p)
 
 
 def comb_limit_moment(d: int, sums: Sequence) -> Fraction:

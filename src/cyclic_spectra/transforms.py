@@ -34,6 +34,9 @@ EXACT_CHARPOLY_CAP = 512
 #: `char_poly`
 _BATCH_ENTRIES = 1 << 16
 
+#: float64 holds every integer below this exactly
+_EXACT_FLOAT = 1 << 53
+
 _ONE = Fraction(1)
 
 
@@ -70,11 +73,13 @@ def char_poly(graphs: Sequence[RootedGraph]) -> list[tuple[Polynomial, Polynomia
         groups.setdefault(g.n, []).append(i)
     for n, members in groups.items():
         group = [graphs[i] for i in members]
-        primes = []
+        primes, by_edges = [], {}  # F = 2|E| -> its primes, within this call
         for g in group:
             f = 2 * len(g.graph.edges)
-            bound = max(_coefficient_bound(n, f), _coefficient_bound(n - 1, f))
-            primes.append(_primes_above(2 * bound))
+            if f not in by_edges:
+                bound = max(_coefficient_bound(n, f), _coefficient_bound(n - 1, f))
+                by_edges[f] = _primes_above(2 * bound)
+            primes.append(by_edges[f])
         for i, ps, res in zip(members, primes, _leverrier_residues(group, primes)):
             coeffs = _crt_checked(ps, res)
             out[i] = (Polynomial._from_ints(coeffs[: n + 1], _ONE),
@@ -126,35 +131,52 @@ def _leverrier_residues(
     Faddeev-LeVerrier: with P = A M_k, c_k = -tr(P)/k and M_(k+1) = P + c_k I,
     starting from M_1 = I; (M_(k+1))_rr is the coefficient of x^(n-1-k) in
     det(xI - A').  The (graph, prime) pairs run in chunks of stacked float64
-    matrices with entries in [0, p), so a matrix product, and tr(P) times the
-    inverse of k, stays below n (p - 1)^2, which is below 2^53, so exact in
-    float64, for p < _PRIME_LIMIT and n <= EXACT_CHARPOLY_CAP.
+    matrices, and every value the loop forms is a nonnegative integer below
+    2^53, so exact in float64.  Each chunk keeps `bound`, a Python int that
+    no entry of the stack exceeds.  Every A of the chunk has 0/1 entries and
+    row sums at most `rows`, so a product's entries are at most bound * rows
+    and its trace at most bound * rows * n; adding c_k < p to the diagonal
+    raises the bound by p - 1.  The stack is reduced modulo p only before a product
+    whose trace could reach 2^53, and the bound drops to p - 1.  In between,
+    only the trace is reduced before it is multiplied by the inverse of k
+    (both below p), and the minor's diagonal entry as it is read.  A reduced
+    stack can always take a product, since n (n - 1) (p - 1) < 2^53 for
+    p < _PRIME_LIMIT and n <= EXACT_CHARPOLY_CAP.
     """
     n = graphs[0].n
     pairs = [(i, p) for i, ps in enumerate(primes) for p in ps]
     inverses = {p: [pow(k, -1, p) for k in range(1, n + 1)] for p in {p for _, p in pairs}}
     out: list[list[list[int]]] = [[] for _ in graphs]
     step = max(1, _BATCH_ENTRIES // (n * n))
+    # 0/1 entries are their own residues modulo every prime
+    a = np.zeros((len(graphs), n, n), dtype=np.uint8)
+    for i, g in enumerate(graphs):
+        a[i] = adjacency(g.graph)
+    degrees = a.sum(axis=2, dtype=np.int64).max(axis=1).tolist()
     for start in range(0, len(pairs), step):
         chunk = pairs[start : start + step]
-        first = chunk[0][0]
         batch = [p for _, p in chunk]
         ps = np.array(batch, dtype=np.float64)
         inv = np.array([inverses[p] for p in batch], dtype=np.float64).T
-        # 0/1 entries are their own residues modulo every prime
-        a = np.stack([adjacency(g.graph) for g in graphs[first : chunk[-1][0] + 1]])
-        am = a[[i - first for i, _ in chunk]].astype(np.float64)
+        am = a[[i for i, _ in chunk]].astype(np.float64)
+        rows = max(degrees[i] for i, _ in chunk)
+        top = max(batch) - 1
         stack, minor = np.arange(len(chunk)), np.array([graphs[i].root for i, _ in chunk])
-        prod = am.copy()
+        prod, bound = am.copy(), 1
         coeffs = np.ones((len(chunk), 2 * n + 1))  # M_1 = I gives x^(n-1) in the minor
         for k in range(1, n + 1):
             diagonal = prod.reshape(len(chunk), n * n)[:, :: n + 1]  # a view
-            c = -diagonal.sum(axis=1) * inv[k - 1] % ps
+            c = -(diagonal.sum(axis=1) % ps) * inv[k - 1] % ps
             coeffs[:, n - k] = c
             if k < n:
-                diagonal[:] = (diagonal + c[:, None]) % ps[:, None]
-                coeffs[:, 2 * n - k] = diagonal[stack, minor]
-                prod = np.matmul(am, prod) % ps[:, None, None]
+                diagonal += c[:, None]
+                bound += top
+                coeffs[:, 2 * n - k] = diagonal[stack, minor] % ps
+                if bound * rows * n >= _EXACT_FLOAT:
+                    prod %= ps[:, None, None]
+                    bound = top
+                prod = np.matmul(am, prod)
+                bound *= rows
         for (i, _), row in zip(chunk, coeffs.astype(np.int64).tolist()):
             out[i].append(row)
     return out

@@ -32,6 +32,7 @@ from cyclic_spectra.graphs import (
     star_product,
 )
 from cyclic_spectra.limits import (
+    alpha_row,
     beta_table,
     carleman_check,
     cb_id_classify,
@@ -288,17 +289,19 @@ def test_criterion_09_comb_limit_moments():
         model = OperatorModel((2,) * n)
         big = sum(model.monotone_embed(i, a) for i in range(n))
         power = None
+        alphas = alpha_row(2, n, 6)
         for k in range(1, 7):
             power = big if power is None else power.dot(big)
-            assert finite_n_comb_moment(2, n, sums[k]) == power.trace()
+            assert finite_n_comb_moment(alphas, sums[k]) == power.trace()
     # even limits reproduce the integer moment table
     table = beta_table(7)
     for n in range(1, 8):
         assert comb_limit_moment(2, sums[2 * n]) == table.values[n]
     # scaled finite-N values within 1% of the limit at N = 30
+    alphas = alpha_row(2, 30, 10)
     for k in range(1, 11):
         limit = comb_limit_moment(2, sums[k])
-        scaled = finite_n_comb_moment(2, 30, sums[k]) / F(2) ** 30
+        scaled = finite_n_comb_moment(alphas, sums[k]) / F(2) ** 30
         if limit == 0:
             assert scaled == 0
         else:

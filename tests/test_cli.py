@@ -671,6 +671,25 @@ class TestLimitsTables:
         assert code == 0 and len(data["rows"]) == 6 * 12
         assert orders == [6]
 
+    def test_comb_builds_one_alpha_row_per_n(self, capsys, monkeypatch):
+        # alpha_p(d, N) does not depend on the order k, so every k reads the
+        # one row of N, built at --k-max
+        from cyclic_spectra import limits
+
+        calls, build = [], limits.alpha_row
+
+        def spy(d, n, k_max):
+            calls.append((d, n, k_max))
+            return build(d, n, k_max)
+
+        monkeypatch.setattr(cli, "alpha_row", spy)
+        code, data = run_json(
+            capsys, "limits", "comb", "--family", "complete:2",
+            "--k-max", "6", "--n-max", "12",
+        )
+        assert code == 0 and len(data["rows"]) == 6 * 12
+        assert calls == [(2, n, 6) for n in range(1, 13)]
+
     def test_gap_report(self, capsys):
         code, data = run_json(
             capsys, "limits", "gap", "--family", "complete:3", "--n-max", "6",
@@ -798,6 +817,7 @@ class TestGraphFileInput:
 
         from cyclic_spectra.graphs import Graph, RootedGraph, format_graph_text
         from cyclic_spectra.limits import (
+            alpha_row,
             comb_limit_moment,
             finite_n_comb_moment,
             ordered_partition_moment_sums,
@@ -820,7 +840,7 @@ class TestGraphFileInput:
         for k in range(1, k_max + 1):
             limit = comb_limit_moment(g.n, sums[k])
             for n in range(1, n_max + 1):
-                value = finite_n_comb_moment(g.n, n, sums[k]) / Fraction(g.n) ** n
+                value = finite_n_comb_moment(alpha_row(g.n, n, k), sums[k]) / Fraction(g.n) ** n
                 expected.append([n, k, str(value), str(limit), abs(float(value - limit))])
         assert data["rows"] == expected
 

@@ -19,7 +19,7 @@ from cyclic_spectra.exact import Polynomial, RationalFunction
 from cyclic_spectra.graphs import complete
 from cyclic_spectra.limits import (
     BETA_CAP,
-    alpha_k,
+    alpha_row,
     beta_table,
     carleman_check,
     cb_clt_limits,
@@ -159,25 +159,25 @@ class TestAlpha:
     def test_geometric_base(self):
         for d in (2, 3, 5):
             for n in range(0, 8):
-                assert alpha_k(d, n, 1) == sum(d ** (j - 1) for j in range(1, n + 1))
+                assert alpha_row(d, n, 1) == [1, sum(d ** (j - 1) for j in range(1, n + 1))]
 
     def test_vanishes_below_diagonal(self):
         for d in (2, 3):
-            for k in range(1, 6):
-                for n in range(0, k):
-                    assert alpha_k(d, n, k) == 0
+            for n in range(0, 6):
+                assert alpha_row(d, n, 6)[n + 1 :] == [0] * (6 - n)
 
     def test_brute_force(self):
         from itertools import combinations
 
         for d in (2, 3):
             for n in range(0, 7):
+                row = alpha_row(d, n, 4)
                 for k in range(1, 5):
                     brute = sum(
                         d ** (tup[0] - 1)
                         for tup in combinations(range(1, n + 1), k)
                     )
-                    assert alpha_k(d, n, k) == brute
+                    assert row[k] == brute
 
     def test_peeling_recursion(self):
         # for k >= 2, peeling the largest index j leaves a (k - 1)-tuple from
@@ -185,18 +185,18 @@ class TestAlpha:
         for d in (2, 3, 5):
             for n in range(0, 13):
                 for k in range(2, 7):
-                    peeled = sum(alpha_k(d, j - 1, k - 1) for j in range(k, n + 1))
-                    assert alpha_k(d, n, k) == peeled
+                    peeled = sum(alpha_row(d, j - 1, k)[k - 1] for j in range(k, n + 1))
+                    assert alpha_row(d, n, k)[k] == peeled
 
     def test_closed_form_matches_least_index_sum(self):
         for d in range(2, 6):
             for n in range(30):
-                for k in range(12):
-                    assert alpha_k(d, n, k) == alpha_k_by_least_index(d, n, k)
+                expected = [alpha_k_by_least_index(d, n, k) for k in range(12)]
+                assert alpha_row(d, n, 11) == expected
 
     def test_normalized_limit(self):
         d, k = 2, 3
-        value = alpha_k(d, 40, k) / Fraction(d) ** 40
+        value = alpha_row(d, 40, k)[k] / Fraction(d) ** 40
         assert abs(float(value) - 1 / (d - 1) ** k) < 1e-9
 
 
@@ -250,7 +250,8 @@ class TestFiniteNMoments:
         sums = ordered_partition_moment_sums(1, MomentData(psi, tr))
         for d in (2, 3):
             for n in range(0, 7):
-                assert finite_n_comb_moment(d, n, sums[1]) == alpha_k(d, n, 1) * tr[0]
+                alphas = alpha_row(d, n, 1)
+                assert finite_n_comb_moment(alphas, sums[1]) == alphas[1] * tr[0]
 
     def test_second_moment_closed_form(self):
         psi = [F(p + 2) for p in range(8)]
@@ -260,7 +261,7 @@ class TestFiniteNMoments:
             for n in range(1, 8):
                 nd = F(d**n - 1, d - 1)
                 expected = F(2, d - 1) * (nd - n) * tr[0] * psi[0] + nd * tr[1]
-                assert finite_n_comb_moment(d, n, sums[2]) == expected
+                assert finite_n_comb_moment(alpha_row(d, n, 2), sums[2]) == expected
 
     def test_third_moment_closed_form(self):
         psi = [F(p + 2) for p in range(8)]
@@ -275,7 +276,7 @@ class TestFiniteNMoments:
                     + 3 * x * (nd - n) * (tr[1] * psi[0] + tr[0] * psi[1])
                     + nd * tr[2]
                 )
-                assert finite_n_comb_moment(d, n, sums[3]) == expected
+                assert finite_n_comb_moment(alpha_row(d, n, 3), sums[3]) == expected
 
     def test_matches_tensor_model_d2(self):
         a = np.array([[0, 1], [1, 0]], dtype=object)
@@ -284,8 +285,9 @@ class TestFiniteNMoments:
             model = OperatorModel((2,) * n)
             big = sum(model.monotone_embed(i, a) for i in range(n))
             traces = matrix_power_moments(big, 6).omega
+            alphas = alpha_row(2, n, 6)
             for k in range(1, 7):
-                assert finite_n_comb_moment(2, n, sums[k]) == traces[k - 1]
+                assert finite_n_comb_moment(alphas, sums[k]) == traces[k - 1]
 
     def test_matches_tensor_model_d3(self):
         rng = random.Random(8)
@@ -296,8 +298,9 @@ class TestFiniteNMoments:
             model = OperatorModel((3,) * n)
             big = sum(model.monotone_embed(i, a) for i in range(n))
             traces = matrix_power_moments(big, 6).omega
+            alphas = alpha_row(3, n, 6)
             for k in range(1, 7):
-                assert finite_n_comb_moment(3, n, sums[k]) == traces[k - 1]
+                assert finite_n_comb_moment(alphas, sums[k]) == traces[k - 1]
 
     def test_matches_the_comb_fold(self):
         # row k resummed against coefficient k + 1 of the n-fold comb's rc
@@ -308,8 +311,9 @@ class TestFiniteNMoments:
             sd = spectral_data([g])[0]
             for n in range(1, 4):
                 series = laurent_at_infinity(nfold_comb_transforms(sd, n), 7)
+                alphas = alpha_row(g.n, n, 6)
                 for k in range(1, 7):
-                    assert finite_n_comb_moment(g.n, n, sums[k]) == series[k + 1]
+                    assert finite_n_comb_moment(alphas, sums[k]) == series[k + 1]
 
     def test_scaled_convergence(self):
         sums = ordered_partition_moment_sums(6, K2)
@@ -319,7 +323,7 @@ class TestFiniteNMoments:
                 if limit == 0:
                     continue
                 n = 30
-                scaled = finite_n_comb_moment(d, n, sums[k]) / F(d) ** n
+                scaled = finite_n_comb_moment(alpha_row(d, n, k), sums[k]) / F(d) ** n
                 assert abs(scaled - limit) <= abs(limit) * F(1, 100)
 
 

@@ -29,6 +29,7 @@ from cyclic_spectra.graphs import (
     named,
     nfold_comb,
     nfold_star,
+    path,
     star,
 )
 from cyclic_spectra.models import eigensolve, matrix_power_moments
@@ -178,6 +179,40 @@ class TestCharPoly:
         primes = transforms._primes_above
         assert len(primes(2 * bound)) <= len(primes(2 * hadamard))
 
+    def test_bound_once_per_size_and_edge_count(self, monkeypatch):
+        # three 5-vertex graphs with F = 2, one with F = 4, and a 6-vertex
+        # graph with F = 2: one bound pair, for n and n - 1, per (n, F)
+        calls, bound = [], transforms._coefficient_bound
+
+        def spy(n, f):
+            calls.append((n, f))
+            return bound(n, f)
+
+        monkeypatch.setattr(transforms, "_coefficient_bound", spy)
+        graphs = [
+            _graph(5, [(0, 1)]), _graph(5, [(1, 2)]), _graph(5, [(2, 3), (3, 4)]),
+            _graph(5, [(3, 4)]), _graph(6, [(0, 5)]),
+        ]
+        assert char_poly(graphs) == [_reference_pair(g) for g in graphs]
+        assert sorted(calls) == [(4, 2), (4, 4), (5, 2), (5, 2), (5, 4), (6, 2)]
+
+    def test_adjacency_once_per_graph(self, monkeypatch):
+        # three rooted K_64 take 11 primes each, 33 (graph, prime) pairs in
+        # chunks of 16 64 x 64 matrices, so the second and third graphs each
+        # span two chunks
+        built, build = [], transforms.adjacency
+
+        def spy(graph):
+            built.append(graph.n)
+            return build(graph)
+
+        monkeypatch.setattr(transforms, "adjacency", spy)
+        graphs = [RootedGraph(complete(64).graph, r) for r in (0, 31, 63)]
+        phi = poly(-63, 1) * poly(1, 1) ** 63
+        minus = poly(-62, 1) * poly(1, 1) ** 62
+        assert char_poly(graphs) == [(phi, minus)] * 3
+        assert built == [64] * 3
+
     def test_complete_graph_needs_most_primes(self, monkeypatch):
         # K_40 has F = 2|E| = 1560, so the bound is max_k binom(40, k)
         # 39^(k/2) ~ 2^112: six primes below 2^22 and the check prime
@@ -238,10 +273,13 @@ class TestCharPoly:
         assert list(transforms._primes_below(limit)) == expected
 
     def test_float_products_stay_exact_up_to_the_cap(self):
-        # entries and inverses in [0, p), p < _PRIME_LIMIT: every dot product
-        # and every trace times an inverse is at most n (p - 1)^2 < 2^53
+        # p < _PRIME_LIMIT: a stack reduced to [0, p) takes one product whose
+        # trace is at most n (n - 1) (p - 1), and a reduced trace times an
+        # inverse is at most (p - 1)^2; both are at most n (p - 1)^2 < 2^53
         p_max = transforms._PRIME_LIMIT - 1
-        assert transforms.EXACT_CHARPOLY_CAP * (p_max - 1) ** 2 < 2**53
+        cap = transforms.EXACT_CHARPOLY_CAP
+        assert cap * (p_max - 1) ** 2 < 2**53
+        assert cap * (cap - 1) * (p_max - 1) < 2**53
 
     def test_above_cap_raises(self, monkeypatch):
         # every size is checked before any graph of the batch runs
@@ -299,6 +337,110 @@ class TestRootedCharPoly:
         monkeypatch.setattr(transforms, "_leverrier_residues", corrupt)
         with pytest.raises(ArithmeticError, match="check prime"):
             spectral_data([g])
+
+
+def _leverrier_residues_every_step(graphs, primes):
+    """Reference for `transforms._leverrier_residues`: the same recurrence and
+    layout, over int64 one (graph, prime) pair at a time, with every entry
+    reduced modulo p at every step."""
+    out = []
+    for g, ps in zip(graphs, primes):
+        n, a, ident = g.n, adjacency(g.graph), np.identity(g.n, dtype=np.int64)
+        rows = []
+        for p in ps:
+            phi, minor = [0] * n + [1], [0] * (n - 1) + [1]
+            m = ident
+            for k in range(1, n + 1):
+                prod = a @ m % p
+                c = -int(prod.trace()) * pow(k, -1, p) % p
+                phi[n - k] = c
+                m = (prod + c * ident) % p
+                if k < n:
+                    minor[n - 1 - k] = int(m[g.root, g.root])
+            rows.append(phi + minor)
+        out.append(rows)
+    return out
+
+
+class _MatmulSpy:
+    """numpy, but every matmul records the largest entry of its right operand
+    and of its result, and its largest trace, as exact ints."""
+
+    def __init__(self):
+        self.seen = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, x, y):
+        out = np.matmul(x, y)
+        traces = out.diagonal(axis1=1, axis2=2).astype(np.int64).sum(axis=1)
+        self.seen.append((int(y.max()), int(out.max()), int(traces.max())))
+        return out
+
+
+class TestReductionSchedule:
+    """`_leverrier_residues` reduces its float64 stack modulo p only when the
+    next product's trace could reach 2^53."""
+
+    def test_complete_graph_rooted(self):
+        # rows = n - 1, the most frequent reductions: phi(K_n) = (x - n + 1)
+        # (x + 1)^(n - 1), and K_n less any vertex is K_(n - 1)
+        n = 40
+        g = RootedGraph(complete(n).graph, 13)
+        phi = poly(-(n - 1), 1) * poly(1, 1) ** (n - 1)
+        minus = poly(-(n - 2), 1) * poly(1, 1) ** (n - 2)
+        assert char_poly([g]) == [(phi, minus)]
+
+    def test_long_path_rooted_at_the_end_and_the_middle(self):
+        # rows = 2, about 20 steps between reductions; P_n less its middle
+        # vertex m is P_m and P_(n - 1 - m)
+        n, m = 200, 83
+        end, middle = path(n), RootedGraph(path(n).graph, m)
+        expected = [
+            (_path_char_poly(n), _path_char_poly(n - 1)),
+            (_path_char_poly(n), _path_char_poly(m) * _path_char_poly(n - 1 - m)),
+        ]
+        assert char_poly([end, middle]) == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 150])
+    def test_star(self, n):
+        # phi(K_(1,n)) = x^(n - 1) (x^2 - n); the center leaves n isolated
+        # vertices, a leaf leaves K_(1,n-1)
+        phi = Polynomial.x() ** (n - 1) * poly(-n, 0, 1)
+        leaf = RootedGraph(star(n).graph, n)
+        minus_leaf = Polynomial.x() ** (n - 2) * poly(-(n - 1), 0, 1) if n > 1 else poly(0, 1)
+        assert char_poly([star(n), leaf]) == [(phi, Polynomial.x() ** n), (phi, minus_leaf)]
+
+    def test_matches_a_reduce_every_step_reference(self, monkeypatch):
+        # 60 seeded rooted graphs, a few sizes, so that chunks mix degrees
+        rng = random.Random(2053)
+        graphs = [_random_graph(rng, rng.choice((1, 2, 5, 16, 31, 47, 64))) for _ in range(60)]
+        runs, residues = [], transforms._leverrier_residues
+
+        def compare(graphs, primes):
+            out = residues(graphs, primes)
+            runs.append(out == _leverrier_residues_every_step(graphs, primes))
+            return out
+
+        monkeypatch.setattr(transforms, "_leverrier_residues", compare)
+        char_poly(graphs)
+        assert len(runs) == 7 and all(runs)
+
+    def test_no_float_reaches_2_to_the_53(self, monkeypatch):
+        # every product's operand, result and trace, on K_64 (reduced most
+        # often) and P_200 (least often); the stack is left unreduced at
+        # some steps, so the schedule is not reduce-every-step
+        spy = _MatmulSpy()
+        monkeypatch.setattr(transforms, "np", spy)
+        g1, g2 = RootedGraph(complete(64).graph, 9), path(200)
+        assert char_poly([g1, g2]) == [
+            (poly(-63, 1) * poly(1, 1) ** 63, poly(-62, 1) * poly(1, 1) ** 62),
+            (_path_char_poly(200), _path_char_poly(199)),
+        ]
+        assert spy.seen
+        assert max(max(seen) for seen in spy.seen) < 2**53
+        assert max(operand for operand, _, _ in spy.seen) >= transforms._PRIME_LIMIT
 
 
 class TestGreen:
