@@ -10,9 +10,11 @@ counted from 1, as the word's letters, each of power one.
 Multivariate cumulants come from one lattice sum, written once for both
 functionals: a sum of cumulants over a family of partitions gathers integer
 Moebius coefficients per refinement, so each partitioned moment is evaluated
-once.  The Boolean cumulant B_pi is `partition_cumulant(m, pi, "phi")`, and
-`moment_cumulant_check` returns the same `IdentityCheck` as the other identity
-checks.  The interval / rotation case split is a reference in the tests.
+once.  The coefficients depend on the family alone, so `moment_cumulant_check`
+builds those of CI(n) once per call for all its tables, and returns one
+`IdentityCheck`, as the other identity checks do, per table.  The Boolean
+cumulant B_pi is `partition_cumulant(m, pi, "phi")`.  The interval / rotation
+case split is a reference in the tests.
 """
 
 from __future__ import annotations
@@ -79,23 +81,28 @@ def partitioned_moment(
     return eval_cyclic_boolean_word(word, [m] * len(pi), functional)
 
 
-def _lattice_sum(m: MomentData, pis: Iterable[SetPartition], functional: str) -> int | Fraction:
-    """Sum over pi in pis of the Moebius inversion of the partitioned moments,
-    sum_{rho <= pi} mu(rho, pi) m_rho, regrouped as sum_rho c(rho) m_rho.
-
-    The coefficients c(rho) are integers, so each partitioned moment is
-    evaluated once, and only where c(rho) != 0.
-    """
+def _lattice_coefficients(pis: Iterable[SetPartition]) -> dict[SetPartition, int]:
+    """The nonzero integer coefficients c(rho) = sum_{pi in pis, pi >= rho}
+    mu(rho, pi), which regroup the Moebius inversions of the partitioned
+    moments over pis as one sum over rho.  They depend on pis alone, not on
+    the moment table."""
     coefficients: Counter[SetPartition] = Counter()
     for pi in pis:
         if pi.n > LATTICE_CAP:
             raise ValueError(f"ground set {pi.n} exceeds lattice cap {LATTICE_CAP}")
         for rho in refinements(pi):
             coefficients[rho] += moebius(rho, pi)
-    return sum(
-        (c * partitioned_moment(m, rho, functional) for rho, c in coefficients.items() if c),
-        start=0,
-    )
+    return {rho: c for rho, c in coefficients.items() if c}
+
+
+def _lattice_sum(
+    coefficients: dict[SetPartition, int], ms: Sequence[MomentData], functional: str
+) -> list[int | Fraction]:
+    """sum_rho c(rho) m_rho for each table m, each partitioned moment evaluated once."""
+    return [
+        sum((c * partitioned_moment(m, rho, functional) for rho, c in coefficients.items()), 0)
+        for m in ms
+    ]
 
 
 def partition_cumulant(
@@ -107,21 +114,14 @@ def partition_cumulant(
     cumulant, by the defining lattice sum; on the state side ("phi") it is
     the Boolean cumulant B_pi.
     """
-    return _lattice_sum(m, [pi], functional)
+    [value] = _lattice_sum(_lattice_coefficients([pi]), [m], functional)
+    return value
 
 
-def moment_cumulant_check(m: MomentData, n: int) -> IdentityCheck:
-    """Check that the cyclic-interval cumulants of order n resum to the trace
-    moment omega_n.
-
-    Also verifies the single-variable recursion splitting the moment into the
-    top cumulant plus Boolean contributions of the proper cyclic intervals.
-    """
-    if n > LATTICE_CAP:  # before CI(n) is built: CI(20) has a million members
-        raise ValueError(f"ground set {n} exceeds lattice cap {LATTICE_CAP}")
-    cis = enumerate_partitions(n, "CI")
+def _moment_cumulant_outcome(
+    m: MomentData, n: int, cis: Sequence[SetPartition], rhs: int | Fraction
+) -> IdentityCheck:
     lhs = m.omega[n - 1]
-    rhs = _lattice_sum(m, cis, "omega")
     if lhs != rhs:
         return IdentityCheck(
             "moment-cumulant", False, f"lattice resummation differs: lhs={lhs} rhs={rhs}"
@@ -135,3 +135,21 @@ def moment_cumulant_check(m: MomentData, n: int) -> IdentityCheck:
             "moment-cumulant", False, f"univariate recursion differs: lhs={lhs} rhs={recursion}"
         )
     return IdentityCheck("moment-cumulant", True)
+
+
+def moment_cumulant_check(ms: Sequence[MomentData], n: int) -> list[IdentityCheck]:
+    """Check, for each table, that the cyclic-interval cumulants of order n
+    resum to the trace moment omega_n; one IdentityCheck per table.
+
+    Also verifies the single-variable recursion splitting the moment into the
+    top cumulant plus Boolean contributions of the proper cyclic intervals.
+    CI(n) and its Moebius coefficients are built once per call and serve
+    every table.
+    """
+    if n > LATTICE_CAP:  # before CI(n) is built: CI(20) has a million members
+        raise ValueError(f"ground set {n} exceeds lattice cap {LATTICE_CAP}")
+    if any(n > len(m.omega) for m in ms):
+        raise ValueError(f"moment tables too short for total power {n}")
+    cis = enumerate_partitions(n, "CI")
+    rhss = _lattice_sum(_lattice_coefficients(cis), ms, "omega")
+    return [_moment_cumulant_outcome(m, n, cis, rhs) for m, rhs in zip(ms, rhss)]

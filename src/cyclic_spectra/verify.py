@@ -74,9 +74,17 @@ STAR_SUITES = ("h-additivity", "schwenk-star", "star-cauchy")
 STAR_FACTOR_CAP = (EXACT_CHARPOLY_CAP + 1) // 2
 
 
-#: the pair suites draw, build and check this many trials at a time, with one
-#: `spectral_data` call per chunk, so their memory does not grow with --trials
+#: the pair suites and moment-cumulant draw, build and check this many trials
+#: at a time, with one `spectral_data` call per chunk, or one
+#: `moment_cumulant_check` call per n in the chunk, so their memory does not
+#: grow with --trials
 PAIR_CHUNK = 100
+
+
+def _chunks(rngs: Iterable[random.Random]) -> Iterator[list[random.Random]]:
+    rngs = iter(rngs)
+    while chunk := list(itertools.islice(rngs, PAIR_CHUNK)):
+        yield chunk
 
 
 def _pair_trials(
@@ -84,8 +92,7 @@ def _pair_trials(
 ) -> Iterator[dict]:
     """Check one identity on a random pair of rooted graphs and their product,
     one pair per generator, in chunks of PAIR_CHUNK generators."""
-    rngs = iter(rngs)
-    while chunk := list(itertools.islice(rngs, PAIR_CHUNK)):
+    for chunk in _chunks(rngs):
         pairs = [
             tuple(random_rooted_graph(rng, min(max_vertices, cap)) for cap in caps)
             for rng in chunk
@@ -104,12 +111,24 @@ def _pair_trials(
                 }
 
 
-def _moment_cumulant_trial(rng: random.Random) -> dict:
-    dim = rng.randint(2, 3)
-    mat = random_symmetric_int_matrix(rng, dim)
-    n = rng.randint(1, 5)
-    outcome = moment_cumulant_check(matrix_power_moments(mat, 8), n)
-    return {"ok": outcome.ok, "detail": outcome.detail}
+def _moment_cumulant_trials(rngs: Iterable[random.Random]) -> Iterator[dict]:
+    """Check the moment-cumulant resummation of order n on the moment table of
+    a random matrix, one (matrix, n) per generator. A chunk of PAIR_CHUNK
+    generators checks the tables of each n in one call, which builds CI(n)
+    and its coefficients once."""
+    for chunk in _chunks(rngs):
+        tables, ns = [], []
+        for rng in chunk:
+            dim = rng.randint(2, 3)
+            tables.append(matrix_power_moments(random_symmetric_int_matrix(rng, dim), 8))
+            ns.append(rng.randint(1, 5))
+        outcomes = [None] * len(chunk)
+        for n in sorted(set(ns)):
+            group = [t for t, k in enumerate(ns) if k == n]
+            for t, outcome in zip(group, moment_cumulant_check([tables[t] for t in group], n)):
+                outcomes[t] = outcome
+        for outcome in outcomes:
+            yield {"ok": outcome.ok, "detail": outcome.detail}
 
 
 def _random_alternating_indices(rng: random.Random, length: int, algebras: int) -> list[int]:
@@ -172,7 +191,7 @@ SUITES: dict[str, Callable[[Iterable[random.Random], int], Iterable[dict]]] = {
     "star-cauchy": lambda rngs, mv: _pair_trials(
         rngs, mv, star_product, star_cauchy_identity_check
     ),
-    "moment-cumulant": lambda rngs, mv: [_moment_cumulant_trial(rng) for rng in rngs],
+    "moment-cumulant": lambda rngs, mv: _moment_cumulant_trials(rngs),
     "mixed-words": lambda rngs, mv: [_mixed_words_trial(rng) for rng in rngs],
 }
 

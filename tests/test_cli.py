@@ -15,7 +15,13 @@ from cyclic_spectra import cli, verify
 from cyclic_spectra.cli import main
 from cyclic_spectra.graphs import graph_from_json
 from cyclic_spectra.transforms import RootedSpectralData
-from cyclic_spectra.verify import STAR_SUITES, SUITES, SuiteResult, random_rooted_graph
+from cyclic_spectra.verify import (
+    STAR_SUITES,
+    SUITES,
+    SuiteResult,
+    random_rooted_graph,
+    random_symmetric_int_matrix,
+)
 
 
 def run(capsys, *args):
@@ -34,6 +40,14 @@ def _details_digest(certificate: dict) -> str:
     identity prints both sides in canonical form."""
     details = "\n".join(f["detail"] for f in certificate["failures"])
     return hashlib.sha256(details.encode()).hexdigest()
+
+
+def _moment_cumulant_order(seed: int, t: int) -> int:
+    """The order n that trial t of `verify moment-cumulant` draws from its own
+    generator: after the dimension and the matrix."""
+    rng = random.Random(f"moment-cumulant/{seed}/{t}")
+    random_symmetric_int_matrix(rng, rng.randint(2, 3))
+    return rng.randint(1, 5)
 
 
 class TestSpectrum:
@@ -229,6 +243,25 @@ class TestVerify:
         monkeypatch.setattr(verify, "PAIR_CHUNK", 3)
         assert verify.run_suite("schwenk-comb", trials=7, seed=4) == whole
         assert sizes == [9, 9, 3]
+
+    def test_moment_cumulant_builds_each_table_once_per_n(self, monkeypatch):
+        # one chunk of 100 trials draws n from 1..5 and checks each n's group
+        # with one call, so CI(n)'s coefficients are built once per distinct n
+        from cyclic_spectra import cumulants
+        from cyclic_spectra.partitions import enumerate_partitions
+
+        calls = []
+        walk = cumulants.refinements
+
+        def counted(pi):
+            calls.append(pi)
+            return walk(pi)
+
+        monkeypatch.setattr(cumulants, "refinements", counted)
+        result = verify.run_suite("moment-cumulant", 100)
+        assert result.passed == 100
+        drawn = {_moment_cumulant_order(0, t) for t in range(100)}
+        assert len(calls) == sum(len(enumerate_partitions(n, "CI")) for n in drawn) <= 47
 
 
 class TestCumulants:
@@ -1051,6 +1084,27 @@ class TestCertificates:
         assert all(
             f["detail"].startswith("lattice resummation differs") for f in data["failures"]
         )
+
+    def test_moment_cumulant_failures_keep_their_trials(self, tmp_path, capsys, monkeypatch):
+        # the suite checks each chunk grouped by n; a partitioned moment off by
+        # one at n = 3 alone must fail exactly the trials that drew n = 3, in
+        # trial order, across two full chunks and a partial one
+        from cyclic_spectra import cumulants
+
+        exact = cumulants.partitioned_moment
+        monkeypatch.setattr(
+            cumulants, "partitioned_moment",
+            lambda m, pi, functional="omega": exact(m, pi, functional) + (pi.n == 3),
+        )
+        cert = tmp_path / "cert.json"
+        code = main([
+            "verify", "moment-cumulant", "--trials", "250", "--certificate", str(cert),
+        ])
+        capsys.readouterr()
+        assert code == 3
+        failed = [f["trial"] for f in json.loads(cert.read_text())["failures"]]
+        expected = [t for t in range(250) if _moment_cumulant_order(0, t) == 3]
+        assert failed == expected and 0 < len(expected) < 250
 
     @pytest.mark.parametrize("rule, functional, prefix", [
         pytest.param("eval_cyclic_monotone_word", "omega", "monotone omega", id="monotone"),

@@ -1,6 +1,7 @@
 """Cumulant transforms, partitioned cumulants, vanishing and additivity."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,8 @@ from cyclic_spectra.partitions import (
     SetPartition,
     enumerate_partitions,
     is_cyclic_interval,
+    moebius,
+    refinements,
     top,
 )
 from cyclic_spectra.verify import random_symmetric_int_matrix
@@ -224,7 +227,16 @@ class TestPartitionCumulants:
         monkeypatch.setattr(cumulants, "enumerate_partitions", None)
         data = MomentData([1] * 20, [1] * 20)
         with pytest.raises(ValueError, match="exceeds lattice cap"):
-            moment_cumulant_check(data, 20)
+            moment_cumulant_check([data], 20)
+
+    def test_short_table_rejected_by_the_check(self, monkeypatch):
+        # a table shorter than n is a ValueError, raised before CI(n) is built,
+        # whichever of the tables is short
+        monkeypatch.setattr(cumulants, "enumerate_partitions", None)
+        short = MomentData([1, 2], [1, 2])
+        for tables in ([short], [k2_data(), short], [short, k2_data()]):
+            with pytest.raises(ValueError, match="moment tables too short"):
+                moment_cumulant_check(tables, 3)
 
     def test_rotation_choice_invariant(self):
         # for wrap-around partitions every interval-producing rotation gives
@@ -247,24 +259,29 @@ class TestPartitionCumulants:
 
 class TestMomentCumulant:
     def test_k2_n4(self):
-        assert moment_cumulant_check(k2_data(), 4)
+        [outcome] = moment_cumulant_check([k2_data()], 4)
+        assert outcome
 
     def test_n1(self):
-        assert moment_cumulant_check(k2_data(), 1)
+        [outcome] = moment_cumulant_check([k2_data()], 1)
+        assert outcome
 
     def test_models_up_to_8(self):
         rng = random.Random(10)
+        tables = []
         for _ in range(5):
             dim = rng.randint(2, 3)
             mat = random_symmetric_int_matrix(rng, dim)
-            data = matrix_power_moments(mat, 8)
-            for n in range(1, 9):
-                assert moment_cumulant_check(data, n)
+            tables.append(matrix_power_moments(mat, 8))
+        for n in range(1, 9):
+            outcomes = moment_cumulant_check(tables, n)
+            assert len(outcomes) == 5 and all(outcomes)
 
     def test_int_and_fraction_tables_agree(self):
         # one table as ints and as Fractions, and the element halved, whose
         # moments and cumulants of order n scale by 2^-n, on the Fraction path
         rng = random.Random(11)
+        tables = []
         for _ in range(5):
             ints = matrix_power_moments(random_symmetric_int_matrix(rng, 3), 8)
             fractions = MomentData(map(F, ints.phi), map(F, ints.omega))
@@ -276,10 +293,24 @@ class TestMomentCumulant:
             assert cyclic_boolean_cumulants(halved) == [
                 F(c, 2**n) for n, c in enumerate(cyclic_boolean_cumulants(ints), 1)
             ]
-            for n in range(1, 9):
-                assert moment_cumulant_check(ints, n)
-                assert moment_cumulant_check(fractions, n)
-                assert moment_cumulant_check(halved, n)
+            tables += [ints, fractions, halved]
+        for n in range(1, 9):
+            outcomes = moment_cumulant_check(tables, n)
+            assert len(outcomes) == 15 and all(outcomes)
+
+    @pytest.mark.parametrize("n", range(1, LATTICE_CAP + 1))
+    def test_coefficient_table_matches_the_per_pi_sum(self, n):
+        # the table holds the nonzero sums of mu(rho, pi) over pi in CI(n),
+        # pi >= rho; they sum to 1, because sum_{rho <= pi} mu(rho, pi)
+        # vanishes unless pi is the bottom partition, which is a cyclic interval
+        cis = enumerate_partitions(n, "CI")
+        reference = Counter()
+        for pi in cis:
+            for rho in refinements(pi):
+                reference[rho] += moebius(rho, pi)
+        table = cumulants._lattice_coefficients(cis)
+        assert table == {rho: c for rho, c in reference.items() if c}
+        assert sum(table.values()) == 1
 
     def test_each_partitioned_moment_evaluated_once(self, monkeypatch):
         # the check gathers integer coefficients over all of CI(8) first, so no
@@ -294,7 +325,7 @@ class TestMomentCumulant:
         monkeypatch.setattr(cumulants, "partitioned_moment", counted)
         rng = random.Random(10)
         data = matrix_power_moments(random_symmetric_int_matrix(rng, 3), 8)
-        assert moment_cumulant_check(data, 8)
+        assert moment_cumulant_check([data], 8)[0]
         assert len(seen) == len(set(seen))
         assert len(seen) <= len(enumerate_partitions(8, "SP")) == 4140
 
@@ -307,7 +338,7 @@ class TestMomentCumulant:
             return original(m, pi, functional) + 1
 
         monkeypatch.setattr(cumulants, "partitioned_moment", perturbed)
-        outcome = moment_cumulant_check(k2_data(), 4)
+        [outcome] = moment_cumulant_check([k2_data()], 4)
         assert not outcome
         assert outcome.detail.startswith("lattice resummation differs")
 
