@@ -69,18 +69,6 @@ def h_coefficients(m: MomentData) -> list[int | Fraction]:
 # ----------------------------------------------------------------------
 # multivariate layer
 
-def partitioned_moment(
-    m: MomentData, pi: SetPartition, functional: str = "omega"
-) -> int | Fraction:
-    """omega_pi (or phi_pi): the product functional on the word whose letters
-    are the labels of pi, each block a separate independent copy of the
-    element m."""
-    if pi.n > len(m.phi):
-        raise ValueError(f"moment tables too short for total power {pi.n}")
-    word = MixedWord(tuple(map(tuple, _merge_runs((label + 1, 1) for label in pi.labels))))
-    return eval_cyclic_boolean_word(word, [m] * len(pi), functional)
-
-
 def _lattice_coefficients(pis: Iterable[SetPartition]) -> dict[SetPartition, int]:
     """The nonzero integer coefficients c(rho) = sum_{pi in pis, pi >= rho}
     mu(rho, pi), which regroup the Moebius inversions of the partitioned
@@ -98,9 +86,23 @@ def _lattice_coefficients(pis: Iterable[SetPartition]) -> dict[SetPartition, int
 def _lattice_sum(
     coefficients: dict[SetPartition, int], ms: Sequence[MomentData], functional: str
 ) -> list[int | Fraction]:
-    """sum_rho c(rho) m_rho for each table m, each partitioned moment evaluated once."""
+    """sum_rho c(rho) m_rho for each table m, each partitioned moment evaluated
+    once.
+
+    The partitioned moment m_rho (omega_rho or phi_rho, by functional) is the
+    product functional on the word whose letters are the labels of rho, each
+    block a separate independent copy of the element m.  The word depends on
+    rho alone, so each is built once per call and read for every table.
+    """
+    shortest = min((len(m.phi) for m in ms), default=math.inf)
+    terms = []
+    for rho, c in coefficients.items():
+        if rho.n > shortest:
+            raise ValueError(f"moment tables too short for total power {rho.n}")
+        letters = _merge_runs((label + 1, 1) for label in rho.labels)
+        terms.append((c, MixedWord(tuple(map(tuple, letters))), len(rho)))
     return [
-        sum((c * partitioned_moment(m, rho, functional) for rho, c in coefficients.items()), 0)
+        sum((c * eval_cyclic_boolean_word(word, [m] * k, functional) for c, word, k in terms), 0)
         for m in ms
     ]
 

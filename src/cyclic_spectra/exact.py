@@ -1,7 +1,7 @@
 """Exact arithmetic: dense rational polynomials and rational functions.
 
-A polynomial is held as a rational content times a primitive integer
-polynomial, so products, quotients and gcds run on integers, and its
+A polynomial is held as an integer or rational content times a primitive
+integer polynomial, so products, quotients and gcds run on integers, and its
 coefficients read back as exact `fractions.Fraction`s.  A rational function
 keeps the quotient its arithmetic builds and is reduced to canonical form
 once, when first read; equality is decided by cross-multiplication, so an
@@ -60,18 +60,28 @@ def _coerce(value: Scalar) -> Scalar:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
-def _split(ints: list[int], scale: Fraction) -> tuple[Fraction, tuple[int, ...]]:
+def _canonical(c: Scalar) -> Scalar:
+    """c as a content is held: an int when integral, else a Fraction."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _reciprocal(k: int) -> Scalar:
+    """1/k in canonical form, for a positive integer k."""
+    return 1 if k == 1 else Fraction(1, k)
+
+
+def _split(ints: list[int], scale: Scalar) -> tuple[Scalar, tuple[int, ...]]:
     """(content, primitive part) of scale * sum ints[i] x^i; ints is consumed."""
     while ints and not ints[-1]:
         ints.pop()
     if not ints or not scale:
-        return Fraction(0), ()
+        return 0, ()
     g = math.gcd(*ints)
     if ints[-1] < 0:
         g = -g
     if g != 1:
         ints = [c // g for c in ints]
-    return scale * g, tuple(ints)
+    return _canonical(scale * g), tuple(ints)
 
 
 class Polynomial:
@@ -83,7 +93,9 @@ class Polynomial:
 
     The polynomial is stored as ``_content * sum _prim[i] x**i``: the integers
     ``_prim`` are coprime with a positive last entry, and the zero polynomial
-    has content 0 and no entries.  ``coeffs`` multiplies them out on demand.
+    has content 0 and no entries.  The content is an int when integral, else
+    a Fraction, so each polynomial has one stored form and integer polynomials
+    multiply in ints.  ``coeffs`` multiplies them out on demand, as Fractions.
     """
 
     __slots__ = ("_content", "_prim")
@@ -92,7 +104,7 @@ class Polynomial:
         cs = [_coerce(c) for c in coeffs]
         den = math.lcm(*(c.denominator for c in cs))
         content, prim = _split(
-            [c.numerator * (den // c.denominator) for c in cs], Fraction(1, den)
+            [c.numerator * (den // c.denominator) for c in cs], _reciprocal(den)
         )
         object.__setattr__(self, "_content", content)
         object.__setattr__(self, "_prim", prim)
@@ -101,15 +113,16 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
     @classmethod
-    def _make(cls, content: Fraction, prim: tuple[int, ...]) -> "Polynomial":
-        """The polynomial content * prim, for a prim already primitive."""
+    def _make(cls, content: Scalar, prim: tuple[int, ...]) -> "Polynomial":
+        """The polynomial content * prim, for a prim already primitive and a
+        content in canonical form."""
         p = object.__new__(cls)
         object.__setattr__(p, "_content", content)
         object.__setattr__(p, "_prim", prim)
         return p
 
     @classmethod
-    def _from_ints(cls, ints: list[int], scale: Fraction) -> "Polynomial":
+    def _from_ints(cls, ints: list[int], scale: Scalar) -> "Polynomial":
         return cls._make(*_split(ints, scale))
 
     # ------------------------------------------------------------------
@@ -134,7 +147,7 @@ class Polynomial:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         c = self._content
-        return tuple(c * a for a in self._prim)
+        return tuple(Fraction(c * a) for a in self._prim)
 
     @property
     def degree(self) -> int:
@@ -146,7 +159,7 @@ class Polynomial:
     def leading(self) -> Fraction:
         if not self._prim:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self._content * self._prim[-1]
+        return Fraction(self._content * self._prim[-1])
 
     # ------------------------------------------------------------------
     # ring operations
@@ -166,7 +179,7 @@ class Polynomial:
         out = [fa * c for c in a]
         for i, c in enumerate(b):
             out[i] += fb * c
-        return Polynomial._from_ints(out, Fraction(1, den))
+        return Polynomial._from_ints(out, _reciprocal(den))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         return self._plus(other, 1)
@@ -184,7 +197,8 @@ class Polynomial:
             return Polynomial.zero()
         # Gauss's lemma: a product of primitive polynomials is primitive
         return Polynomial._make(
-            self._content * other._content, tuple(_mul_ints(self._prim, other._prim))
+            _canonical(self._content * other._content),
+            tuple(_mul_ints(self._prim, other._prim)),
         )
 
     def __rmul__(self, other):
@@ -194,7 +208,7 @@ class Polynomial:
         c = _coerce(c)
         if c == 0:
             return Polynomial.zero()
-        return Polynomial._make(self._content * c, self._prim)
+        return Polynomial._make(_canonical(self._content * c), self._prim)
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -228,7 +242,7 @@ class Polynomial:
     def monic(self) -> "Polynomial":
         if self.is_zero():
             return self
-        return Polynomial._make(Fraction(1, self._prim[-1]), self._prim)
+        return Polynomial._make(_reciprocal(self._prim[-1]), self._prim)
 
     # ------------------------------------------------------------------
     def __eq__(self, other) -> bool:
@@ -308,7 +322,7 @@ class _Gcd(Polynomial):
     def _proven(
         cls, prim: tuple[int, ...], p_over_g: Polynomial, q_over_g: Polynomial
     ) -> "_Gcd":
-        g = cls._make(Fraction(1, prim[-1]), prim)
+        g = cls._make(_reciprocal(prim[-1]), prim)
         object.__setattr__(g, "cofactors", (p_over_g, q_over_g))
         return g
 
@@ -358,7 +372,7 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
             image = [h + modulus * ((c - h) * inverse % prime) for h, c in zip(image, g)]
             modulus *= prime
         _, candidate = _split(
-            [c - modulus if 2 * c > modulus else c for c in image], Fraction(1)
+            [c - modulus if 2 * c > modulus else c for c in image], 1
         )
         a_over = _quotient(a, candidate)
         b_over = None if a_over is None else _quotient(b, candidate)
@@ -368,8 +382,8 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
             lc = candidate[-1]
             return _Gcd._proven(
                 candidate,
-                Polynomial._make(p._content * lc, tuple(a_over)),
-                Polynomial._make(q._content * lc, tuple(b_over)),
+                Polynomial._make(_canonical(p._content * lc), tuple(a_over)),
+                Polynomial._make(_canonical(q._content * lc), tuple(b_over)),
             )
     raise ArithmeticError("poly_gcd ran out of primes")
 

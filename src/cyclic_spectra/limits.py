@@ -245,7 +245,7 @@ class BetaTable:
         gamma: list[tuple[int, ...]] = [()]
         columns: list[list[int]] = []  # columns[j] = [gamma[j + 1][j], gamma[j + 2][j], ...]
         for n in range(1, len(self.values)):
-            w = [_beta_coefficient(n, el) for el in range(n)]
+            w = _beta_weights(n)
             row = [2] + [
                 sum(map(operator.mul, w[k - 1 : n], columns[k - 2]))
                 for k in range(2, n + 1)
@@ -261,12 +261,17 @@ class BetaTable:
         return tuple(gamma)
 
 
-def _beta_coefficient(n: int, el: int) -> int:
-    """The integer weight binom(n+el, n-el) * 2n / (n+el)."""
-    num = math.comb(n + el, n - el) * 2 * n
-    if num % (n + el):
-        raise AssertionError("non-integer recursion coefficient")
-    return num // (n + el)
+def _beta_weights(n: int) -> list[int]:
+    """The integer weights w(n, el) = binom(n+el, n-el) * 2n / (n+el), el < n,
+    from w(n, 0) = 2 by the ratio of consecutive binomials,
+    w(n, el+1) = w(n, el) (n+el)(n-el) / ((2el+1)(2el+2)), each step exact."""
+    row = [2]
+    for el in range(n - 1):
+        q, r = divmod(row[-1] * ((n + el) * (n - el)), (2 * el + 1) * (2 * el + 2))
+        if r:
+            raise AssertionError("non-integer recursion coefficient")
+        row.append(q)
+    return row
 
 
 def _lucas_polynomials() -> Iterator[list[int]]:
@@ -282,11 +287,12 @@ def beta_table(n_max: int) -> BetaTable:
     """Moment table by the direct recursion, every weight checked independently.
 
     beta_n = sum_(el < n) w(n, el) beta_el with w(n, el) from the binomial
-    formula.  The same w(n, el) is the coefficient of x^(2 el) in the Lucas
-    polynomial L_(2n), whose leading coefficient is 1, so the recursion says
-    E[L_(2n)(X)] = 2 beta_n for the limit law.  Every weight is compared with
-    the coefficient that the three-term recurrence builds, and a mismatch
-    raises, so a returned table rests on two routes to each weight.
+    formula, one row per n (`_beta_weights`).  The same w(n, el) is the
+    coefficient of x^(2 el) in the Lucas polynomial L_(2n), whose leading
+    coefficient is 1, so the recursion says E[L_(2n)(X)] = 2 beta_n for the
+    limit law.  Every weight is compared with the coefficient that the
+    three-term recurrence builds, and a mismatch raises, so a returned table
+    rests on two routes to each weight.
     """
     if not 0 <= n_max <= BETA_CAP:
         raise ValueError(f"n_max out of range 0..{BETA_CAP}")
@@ -294,7 +300,7 @@ def beta_table(n_max: int) -> BetaTable:
     even_lucas = itertools.islice(_lucas_polynomials(), 2, None, 2)  # L_2, L_4, ...
     for n, lucas in zip(range(1, n_max + 1), even_lucas):
         # w[el] is the recursion weight of beta_el in beta_n, el < n
-        w = [_beta_coefficient(n, el) for el in range(n)]
+        w = _beta_weights(n)
         if w != lucas[0 : 2 * n : 2]:
             el = next(el for el in range(n) if w[el] != lucas[2 * el])
             raise AssertionError(

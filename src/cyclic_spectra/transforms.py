@@ -37,8 +37,6 @@ _BATCH_ENTRIES = 1 << 16
 #: float64 holds every integer below this exactly
 _EXACT_FLOAT = 1 << 53
 
-_ONE = Fraction(1)
-
 
 # ----------------------------------------------------------------------
 # characteristic polynomials
@@ -82,8 +80,8 @@ def char_poly(graphs: Sequence[RootedGraph]) -> list[tuple[Polynomial, Polynomia
             primes.append(by_edges[f])
         for i, ps, res in zip(members, primes, _leverrier_residues(group, primes)):
             coeffs = _crt_checked(ps, res)
-            out[i] = (Polynomial._from_ints(coeffs[: n + 1], _ONE),
-                      Polynomial._from_ints(coeffs[n + 1 :], _ONE))
+            out[i] = (Polynomial._from_ints(coeffs[: n + 1], 1),
+                      Polynomial._from_ints(coeffs[n + 1 :], 1))
     return out
 
 
@@ -104,19 +102,25 @@ def _primes_above(limit: int) -> list[int]:
 
 
 def _crt_checked(primes: list[int], residues: list[list[int]]) -> list[int]:
-    """The symmetric CRT lift of residues[j] modulo primes[j], column by column,
-    over every prime but the last, which must agree with it."""
+    """The symmetric CRT lift of the rows residues[j] modulo primes[j] over
+    every prime but the last; the last prime's row must equal the lift modulo
+    it, compared once per graph.
+
+    Garner's mixed radix lifts whole rows: a lift c modulo m = p_1 ... p_(j-1)
+    becomes c + m ((r_j - c) m^-1 mod p_j).  With one CRT prime, the usual
+    case, there is no such step.  Residues are the least nonnegative ones.
+    """
     *crt, check = primes
-    modulus = math.prod(crt)
-    weights = [(modulus // p) * pow(modulus // p, -1, p) for p in crt]
-    coeffs = []
-    for column in zip(*residues):
-        c = sum(w * r for w, r in zip(weights, column)) % modulus
-        if c > modulus // 2:
-            c -= modulus
-        if (c - column[-1]) % check:
-            raise ArithmeticError("Faddeev-LeVerrier residues disagree modulo the check prime")
-        coeffs.append(c)
+    *rows, check_row = residues
+    coeffs, modulus = rows[0], crt[0]
+    for p, row in zip(crt[1:], rows[1:]):
+        inverse = pow(modulus, -1, p)
+        coeffs = [c + modulus * ((r - c) * inverse % p) for c, r in zip(coeffs, row)]
+        modulus *= p
+    half = modulus // 2
+    coeffs = [c - modulus if c > half else c for c in coeffs]
+    if [c % check for c in coeffs] != check_row:
+        raise ArithmeticError("Faddeev-LeVerrier residues disagree modulo the check prime")
     return coeffs
 
 

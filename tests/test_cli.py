@@ -954,10 +954,10 @@ class TestCertificates:
         # a wrong moment-table weight fails the Lucas check inside beta_table
         from cyclic_spectra import limits as limits_mod
 
-        exact = limits_mod._beta_coefficient
+        exact = limits_mod._beta_weights
         monkeypatch.setattr(
-            limits_mod, "_beta_coefficient",
-            lambda n, el: exact(n, el) + (n == 10 and el == 5),
+            limits_mod, "_beta_weights",
+            lambda n: [w + (n == 10 and el == 5) for el, w in enumerate(exact(n))],
         )
         code = main(["limits", "beta", "--n", "12"])
         captured = capsys.readouterr()
@@ -1067,10 +1067,10 @@ class TestCertificates:
         # off by one everywhere must fail every trial
         from cyclic_spectra import cumulants
 
-        exact = cumulants.partitioned_moment
+        exact = cumulants.eval_cyclic_boolean_word
         monkeypatch.setattr(
-            cumulants, "partitioned_moment",
-            lambda m, pi, functional="omega": exact(m, pi, functional) + 1,
+            cumulants, "eval_cyclic_boolean_word",
+            lambda word, tables, functional="omega": exact(word, tables, functional) + 1,
         )
         cert = tmp_path / "cert.json"
         code = main([
@@ -1088,13 +1088,15 @@ class TestCertificates:
     def test_moment_cumulant_failures_keep_their_trials(self, tmp_path, capsys, monkeypatch):
         # the suite checks each chunk grouped by n; a partitioned moment off by
         # one at n = 3 alone must fail exactly the trials that drew n = 3, in
-        # trial order, across two full chunks and a partial one
+        # trial order, across two full chunks and a partial one; a partition
+        # of [n] has a word of total power n
         from cyclic_spectra import cumulants
 
-        exact = cumulants.partitioned_moment
+        exact = cumulants.eval_cyclic_boolean_word
         monkeypatch.setattr(
-            cumulants, "partitioned_moment",
-            lambda m, pi, functional="omega": exact(m, pi, functional) + (pi.n == 3),
+            cumulants, "eval_cyclic_boolean_word",
+            lambda word, tables, functional="omega": exact(word, tables, functional)
+            + (sum(power for _, power in word.letters) == 3),
         )
         cert = tmp_path / "cert.json"
         code = main([

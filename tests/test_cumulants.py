@@ -15,7 +15,6 @@ from cyclic_spectra.cumulants import (
     h_coefficients,
     moment_cumulant_check,
     partition_cumulant,
-    partitioned_moment,
 )
 from cyclic_spectra.exact import Polynomial
 from cyclic_spectra.models import MomentData, OperatorModel, matrix_power_moments
@@ -53,6 +52,13 @@ def _series(values):
 
 def _truncate(p, order):
     return Polynomial(p.coeffs[: order + 1])
+
+
+def partitioned_moment(m, pi, functional="omega"):
+    """omega_pi (or phi_pi) of one table: the lattice sum whose one
+    coefficient is c(pi) = 1."""
+    [value] = cumulants._lattice_sum({pi: 1}, [m], functional)
+    return value
 
 
 def partition_cumulant_case_split(m, pi):
@@ -314,30 +320,51 @@ class TestMomentCumulant:
 
     def test_each_partitioned_moment_evaluated_once(self, monkeypatch):
         # the check gathers integer coefficients over all of CI(8) first, so no
-        # refinement is evaluated twice and none beyond the Bell(8) partitions
+        # refinement is evaluated twice and none beyond the Bell(8) partitions;
+        # a partition's word is its labels, run-length encoded, so distinct
+        # refinements have distinct words
         seen = []
-        original = cumulants.partitioned_moment
+        original = cumulants.eval_cyclic_boolean_word
 
-        def counted(m, pi, functional="omega"):
-            seen.append((pi, functional))
-            return original(m, pi, functional)
+        def counted(word, tables, functional="omega"):
+            seen.append((word, functional))
+            return original(word, tables, functional)
 
-        monkeypatch.setattr(cumulants, "partitioned_moment", counted)
+        monkeypatch.setattr(cumulants, "eval_cyclic_boolean_word", counted)
         rng = random.Random(10)
         data = matrix_power_moments(random_symmetric_int_matrix(rng, 3), 8)
         assert moment_cumulant_check([data], 8)[0]
         assert len(seen) == len(set(seen))
         assert len(seen) <= len(enumerate_partitions(8, "SP")) == 4140
 
+    def test_each_word_built_once_per_call(self, monkeypatch):
+        # the word of rho depends on rho alone, so one call over several tables
+        # builds one word per distinct rho, not one per (table, rho)
+        built = []
+        original = cumulants.MixedWord
+
+        def counted(letters):
+            built.append(letters)
+            return original(letters)
+
+        monkeypatch.setattr(cumulants, "MixedWord", counted)
+        rng = random.Random(11)
+        tables = [
+            matrix_power_moments(random_symmetric_int_matrix(rng, 3), 6) for _ in range(4)
+        ]
+        assert all(moment_cumulant_check(tables, 6))
+        rhos = cumulants._lattice_coefficients(enumerate_partitions(6, "CI"))
+        assert len(built) == len(set(built)) == len(rhos)
+
     def test_perturbed_rejected(self, monkeypatch):
         # the Moebius coefficients over CI(n) sum to 1, so adding 1 to every
         # partitioned moment moves the resummed side by 1
-        original = cumulants.partitioned_moment
+        original = cumulants.eval_cyclic_boolean_word
 
-        def perturbed(m, pi, functional="omega"):
-            return original(m, pi, functional) + 1
+        def perturbed(word, tables, functional="omega"):
+            return original(word, tables, functional) + 1
 
-        monkeypatch.setattr(cumulants, "partitioned_moment", perturbed)
+        monkeypatch.setattr(cumulants, "eval_cyclic_boolean_word", perturbed)
         [outcome] = moment_cumulant_check([k2_data()], 4)
         assert not outcome
         assert outcome.detail.startswith("lattice resummation differs")

@@ -50,6 +50,30 @@ class TestPolynomial:
     def test_str(self):
         assert str(poly(-1, 0, 1)) == "x^2 - 1"
 
+    def test_integral_content_is_an_int(self):
+        half = poly(F(3, 2), F(1, 2))
+        assert type(half._content) is Fraction and half._content == F(1, 2)
+        # Fraction contents whose product, scale or quotient is integral
+        for p in (half * poly(2, 4), half.scale(2), poly(F(4, 2), F(6, 1)), half.monic()):
+            assert type(p._content) is int
+        assert type(Polynomial.zero()._content) is int
+
+    def test_int_and_fraction_inputs_compare_and_hash_equal(self):
+        a, b = poly(2, 0, 4), poly(F(2), F(0), F(8, 2))
+        assert a == b and hash(a) == hash(b)
+        assert type(b._content) is int
+        # the same polynomial reached through a non-integral content
+        c = poly(F(1, 3), 0, F(2, 3)).scale(6)
+        assert c == a and hash(c) == hash(a)
+
+    def test_reads_are_fractions_on_integer_content(self):
+        # so that dividing a read coefficient by an int stays exact
+        p = poly(3, 0, 2)
+        assert type(p._content) is int
+        assert all(type(c) is Fraction for c in p.coeffs)
+        assert type(p.leading()) is Fraction
+        assert p.leading() / 4 == F(1, 2) and type(p.leading() / 4) is Fraction
+
 
 class TestGcd:
     def test_common_factor(self):
@@ -301,6 +325,21 @@ def test_arithmetic_matches_fraction_lists(a, b, x):
     for k, c in enumerate(pa.coeffs):
         expected = expected + num**k * den ** (pa.degree - k) * c
     assert homogeneous_compose(pa, num, den) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.lists(fractions, max_size=6), b=st.lists(fractions, max_size=5), x=fractions)
+def test_content_is_an_int_exactly_when_integral(a, b, x):
+    # one stored form: a Fraction content only with a denominator above 1
+    pa, pb = Polynomial(a), Polynomial(b)
+    results = [pa, pb, pa + pb, pa - pb, -pa, pa * pb, pa.scale(x), pa.derivative(),
+               pa.monic(), pa**2]
+    if not (pa.is_zero() and pb.is_zero()):
+        g = poly_gcd(pa, pb)
+        results += [g, *g.cofactors]
+    for p in results:
+        c = p._content
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
 
 
 small_polys = st.builds(

@@ -392,10 +392,10 @@ class TestBetaTable:
 
     def test_routes_disagreeing_raise(self, monkeypatch):
         # the direct route alone weighs beta_0, so this corrupts only it
-        exact = limits._beta_coefficient
+        exact = limits._beta_weights
         monkeypatch.setattr(
-            limits, "_beta_coefficient",
-            lambda n, el: exact(n, el) + (n == 3 and el == 0),
+            limits, "_beta_weights",
+            lambda n: [w + (n == 3 and el == 0) for el, w in enumerate(exact(n))],
         )
         with pytest.raises(AssertionError, match="routes disagree at n=3"):
             beta_table(5)
@@ -404,10 +404,10 @@ class TestBetaTable:
     @pytest.mark.parametrize("n, el", [(10, 5), (200, 199), (150, 0)])
     def test_wrong_weight_raises(self, monkeypatch, n, el):
         # the binomial weights are checked against L_2n, so no weight is free
-        exact = limits._beta_coefficient
+        exact = limits._beta_weights
         monkeypatch.setattr(
-            limits, "_beta_coefficient",
-            lambda m, k: exact(m, k) + (m == n and k == el),
+            limits, "_beta_weights",
+            lambda m: [w + (m == n and k == el) for k, w in enumerate(exact(m))],
         )
         with pytest.raises(AssertionError, match=f"routes disagree at n={n}"):
             beta_table(BETA_CAP)
@@ -421,9 +421,28 @@ class TestBetaTable:
             lucas.append(tuple(a + b for a, b in zip(shifted, lower)))
         for n in range(1, BETA_CAP + 1):
             assert lucas[2 * n][2 * n] == 1
+            weights = limits._beta_weights(n)
             for el in range(n):
-                assert lucas[2 * n][2 * el] == limits._beta_coefficient(n, el)
+                assert lucas[2 * n][2 * el] == weights[el]
                 assert lucas[2 * n][2 * el + 1] == 0
+
+    def test_weights_match_the_binomial_closed_form(self):
+        # each row is built by ratios; math.comb gives every weight on its own
+        for n in range(1, BETA_CAP + 1):
+            assert limits._beta_weights(n) == [
+                math.comb(n + el, n - el) * 2 * n // (n + el) for el in range(n)
+            ]
+
+    def test_mutated_ratio_step_raises(self, monkeypatch):
+        # a step whose product is off by one leaves a remainder; divmod is
+        # read from the module's globals before the builtins
+        monkeypatch.setattr(
+            limits, "divmod", lambda a, b: divmod(a + 1, b), raising=False
+        )
+        with pytest.raises(AssertionError, match="non-integer recursion coefficient"):
+            limits._beta_weights(10)
+        with pytest.raises(AssertionError, match="non-integer recursion coefficient"):
+            beta_table(5)
 
     def test_gamma_built_on_first_read(self):
         # test_matches_per_term_weights_to_60 checks the rows on a fresh table

@@ -246,6 +246,34 @@ class TestCharPoly:
         with pytest.raises(ArithmeticError, match="check prime"):
             char_poly([g])
 
+    @pytest.mark.parametrize("n, density, crt_counts", [(5, 0.5, [1]), (48, 0.9, range(3, 20))])
+    def test_corrupt_check_prime_residue_fails(self, monkeypatch, n, density, crt_counts):
+        # the lift is compared with the check prime's row once per graph; a
+        # residue of that row off by one must fail it, both where the lift is
+        # one symmetric lift (one CRT prime) and where it is a mixed-radix lift
+        # over several
+        rng = random.Random(n)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+        g = _graph(n, edges, rng.randrange(n))
+        residues, crt_primes = transforms._leverrier_residues, []
+
+        def spy(graphs, primes):
+            crt_primes.append(len(primes[0]) - 1)
+            return residues(graphs, primes)
+
+        monkeypatch.setattr(transforms, "_leverrier_residues", spy)
+        assert char_poly([g]) == [_reference_pair(g)]
+        assert len(crt_primes) == 1 and crt_primes[0] in crt_counts
+        for column in (0, n // 2, n, n + 1, 2 * n):
+            def corrupt(graphs, primes, column=column):
+                out = residues(graphs, primes)
+                out[0][-1][column] = (out[0][-1][column] + 1) % primes[0][-1]
+                return out
+
+            monkeypatch.setattr(transforms, "_leverrier_residues", corrupt)
+            with pytest.raises(ArithmeticError, match="check prime"):
+                char_poly([g])
+
     def test_corrupt_residue_in_a_batch_fails_the_check_prime(self, monkeypatch):
         # one residue of the last of three 5-vertex graphs is off by one
         graphs = [_graph(5, [(0, 1)]), _graph(5, []), _graph(5, [(1, 2)])]
@@ -538,6 +566,13 @@ def _assert_laurent_ring_ops(f, g, order):
 
 
 class TestLaurent:
+    def test_fractions_on_integer_content(self):
+        # 1/(2z - 1) has integer contents; the series must stay exact
+        f = RationalFunction(Polynomial.one(), Polynomial((-1, 2)))
+        series = laurent_at_infinity(f, 4)
+        assert all(type(c) is Fraction for c in series)
+        assert series == (0, F(1, 2), F(1, 4), F(1, 8), F(1, 16))
+
     def test_geometric(self):
         f = ratfun(poly(0, 1), poly(-1, 0, 1))
         series = laurent_at_infinity(f, 6)
