@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import graphs
-from .convolutions import nfold_comb_transforms, nfold_star_transforms
+from .convolutions import nfold_comb_transforms, star_power_spectra
 from .cumulants import boolean_cumulants, cyclic_boolean_cumulants, h_coefficients
 from .limits import (
     alpha_row,
@@ -81,9 +81,14 @@ _PRODUCT_WORDS = {"star-of": "star", "comb-of": "comb"}
 
 
 def _parse_graph_arg(tokens: list[str]) -> tuple[graphs.RootedGraph, str]:
-    """--family accepts 'name:param' or 'star-of/comb-of name:param'."""
+    """--family accepts 'name:param' or 'star-of/comb-of name:param'.
+
+    Every command that reads it takes the base's exact characteristic
+    polynomials, so a named family above `EXACT_CHARPOLY_CAP` is refused from
+    its spec, before any edge is built.
+    """
     if len(tokens) == 2 and tokens[0] in _PRODUCT_WORDS:
-        return graphs.named(tokens[1]), tokens[1]
+        return graphs.named(tokens[1], EXACT_CHARPOLY_CAP), tokens[1]
     if len(tokens) == 1:
         if os.path.exists(tokens[0]):
             with open(tokens[0]) as fh:
@@ -91,7 +96,7 @@ def _parse_graph_arg(tokens: list[str]) -> tuple[graphs.RootedGraph, str]:
             if tokens[0].endswith(".json"):
                 return graphs.graph_from_json(text), tokens[0]
             return graphs.parse_graph_text(text), tokens[0]
-        return graphs.named(tokens[0]), tokens[0]
+        return graphs.named(tokens[0], EXACT_CHARPOLY_CAP), tokens[0]
     raise ValueError(f"bad --family specification: {' '.join(tokens)}")
 
 
@@ -109,14 +114,12 @@ def cmd_spectrum(args) -> int:
     [sd] = spectral_data([base])
     fold = args.fold
     if product == "star":
-        rc = nfold_star_transforms(sd, fold).rc
-        dim = fold * (sd.dim - 1) + 1
+        [report] = star_power_spectra(sd, [fold])
         build_product = graphs.nfold_star
     else:
-        rc = nfold_comb_transforms(sd, fold)
-        dim = sd.dim**fold
+        report = extract_spectrum(nfold_comb_transforms(sd, fold), sd.dim**fold)
         build_product = graphs.nfold_comb
-    report = extract_spectrum(rc, dim)
+    dim = report.dim
     fields = {"family": label, "fold": fold, "product": product, "dim": dim}
     diffs = [None] * len(report.entries)
     status = EXIT_OK

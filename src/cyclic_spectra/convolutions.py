@@ -10,8 +10,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
-from .exact import Polynomial, RationalFunction, homogeneous_compose
-from .transforms import RootedSpectralData, green, renormalized_cauchy, renormalized_trace
+from .exact import Polynomial, RationalFunction, homogeneous_compose, poly_gcd
+from .transforms import (
+    IsolatedRoot,
+    RootedSpectralData,
+    SpectrumReport,
+    green,
+    isolate_real_roots,
+    renormalized_cauchy,
+    renormalized_trace,
+)
 
 _Z = RationalFunction.x()
 _ONE_OVER_Z = RationalFunction(Polynomial.one(), Polynomial.x())
@@ -82,6 +90,89 @@ def nfold_star_transforms(sd: RootedSpectralData, n: int) -> TransformPair:
     """Transforms of the n-fold star power, in closed form (no iteration)."""
     (power,) = star_powers(sd, (n,))
     return power
+
+
+def star_power_spectra(sd: RootedSpectralData, ns: Sequence[int]) -> Iterator[SpectrumReport]:
+    """Spectrum of the n-fold star power of one element, for each n in ns.
+
+    With psi = phi_(G-r), g = gcd(phi, psi), P = phi/g and Q = psi/g, the fold
+    F_n = n F - (n - 1) z of F = P/Q = 1/G gives the characteristic polynomial
+    phi_n = psi^(n-1) g S_n = g^n Q^(n-1) S_n, for S_n = n P - (n - 1) z Q,
+    monic of degree deg P (Schwenk).  So a root of g of multiplicity m counts
+    n m times, a root of Q n - 1 times and a root of S_n once, summed where
+    they coincide.  Q shares no root with S_n, since S_n = n P there and P and
+    Q are coprime.  The roots of g with their multiplicities, the roots of Q
+    and gcd(Q, g) are found once per element; per n, only S_n is built, its
+    roots isolated, and gcd(S_n, g) tested over each root's interval.
+
+    G = Q/P is the Cauchy transform of the root's spectral measure, so Q is
+    square-free with one zero between consecutive poles, F' >= 1, and S_n has
+    one simple root on each of the deg P branches of F.  Anything else raises
+    ArithmeticError, as `transforms.extract_spectrum` does: an S_n that is not
+    monic of degree deg P, fewer than deg P real roots, multiplicities that do
+    not sum to n (d - 1) + 1, or two roots whose values round to one double.
+    """
+    g = poly_gcd(sd.phi, sd.phi_minus_root)
+    p, q = g.cofactors
+    zq = Polynomial.x() * q
+    g_roots = isolate_real_roots(g)
+    shared = poly_gcd(q, g)
+    g_base = [
+        (mu, m, _vanishes(shared, mu)) for mu, m in zip(g_roots, _multiplicities(g, g_roots))
+    ]
+    # a root of Q counts n - 1 times, so only from n = 2 on
+    q_roots = isolate_real_roots(q) if max(ns, default=1) > 1 else []
+    q_only = [mu for mu in q_roots if not _vanishes(shared, mu)]
+    for n in ns:
+        if n < 1:
+            raise ValueError("fold count must be >= 1")
+        s = p.scale(n) - zq.scale(n - 1)
+        if s.degree != p.degree or s.leading() != 1:
+            raise ArithmeticError(f"S_{n} is not monic of degree {p.degree}")
+        roots = isolate_real_roots(s)
+        if len(roots) != s.degree:
+            raise ArithmeticError(f"S_{n} has {len(roots)} real roots, not {s.degree}")
+        common = poly_gcd(s, g)
+        entries = [(root.value, 1) for root in roots if not _vanishes(common, root)]
+        entries += [(mu.value, n - 1) for mu in q_only if n > 1]
+        entries += [
+            (mu.value, n * m + (n - 1) * in_q + _vanishes(common, mu)) for mu, m, in_q in g_base
+        ]
+        try:
+            report = SpectrumReport(tuple(sorted(entries)), n * (sd.dim - 1) + 1)
+        except ValueError as exc:  # the multiplicities or the rounded roots
+            raise ArithmeticError(*exc.args) from exc
+        yield report
+
+
+def _vanishes(f: Polynomial, root: IsolatedRoot) -> bool:
+    """Whether f is 0 at the root, for an f whose roots are all roots of the
+    polynomial the root was isolated from, and simple where it vanishes:
+    exactly at a dyadic root, else by a sign change over the interval."""
+    if f.degree == 0:
+        return False
+    if root.exact is not None:
+        return f(root.exact) == 0
+    return f(root.lo) * f(root.hi) < 0
+
+
+def _multiplicities(p: Polynomial, roots: list[IsolatedRoot]) -> list[int]:
+    """The multiplicity in p of each of its distinct roots, isolated together.
+
+    Yun's square-free factorization p = c a_1 a_2^2 a_3^3 ... gives each a_i
+    square-free, so a root of p has multiplicity i where a_i vanishes on it.
+    """
+    out = [0] * len(roots)
+    b, c = poly_gcd(p, p.derivative()).cofactors
+    i = 1
+    while b.degree > 0:
+        a = poly_gcd(b, c - b.derivative())
+        b, c = a.cofactors
+        for k, root in enumerate(roots):
+            if _vanishes(a, root):
+                out[k] = i
+        i += 1
+    return out
 
 
 def star_char_poly(

@@ -183,22 +183,32 @@ def path(n: int) -> RootedGraph:
     return RootedGraph(Graph(n, ((i, i + 1) for i in range(n - 1))), 0)
 
 
+#: each named family's builder, and its vertex count at a parameter
 _FAMILIES = {
-    "complete": complete,
-    "star": star,
-    "friendship": friendship,
-    "path": path,
+    "complete": (complete, lambda d: d),
+    "star": (star, lambda n: n + 1),
+    "friendship": (friendship, lambda n: 2 * n + 1),
+    "path": (path, lambda n: n),
 }
 
 
-def named(spec: str) -> RootedGraph:
-    """Build a named family from a 'name:param' string, e.g. 'complete:3'."""
+def named(spec: str, exact_cap: int | None = None) -> RootedGraph:
+    """Build a named family from a 'name:param' string, e.g. 'complete:3'.
+
+    With exact_cap, a family of more vertices than that, but within
+    VERTEX_CAP, raises ValueError from its spec, before any edge is built.
+    """
     name, _, arg = spec.partition(":")
     if name not in _FAMILIES:
         raise ValueError(f"bad graph family spec {spec!r}: unknown family {name!r}")
+    build, vertices = _FAMILIES[name]
     try:
-        return _FAMILIES[name](int(arg))
-    except ValueError as exc:  # a bad size, or one above VERTEX_CAP
+        k = int(arg)
+        n = vertices(k)
+        if exact_cap is not None and exact_cap < n <= VERTEX_CAP:
+            raise ValueError(f"matrix size {n} exceeds exact cap {exact_cap}")
+        return build(k)
+    except ValueError as exc:  # a bad size, or one above a cap
         raise ValueError(f"bad graph family spec {spec!r}: {exc}") from exc
 
 

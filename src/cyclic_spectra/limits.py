@@ -20,13 +20,17 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .convolutions import nfold_star_transforms, star_powers, transform_pair
+from .convolutions import (
+    nfold_star_transforms,
+    star_power_spectra,
+    star_powers,
+    transform_pair,
+)
 from .exact import Polynomial
 from .models import MomentData
 from .transforms import (
     RootedSpectralData,
     SpectrumReport,
-    extract_spectrum,
     laurent_at_infinity,
     renormalized_cauchy,
 )
@@ -103,16 +107,14 @@ def spectral_gap_report(
 ) -> list[GapRow]:
     """Spectra of n-fold star powers rescaled by 1/sqrt(deg * n), per n.
 
-    Spectra come from the exact convolution pipeline; only the final square
-    root is floating point.
+    Spectra come from `star_power_spectra`, the closed form of the n-fold
+    power; only the final square root is floating point.
     """
     if root_degree < 1:
         raise ValueError("root must have positive degree")
     rows = []
     ns = range(1, n_max + 1)
-    for n, power in zip(ns, star_powers(sd, ns)):
-        dim = n * (sd.dim - 1) + 1
-        report = extract_spectrum(power.rc, dim)
+    for n, report in zip(ns, star_power_spectra(sd, ns)):
         scale = 1.0 / math.sqrt(root_degree * n)
         scaled = [(v * scale, m) for v, m in report.entries]
         largest, l_mult = scaled[-1]

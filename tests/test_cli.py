@@ -651,6 +651,33 @@ class TestExitRoute:
             "vertex count 25000 exceeds cap 20000\n"
         )
 
+    def test_family_over_the_exact_cap_builds_no_edge(self, capsys, monkeypatch):
+        # complete:1000 took about a second to build before char_poly refused it,
+        # and complete:3000 about 1 GB
+        from cyclic_spectra import graphs
+
+        def refuse(d):
+            raise AssertionError(f"complete:{d} built")
+
+        monkeypatch.setitem(graphs._FAMILIES, "complete", (refuse, lambda d: d))
+        for argv in (
+            ["spectrum", "--family", "complete:1000"],
+            ["spectrum", "--family", "comb-of", "complete:1000", "--fold", "2"],
+            ["limits", "gap", "--family", "complete:1000", "--n-max", "2"],
+            ["limits", "clt", "--family", "complete:1000", "--n", "2", "--n-max", "2"],
+            ["limits", "comb", "--family", "complete:1000", "--k-max", "2", "--n-max", "2"],
+        ):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err == (
+                "error: bad graph family spec 'complete:1000': "
+                "matrix size 1000 exceeds exact cap 512\n"
+            )
+        # at the cap the family is built
+        code = main(["spectrum", "--family", "complete:512"])
+        assert code == 3 and capsys.readouterr().err == "error: complete:512 built\n"
+
     @pytest.mark.parametrize("argv", [
         ["cumulants", "--phi", "1/0", "--omega", "1"],
         ["cumulants", "--phi", "1", "--omega", "2,1/0"],
@@ -899,13 +926,14 @@ class TestCertificates:
         assert code == 3
         assert "mismatch" in data
 
+    @staticmethod
+    def _failing_spectra(sd, ns):
+        raise ArithmeticError("non-integer residue 0.5 at pole 1.0")
+
     def test_extraction_failure_exit_3(self, capsys, monkeypatch):
         from cyclic_spectra import cli as cli_mod
 
-        def failing_extract(rc, dim):
-            raise ArithmeticError("non-integer residue 0.5 at pole 1.0")
-
-        monkeypatch.setattr(cli_mod, "extract_spectrum", failing_extract)
+        monkeypatch.setattr(cli_mod, "star_power_spectra", self._failing_spectra)
         code = main(["spectrum", "--family", "star:3"])
         captured = capsys.readouterr()
         assert code == 3
@@ -915,15 +943,83 @@ class TestCertificates:
     def test_gap_extraction_failure_exit_3(self, capsys, monkeypatch):
         from cyclic_spectra import limits as limits_mod
 
-        def failing_extract(rc, dim):
-            raise ArithmeticError("non-integer residue 0.5 at pole 1.0")
-
-        monkeypatch.setattr(limits_mod, "extract_spectrum", failing_extract)
+        monkeypatch.setattr(limits_mod, "star_power_spectra", self._failing_spectra)
         code = main(["limits", "gap", "--family", "star:3", "--n-max", "2"])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
         assert "non-integer residue" in captured.err
+
+    def test_comb_extraction_failure_exit_3(self, capsys, monkeypatch):
+        # comb spectra are still read off the trace resolvent
+        from cyclic_spectra import cli as cli_mod
+
+        def failing_extract(rc, dim):
+            raise ArithmeticError("non-integer residue 0.5 at pole 1.0")
+
+        monkeypatch.setattr(cli_mod, "extract_spectrum", failing_extract)
+        code = main(["spectrum", "--family", "comb-of", "path:3", "--fold", "2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "non-integer residue" in captured.err
+
+    # (text in star_power_spectra, its mutant, the fold of complete:3 that
+    # shows it, the guard that must catch it)
+    STAR_SPECTRA_MUTANTS = {
+        "multiplicity off by one": (
+            "n * m + (n - 1) * in_q", "n * m + (n - 1) * in_q + 1", "1",
+            "multiplicities do not sum to dim",
+        ),
+        # the root -1 of g = z + 1 is also a root of S_1 = (z - 2)(z + 1)
+        "coincidence test dropped": (
+            "common = poly_gcd(s, g)", "common = Polynomial.one()", "1",
+            "eigenvalues must be strictly increasing",
+        ),
+        "sign flip on (n - 1) z Q": (
+            "p.scale(n) - zq.scale(n - 1)", "p.scale(n) + zq.scale(n - 1)", "2",
+            "S_2 is not monic of degree 2",
+        ),
+    }
+
+    @pytest.mark.parametrize("mutant", sorted(STAR_SPECTRA_MUTANTS))
+    def test_star_spectra_mutant_exit_3(self, capsys, monkeypatch, mutant):
+        import inspect
+
+        from cyclic_spectra import convolutions, limits
+
+        text, replacement, fold, message = self.STAR_SPECTRA_MUTANTS[mutant]
+        source = inspect.getsource(convolutions.star_power_spectra)
+        assert source.count(text) == 1, "the mutant no longer applies"
+        namespace = dict(vars(convolutions))
+        exec(source.replace(text, replacement), namespace)
+        monkeypatch.setattr(cli, "star_power_spectra", namespace["star_power_spectra"])
+        monkeypatch.setattr(limits, "star_power_spectra", namespace["star_power_spectra"])
+        for argv in (
+            ["spectrum", "--family", "complete:3", "--fold", fold, "--oracle-max", "0"],
+            ["limits", "gap", "--family", "complete:3", "--n-max", "2"],
+        ):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 3 and captured.out == ""
+            assert captured.err == f"error: {message}\n"
+
+    def test_star_spectra_neither_fold_nor_extract(self, capsys, monkeypatch):
+        from cyclic_spectra import convolutions, limits, transforms
+
+        def refuse(*args):
+            raise AssertionError("a star power was folded or extracted")
+
+        for module in (cli, convolutions, limits, transforms):
+            for name in ("star_powers", "nfold_star_transforms", "extract_spectrum"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        for argv in (
+            ["spectrum", "--family", "star-of", "complete:3", "--fold", "3", "--product", "star"],
+            ["limits", "gap", "--family", "complete:3", "--n-max", "8"],
+        ):
+            code, out = run(capsys, *argv)
+            assert code == 0 and out
 
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--family", "complete:3"],
@@ -967,7 +1063,7 @@ class TestCertificates:
         assert "routes disagree at n=10" in captured.err
 
     def test_star_cauchy_checks_the_cli_fold(self, tmp_path, capsys, monkeypatch):
-        # spectrum and limits fold star powers with _fold_boolean_pieces, so a
+        # limits clt folds star powers with _fold_boolean_pieces, so a
         # corrupted fold must fail the star-cauchy suite
         from cyclic_spectra import convolutions
         from cyclic_spectra.exact import Polynomial, RationalFunction

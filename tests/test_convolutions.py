@@ -17,6 +17,7 @@ from cyclic_spectra.convolutions import (
     schwenk_star_check,
     star_cauchy_identity_check,
     star_char_poly,
+    star_power_spectra,
     star_powers,
     transform_pair,
 )
@@ -34,6 +35,8 @@ from cyclic_spectra.graphs import (
 )
 from cyclic_spectra.transforms import (
     RootedSpectralData,
+    SpectrumReport,
+    extract_spectrum,
     green,
     renormalized_cauchy,
     spectral_data,
@@ -129,6 +132,79 @@ class TestCyclicBooleanSum:
             product_sd = spectral_data([star_product(g1, g2)])[0]
             assert total.rc == renormalized_cauchy(product_sd)
             assert total.green == green(product_sd)
+
+
+def folded_spectrum(sd: RootedSpectralData, n: int) -> SpectrumReport:
+    """The reference route: fold the transforms n times, then read the
+    spectrum off the trace resolvent's poles and residues."""
+    return extract_spectrum(nfold_star_transforms(sd, n).rc, n * (sd.dim - 1) + 1)
+
+
+class TestStarPowerSpectra:
+    # every star base of the README and the benchmark, and the special cases:
+    # star:3 has psi = z^3; complete:3 has g = z + 1, whose root -1 is also a
+    # zero of S_1; the path rooted at its middle and the two components below
+    # the root have a disconnected G - r; a lone vertex has psi = 1, and a
+    # root of degree 0 has g = psi
+    BASES = {
+        "complete:2": complete(2),
+        "complete:3": complete(3),
+        "complete:5": complete(5),
+        "star:3": star(3),
+        "friendship:2": friendship(2),
+        "friendship:3": friendship(3),
+        "path:4": path(4),
+        "path:3 rooted at its middle": RootedGraph(path(3).graph, 1),
+        "lone vertex": RootedGraph(Graph(1), 0),
+        "root of degree 0": RootedGraph(Graph(4, [(1, 2), (2, 3)]), 0),
+        "two components below the root": RootedGraph(
+            Graph(6, [(0, 1), (0, 3), (1, 2), (3, 4), (4, 5), (3, 5)]), 0
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BASES))
+    def test_matches_the_fold_on_named_bases(self, name):
+        [sd] = spectral_data([self.BASES[name]])
+        ns = range(1, 65)
+        for n, report in zip(ns, star_power_spectra(sd, ns)):
+            assert report == folded_spectrum(sd, n), n
+
+    def test_matches_the_fold_on_random_bases(self):
+        rng = random.Random(2929)
+        bases = [random_rooted_graph(rng, rng.randint(2, 10)) for _ in range(240)]
+        ns = (1, 2, 3, 7)
+        for g, sd in zip(bases, spectral_data(bases)):
+            for n, report in zip(ns, star_power_spectra(sd, ns)):
+                assert report == folded_spectrum(sd, n), (g, n)
+
+    def test_special_cases(self):
+        names = ("star:3", "complete:3", "lone vertex")
+        spectra = {
+            name: list(star_power_spectra(sd, (1, 2, 5)))
+            for name, sd in zip(names, spectral_data([self.BASES[name] for name in names]))
+        }
+        # psi = z^3 has the root 0 of multiplicity 3, two of it in g = z^2
+        # and one in Q = z: multiplicity 2n + (n - 1) = 3n - 1
+        assert [dict(r.entries)[0.0] for r in spectra["star:3"]] == [2, 5, 14]
+        # -1 is a root of g = z + 1 and of S_1 = (z - 2)(z + 1): n + [n = 1]
+        assert [dict(r.entries)[-1.0] for r in spectra["complete:3"]] == [2, 2, 5]
+        assert [r.entries for r in spectra["lone vertex"]] == [((0.0, 1),)] * 3
+
+    def test_rejects_fold_below_one(self):
+        for ns in ([0], [2, -1]):
+            with pytest.raises(ValueError, match="fold count"):
+                list(star_power_spectra(sd_k2(), ns))
+
+    @pytest.mark.parametrize("phi, psi, message", [
+        # S_1 = P = z^2 + 1
+        ((1, 0, 1), (0, 1), "S_1 has 0 real roots, not 2"),
+        # g = z^2 + 1 has no real root to carry its multiplicity
+        ((0, 1, 0, 1), (1, 0, 1), "multiplicities do not sum to dim"),
+    ])
+    def test_rejects_an_element_that_is_no_graph(self, phi, psi, message):
+        sd = RootedSpectralData(Polynomial(phi), Polynomial(psi), len(phi) - 1)
+        with pytest.raises(ArithmeticError, match=message):
+            list(star_power_spectra(sd, [1]))
 
 
 class TestStarCharPoly:

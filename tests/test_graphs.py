@@ -92,6 +92,25 @@ class TestNamed:
         assert peak < 1 << 18
 
 
+    @pytest.mark.parametrize("spec", ["complete:513", "star:512", "friendship:256", "path:3000"])
+    def test_over_the_exact_cap_builds_no_edge(self, spec):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"'{spec}': matrix size .* exceeds exact cap 512"):
+                named(spec, 512)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 18
+
+    def test_at_the_exact_cap(self):
+        for spec in ("star:511", "friendship:255", "path:512"):
+            assert named(spec, 512) == named(spec)
+        # VERTEX_CAP keeps its own message
+        with pytest.raises(ValueError, match="vertex count 25000 exceeds cap 20000"):
+            named("complete:25000", 512)
+
+
 class TestStarProduct:
     def test_two_edges_give_path(self):
         p = star_product(k2(), k2())
