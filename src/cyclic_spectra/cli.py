@@ -81,14 +81,9 @@ _PRODUCT_WORDS = {"star-of": "star", "comb-of": "comb"}
 
 
 def _parse_graph_arg(tokens: list[str]) -> tuple[graphs.RootedGraph, str]:
-    """--family accepts 'name:param' or 'star-of/comb-of name:param'.
-
-    Every command that reads it takes the base's exact characteristic
-    polynomials, so a named family above `EXACT_CHARPOLY_CAP` is refused from
-    its spec, before any edge is built.
-    """
+    """--family accepts 'name:param' or 'star-of/comb-of name:param'."""
     if len(tokens) == 2 and tokens[0] in _PRODUCT_WORDS:
-        return graphs.named(tokens[1], EXACT_CHARPOLY_CAP), tokens[1]
+        return graphs.named(tokens[1]), tokens[1]
     if len(tokens) == 1:
         if os.path.exists(tokens[0]):
             with open(tokens[0]) as fh:
@@ -96,7 +91,7 @@ def _parse_graph_arg(tokens: list[str]) -> tuple[graphs.RootedGraph, str]:
             if tokens[0].endswith(".json"):
                 return graphs.graph_from_json(text), tokens[0]
             return graphs.parse_graph_text(text), tokens[0]
-        return graphs.named(tokens[0], EXACT_CHARPOLY_CAP), tokens[0]
+        return graphs.named(tokens[0]), tokens[0]
     raise ValueError(f"bad --family specification: {' '.join(tokens)}")
 
 

@@ -112,20 +112,20 @@ def star_power_spectra(sd: RootedSpectralData, ns: Sequence[int]) -> Iterator[Sp
     monic of degree deg P, fewer than deg P real roots, multiplicities that do
     not sum to n (d - 1) + 1, or two roots whose values round to one double.
     """
+    if min(ns, default=1) < 1:
+        raise ValueError("fold count must be >= 1")
     g = poly_gcd(sd.phi, sd.phi_minus_root)
     p, q = g.cofactors
     zq = Polynomial.x() * q
     g_roots = isolate_real_roots(g)
     shared = poly_gcd(q, g)
     g_base = [
-        (mu, m, _vanishes(shared, mu)) for mu, m in zip(g_roots, _multiplicities(g, g_roots))
+        (mu, m, mu.is_root_of(shared)) for mu, m in zip(g_roots, _multiplicities(g, g_roots))
     ]
     # a root of Q counts n - 1 times, so only from n = 2 on
     q_roots = isolate_real_roots(q) if max(ns, default=1) > 1 else []
-    q_only = [mu for mu in q_roots if not _vanishes(shared, mu)]
+    q_only = [mu for mu in q_roots if not mu.is_root_of(shared)]
     for n in ns:
-        if n < 1:
-            raise ValueError("fold count must be >= 1")
         s = p.scale(n) - zq.scale(n - 1)
         if s.degree != p.degree or s.leading() != 1:
             raise ArithmeticError(f"S_{n} is not monic of degree {p.degree}")
@@ -133,27 +133,16 @@ def star_power_spectra(sd: RootedSpectralData, ns: Sequence[int]) -> Iterator[Sp
         if len(roots) != s.degree:
             raise ArithmeticError(f"S_{n} has {len(roots)} real roots, not {s.degree}")
         common = poly_gcd(s, g)
-        entries = [(root.value, 1) for root in roots if not _vanishes(common, root)]
+        entries = [(root.value, 1) for root in roots if not root.is_root_of(common)]
         entries += [(mu.value, n - 1) for mu in q_only if n > 1]
         entries += [
-            (mu.value, n * m + (n - 1) * in_q + _vanishes(common, mu)) for mu, m, in_q in g_base
+            (mu.value, n * m + (n - 1) * in_q + mu.is_root_of(common)) for mu, m, in_q in g_base
         ]
         try:
             report = SpectrumReport(tuple(sorted(entries)), n * (sd.dim - 1) + 1)
         except ValueError as exc:  # the multiplicities or the rounded roots
             raise ArithmeticError(*exc.args) from exc
         yield report
-
-
-def _vanishes(f: Polynomial, root: IsolatedRoot) -> bool:
-    """Whether f is 0 at the root, for an f whose roots are all roots of the
-    polynomial the root was isolated from, and simple where it vanishes:
-    exactly at a dyadic root, else by a sign change over the interval."""
-    if f.degree == 0:
-        return False
-    if root.exact is not None:
-        return f(root.exact) == 0
-    return f(root.lo) * f(root.hi) < 0
 
 
 def _multiplicities(p: Polynomial, roots: list[IsolatedRoot]) -> list[int]:
@@ -169,7 +158,7 @@ def _multiplicities(p: Polynomial, roots: list[IsolatedRoot]) -> list[int]:
         a = poly_gcd(b, c - b.derivative())
         b, c = a.cofactors
         for k, root in enumerate(roots):
-            if _vanishes(a, root):
+            if root.is_root_of(a):
                 out[k] = i
         i += 1
     return out

@@ -11,8 +11,12 @@ import numpy as np
 
 #: hard cap on the vertices of any graph, products included; it bounds only
 #: the graph objects (the oracle is capped by `spectrum --oracle-max`, exact
-#: characteristic polynomials by `transforms.EXACT_CHARPOLY_CAP`)
+#: characteristic polynomials by EXACT_CHARPOLY_CAP)
 VERTEX_CAP = 20_000
+
+#: largest graph `transforms.char_poly` accepts, and so the largest named
+#: family `named` builds
+EXACT_CHARPOLY_CAP = 512
 
 
 def _normalize_edges(n: int, edges: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
@@ -192,11 +196,12 @@ _FAMILIES = {
 }
 
 
-def named(spec: str, exact_cap: int | None = None) -> RootedGraph:
+def named(spec: str) -> RootedGraph:
     """Build a named family from a 'name:param' string, e.g. 'complete:3'.
 
-    With exact_cap, a family of more vertices than that, but within
-    VERTEX_CAP, raises ValueError from its spec, before any edge is built.
+    Every family is read through exact characteristic polynomials, so one of
+    more than EXACT_CHARPOLY_CAP vertices raises ValueError from its spec,
+    before any edge is built; above VERTEX_CAP the Graph's own check speaks.
     """
     name, _, arg = spec.partition(":")
     if name not in _FAMILIES:
@@ -205,8 +210,8 @@ def named(spec: str, exact_cap: int | None = None) -> RootedGraph:
     try:
         k = int(arg)
         n = vertices(k)
-        if exact_cap is not None and exact_cap < n <= VERTEX_CAP:
-            raise ValueError(f"matrix size {n} exceeds exact cap {exact_cap}")
+        if EXACT_CHARPOLY_CAP < n <= VERTEX_CAP:
+            raise ValueError(f"matrix size {n} exceeds exact cap {EXACT_CHARPOLY_CAP}")
         return build(k)
     except ValueError as exc:  # a bad size, or one above a cap
         raise ValueError(f"bad graph family spec {spec!r}: {exc}") from exc

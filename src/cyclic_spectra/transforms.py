@@ -25,10 +25,7 @@ from .exact import (
     poly_gcd,
     square_free_part,
 )
-from .graphs import RootedGraph, adjacency
-
-#: largest graph `char_poly` accepts; larger inputs raise ValueError
-EXACT_CHARPOLY_CAP = 512
+from .graphs import EXACT_CHARPOLY_CAP, RootedGraph, adjacency
 
 #: float64 residue matrices ((graph, prime) pairs x n x n) held at once by
 #: `char_poly`
@@ -284,6 +281,16 @@ class IsolatedRoot:
     def value(self) -> float:
         return float(self.midpoint)
 
+    def is_root_of(self, f: Polynomial) -> bool:
+        """Whether f is 0 here, for an f whose roots are all roots of the
+        polynomial this root was isolated from, and simple where it vanishes:
+        exactly at a dyadic root, else by a sign change over the interval."""
+        if f.degree == 0:
+            return False
+        if self.exact is not None:
+            return f(self.exact) == 0
+        return f(self.lo) * f(self.hi) < 0
+
 
 def isolate_real_roots(p: Polynomial) -> list[IsolatedRoot]:
     """All real roots of p, each reported once (input need not be square-free).
@@ -437,7 +444,7 @@ def extract_spectrum(rc: RationalFunction, dim: int) -> SpectrumReport:
         else:
             if m not in gcds:
                 gcds[m] = poly_gcd(t.den, t.num - den_prime * m)
-            certified = gcds[m](root.lo) * gcds[m](root.hi) < 0
+            certified = root.is_root_of(gcds[m])
         if not certified:
             raise ArithmeticError(f"non-integer residue {float(residue)} at pole {root.value}")
         if m < 1:

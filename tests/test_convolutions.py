@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cyclic_spectra import exact
+from cyclic_spectra import convolutions, exact
 from cyclic_spectra.convolutions import (
     comb_char_poly,
     comb_trace_check,
@@ -190,7 +190,12 @@ class TestStarPowerSpectra:
         assert [dict(r.entries)[-1.0] for r in spectra["complete:3"]] == [2, 2, 5]
         assert [r.entries for r in spectra["lone vertex"]] == [((0.0, 1),)] * 3
 
-    def test_rejects_fold_below_one(self):
+    def test_rejects_fold_below_one(self, monkeypatch):
+        # before any per-element work
+        def refuse(*args):
+            raise AssertionError("poly_gcd called")
+
+        monkeypatch.setattr(convolutions, "poly_gcd", refuse)
         for ns in ([0], [2, -1]):
             with pytest.raises(ValueError, match="fold count"):
                 list(star_power_spectra(sd_k2(), ns))

@@ -97,18 +97,15 @@ class TestNamed:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=f"'{spec}': matrix size .* exceeds exact cap 512"):
-                named(spec, 512)
+                named(spec)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 18
 
     def test_at_the_exact_cap(self):
-        for spec in ("star:511", "friendship:255", "path:512"):
-            assert named(spec, 512) == named(spec)
-        # VERTEX_CAP keeps its own message
-        with pytest.raises(ValueError, match="vertex count 25000 exceeds cap 20000"):
-            named("complete:25000", 512)
+        for spec, n in (("star:511", 512), ("friendship:255", 511), ("path:512", 512)):
+            assert named(spec).n == n
 
 
 class TestStarProduct:

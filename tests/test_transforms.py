@@ -656,6 +656,16 @@ class TestRootIsolation:
     def test_no_real_roots(self):
         assert isolate_real_roots(poly(1, 0, 1)) == []
 
+    def test_is_root_of(self):
+        # roots -sqrt(2), 1/3, 1, sqrt(2): the dyadic 1 is exact, the others are not
+        p = poly(-2, 0, 1) * poly(F(-1, 3), 1) * poly(-1, 1)
+        roots = isolate_real_roots(p)
+        assert [r.exact for r in roots] == [None, None, 1, None]
+        assert [r.is_root_of(poly(-2, 0, 1)) for r in roots] == [True, False, False, True]
+        assert [r.is_root_of(poly(F(-1, 3), 1)) for r in roots] == [False, True, False, False]
+        assert [r.is_root_of(poly(-1, 1)) for r in roots] == [False, False, True, False]
+        assert not any(r.is_root_of(Polynomial.constant(3)) for r in roots)
+
     def test_irrational_root_interval(self):
         (neg, pos) = isolate_real_roots(poly(-2, 0, 1))
         for root in (neg, pos):
