@@ -46,50 +46,28 @@ def h_transform(sd: RootedSpectralData) -> RationalFunction:
     return renormalized_trace(sd.phi_minus_root, sd.dim - 1)
 
 
-_Pieces = tuple[RationalFunction, RationalFunction]
-
-
-def _boolean_pieces(sd: RootedSpectralData) -> _Pieces:
-    """(F_i, h_i): what the cyclic-Boolean fold is linear in, per element."""
-    return RationalFunction(sd.phi, sd.phi_minus_root), h_transform(sd)
-
-
-def _fold_boolean_pieces(terms: Sequence[tuple[_Pieces, int]]) -> TransformPair:
+def cyclic_boolean_sum(terms: Sequence[tuple[RootedSpectralData, int]]) -> TransformPair:
     """Transforms of a sum of cyclic-Boolean independent elements.
 
-    Term ((F_i, h_i), n_i) is n_i copies of one element.  With N = sum n_i,
+    Term (sd_i, n_i) is n_i copies of one element.  With N = sum n_i,
     F = sum n_i F_i - (N - 1) z and h = sum n_i h_i, so rc = h - 1/z - G'/G.
+    Each n_i must be >= 1, and there must be at least one term.
     """
+    if min((n for _, n in terms), default=0) < 1:
+        raise ValueError("fold count must be >= 1")
     count = sum(n for _, n in terms)
     f = -(count - 1) * _Z
     h = -_ONE_OVER_Z
-    for (f_i, h_i), n in terms:
-        f = f + n * f_i
-        h = h + n * h_i
+    for sd, n in terms:
+        f = f + n * RationalFunction(sd.phi, sd.phi_minus_root)
+        h = h + n * h_transform(sd)
     g = f.reciprocal()
     return TransformPair(h - g.log_derivative(), g)
 
 
-def cyclic_boolean_sum(a: RootedSpectralData, b: RootedSpectralData) -> TransformPair:
-    """Transforms of a + b for cyclic-Boolean independent a, b."""
-    return _fold_boolean_pieces(((_boolean_pieces(a), 1), (_boolean_pieces(b), 1)))
-
-
-def star_powers(sd: RootedSpectralData, ns: Sequence[int]) -> Iterator[TransformPair]:
-    """Transforms of the n-fold star power of one element, for each n in ns.
-
-    The element's pieces are built once and folded per n.
-    """
-    if min(ns, default=1) < 1:
-        raise ValueError("fold count must be >= 1")
-    pieces = _boolean_pieces(sd)
-    return (_fold_boolean_pieces(((pieces, n),)) for n in ns)
-
-
 def nfold_star_transforms(sd: RootedSpectralData, n: int) -> TransformPair:
     """Transforms of the n-fold star power, in closed form (no iteration)."""
-    (power,) = star_powers(sd, (n,))
-    return power
+    return cyclic_boolean_sum(((sd, n),))
 
 
 def star_power_spectra(sd: RootedSpectralData, ns: Sequence[int]) -> Iterator[SpectrumReport]:
@@ -253,10 +231,10 @@ def star_cauchy_identity_check(
     """Star-product identity for both transforms, checked exactly.
 
     The (rc, G) pair of the product must equal the cyclic-Boolean sum of the
-    factors, computed by the same fold as the star-power spectra.
+    factors, computed by `cyclic_boolean_sum`, the fold that `limits clt` runs.
     """
     lhs = transform_pair(product_sd)
-    rhs = cyclic_boolean_sum(sd1, sd2)
+    rhs = cyclic_boolean_sum(((sd1, 1), (sd2, 1)))
     return _compare("star-cauchy", lhs, rhs)
 
 

@@ -23,7 +23,6 @@ from typing import Iterator, Sequence
 from .convolutions import (
     nfold_star_transforms,
     star_power_spectra,
-    star_powers,
     transform_pair,
 )
 from .exact import Polynomial
@@ -75,12 +74,15 @@ def clt_report(
     """Finite-size trace moments of normalized star-power sums against their limit.
 
     One report per order k = 1..k_max.  Moments come from the exact
-    convolution pipeline, one star power per sample size, so the sizes can
-    reach the hundreds; only the final normalization is floating point.
+    convolution pipeline: `nfold_star_transforms`, the closed-form
+    cyclic-Boolean fold, once per sample size, so the sizes can reach the
+    hundreds; only the final normalization is floating point.
     """
+    if root_degree < 1:
+        raise ValueError("root must have positive degree")
     alpha = laurent_at_infinity(renormalized_cauchy(sd), 3)[3] / root_degree
     series = [
-        laurent_at_infinity(power.rc, k_max + 1) for power in star_powers(sd, n_values)
+        laurent_at_infinity(nfold_star_transforms(sd, n).rc, k_max + 1) for n in n_values
     ]
     reports = []
     for k in range(1, k_max + 1):

@@ -1011,7 +1011,7 @@ class TestCertificates:
             raise AssertionError("a star power was folded or extracted")
 
         for module in (cli, convolutions, limits, transforms):
-            for name in ("star_powers", "nfold_star_transforms", "extract_spectrum"):
+            for name in ("cyclic_boolean_sum", "nfold_star_transforms", "extract_spectrum"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)
         for argv in (
@@ -1063,19 +1063,24 @@ class TestCertificates:
         assert "routes disagree at n=10" in captured.err
 
     def test_star_cauchy_checks_the_cli_fold(self, tmp_path, capsys, monkeypatch):
-        # limits clt folds star powers with _fold_boolean_pieces, so a
-        # corrupted fold must fail the star-cauchy suite
+        # limits clt folds star powers with cyclic_boolean_sum, so a corrupted
+        # fold must fail the star-cauchy suite and change the clt table
         from cyclic_spectra import convolutions
         from cyclic_spectra.exact import Polynomial, RationalFunction
 
-        fold = convolutions._fold_boolean_pieces
+        clt = ["limits", "clt", "--family", "complete:3"]
+        code, clean = run(capsys, *clt)
+        assert code == 0
+        fold = convolutions.cyclic_boolean_sum
         offset = RationalFunction(Polynomial.one(), Polynomial((0, 0, 1)))
 
         def corrupt(terms):
             pair = fold(terms)
             return convolutions.TransformPair(pair.rc + offset, pair.green)
 
-        monkeypatch.setattr(convolutions, "_fold_boolean_pieces", corrupt)
+        monkeypatch.setattr(convolutions, "cyclic_boolean_sum", corrupt)
+        code, corrupted = run(capsys, *clt)
+        assert code == 0 and corrupted != clean
         cert = tmp_path / "cert.json"
         code = main([
             "verify", "star-cauchy", "--trials", "5", "--certificate", str(cert),

@@ -1,6 +1,7 @@
 """Convolution identities against the exact graph oracle."""
 
 import random
+from functools import reduce
 
 import pytest
 
@@ -18,7 +19,6 @@ from cyclic_spectra.convolutions import (
     star_cauchy_identity_check,
     star_char_poly,
     star_power_spectra,
-    star_powers,
     transform_pair,
 )
 from cyclic_spectra.exact import Polynomial, RationalFunction
@@ -60,11 +60,11 @@ class TestBooleanFSum:
     # F of a cyclic-Boolean sum is F1 + F2 - z
     def test_two_edges(self):
         # z - 2/z = (z^2 - 2)/z
-        f = cyclic_boolean_sum(sd_k2(), sd_k2()).green.reciprocal()
+        f = cyclic_boolean_sum([(sd_k2(), 1), (sd_k2(), 1)]).green.reciprocal()
         assert f == RationalFunction(poly(-2, 0, 1), poly(0, 1))
 
     def test_neutral_element(self):
-        total = cyclic_boolean_sum(sd_k2(), sd_vertex())
+        total = cyclic_boolean_sum([(sd_k2(), 1), (sd_vertex(), 1)])
         assert total.green.reciprocal() == green(sd_k2()).reciprocal()
 
     def test_nfold_closed_form(self):
@@ -75,20 +75,20 @@ class TestBooleanFSum:
             closed = RationalFunction(poly(-n, 0, 1), poly(0, 1))  # z - n/z
             assert iterated.green.reciprocal() == closed
             assert nfold_star_transforms(sd_k2(), n).green == closed.reciprocal()
-            iterated = cyclic_boolean_sum(partial, sd)
+            iterated = cyclic_boolean_sum([(partial, 1), (sd, 1)])
             partial = star_char_poly(partial, sd)
             assert transform_pair(partial) == iterated
 
 
 class TestCyclicBooleanSum:
     def test_k2_pair_gives_star2(self):
-        total = cyclic_boolean_sum(sd_k2(), sd_k2())
+        total = cyclic_boolean_sum([(sd_k2(), 1), (sd_k2(), 1)])
         # 4 / (z (z^2 - 2))
         assert total.rc == RationalFunction(poly(4), poly(0, -2, 0, 1))
 
     def test_neutral(self):
         pair = transform_pair(sd_k2())
-        total = cyclic_boolean_sum(sd_k2(), sd_vertex())
+        total = cyclic_boolean_sum([(sd_k2(), 1), (sd_vertex(), 1)])
         assert total.rc == pair.rc
         assert total.green == pair.green
 
@@ -104,31 +104,53 @@ class TestCyclicBooleanSum:
             sd = spectral_data([base])[0]
             partial = sd
             for n in range(2, 9):
-                acc = cyclic_boolean_sum(partial, sd)
+                acc = cyclic_boolean_sum([(partial, 1), (sd, 1)])
                 partial = star_char_poly(partial, sd)
                 assert transform_pair(partial) == acc
                 closed = nfold_star_transforms(sd, n)
                 assert acc.rc == closed.rc
                 assert acc.green == closed.green
 
-    def test_star_powers_match_nfold(self):
+    def test_nfold_matches_one_copy_terms(self):
         for base in (complete(2), complete(3), star(3), friendship(2)):
             sd = spectral_data([base])[0]
-            ns = [1, 2, 3, 5, 8, 2]
-            for n, power in zip(ns, star_powers(sd, ns)):
-                assert power == nfold_star_transforms(sd, n)
+            for n in [1, 2, 3, 5, 8, 2]:
+                assert nfold_star_transforms(sd, n) == cyclic_boolean_sum([(sd, 1)] * n)
 
-    def test_star_powers_reject_fold_below_one(self):
+    def test_mixed_terms_match_star_product(self):
+        # copies above 1 over distinct elements: K2 twice, K3 once, P3 three times
+        bases = [(complete(2), 2), (complete(3), 1), (path(3), 3)]
+        sds = spectral_data([g for g, _ in bases])
+        product = reduce(star_product, [g for g, n in bases for _ in range(n)])
+        total = cyclic_boolean_sum([(sd, n) for sd, (_, n) in zip(sds, bases)])
+        assert total == transform_pair(spectral_data([product])[0])
+
+    def test_mixed_terms_match_star_product_on_corpus(self):
+        rng = random.Random(7)
+        for _ in range(30):
+            graphs = [random_rooted_graph(rng, 5) for _ in range(rng.randint(1, 3))]
+            copies = [rng.randint(1, 3) for _ in graphs]
+            product = reduce(star_product, [g for g, n in zip(graphs, copies) for _ in range(n)])
+            total = cyclic_boolean_sum(list(zip(spectral_data(graphs), copies)))
+            assert total == transform_pair(spectral_data([product])[0])
+
+    def test_reject_fold_below_one(self):
+        # every count must be >= 1, and an empty sum has none
         for ns in ([0], [2, -1], range(0, 3)):
             with pytest.raises(ValueError, match="fold count"):
-                star_powers(sd_k2(), ns)
+                cyclic_boolean_sum([(sd_k2(), n) for n in ns])
+            with pytest.raises(ValueError, match="fold count"):
+                nfold_star_transforms(sd_k2(), min(ns))
+        with pytest.raises(ValueError, match="fold count"):
+            cyclic_boolean_sum([])
 
     def test_matches_star_product_on_corpus(self):
         rng = random.Random(42)
         for _ in range(60):
             g1 = random_rooted_graph(rng, 8)
             g2 = random_rooted_graph(rng, 8)
-            total = cyclic_boolean_sum(*spectral_data([g1, g2]))
+            sd1, sd2 = spectral_data([g1, g2])
+            total = cyclic_boolean_sum([(sd1, 1), (sd2, 1)])
             product_sd = spectral_data([star_product(g1, g2)])[0]
             assert total.rc == renormalized_cauchy(product_sd)
             assert total.green == green(product_sd)

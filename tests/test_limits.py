@@ -120,6 +120,19 @@ class TestCltReport:
         with pytest.raises(ValueError, match="fold count"):
             clt_report(spectral_data([complete(3)])[0], 2, 2, [4, 0])
 
+    def test_root_degree_zero_rejected(self, monkeypatch):
+        # a usage error, not the ZeroDivisionError of the normalization, and
+        # raised before any exact work
+        from cyclic_spectra.limits import clt_report
+
+        def refuse(*args):
+            raise AssertionError("exact work before the degree check")
+
+        monkeypatch.setattr(limits, "renormalized_cauchy", refuse)
+        monkeypatch.setattr(limits, "nfold_star_transforms", refuse)
+        with pytest.raises(ValueError, match="root must have positive degree"):
+            clt_report(spectral_data([complete(3)])[0], 0, 6, [1])
+
 
 class TestSpectralGap:
     def test_k2_exact(self):
