@@ -22,6 +22,7 @@ from . import graphs
 from .convolutions import nfold_comb_transforms, star_power_spectra
 from .cumulants import boolean_cumulants, cyclic_boolean_cumulants, h_coefficients
 from .limits import (
+    CLT_ORDER_CAP,
     alpha_row,
     beta_table,
     carleman_check,
@@ -393,6 +394,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"{args.suite}, whose star products must stay within the exact "
                 f"cap of {EXACT_CHARPOLY_CAP} vertices"
             )
+        if args.command == "limits" and args.table == "clt" and args.n > CLT_ORDER_CAP:
+            parser.error(f"argument --n: must be at most {CLT_ORDER_CAP} for limits clt")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

@@ -5,7 +5,9 @@ resolvent and its renormalized form) is exact over the rationals, and so is
 the step that turns a transform into a spectrum: roots are isolated in exact
 rational intervals and multiplicities are certified by exact gcds.  Floating
 point enters only when an eigenvalue that is not dyadic is reported as the
-float of its interval midpoint.
+double that both ends of its interval round to, and as a guess of where a
+root lies, which picks the points where exact signs are taken but decides
+nothing.
 """
 
 from __future__ import annotations
@@ -33,6 +35,16 @@ _BATCH_ENTRIES = 1 << 16
 
 #: float64 holds every integer below this exactly
 _EXACT_FLOAT = 1 << 53
+
+#: float Newton steps that `_float_guess` takes at most, and doubles that
+#: `_certify` tries before the root is bisected instead
+_NEWTON_STEPS = 40
+_CERTIFY_STEPS = 8
+
+#: Horner's rule in float64 computes p(x) to within this (twice the unit
+#: roundoff) times the sum of |f_i| |x|^j over its partial values f_i, to
+#: first order (Higham, Accuracy and Stability of Numerical Algorithms, 5.1)
+_EPS_BOUND = 2.0**-52
 
 
 # ----------------------------------------------------------------------
@@ -264,7 +276,8 @@ def laurent_at_infinity(f: RationalFunction, order: int) -> tuple[Fraction, ...]
 
 @dataclass(frozen=True)
 class IsolatedRoot:
-    """A real root in the exact interval [lo, hi]; lo == hi for a dyadic root."""
+    """A real root in the exact interval [lo, hi]: lo == hi for a root found
+    exactly, else both ends round to the same double, the root's value."""
 
     lo: Fraction
     hi: Fraction
@@ -279,7 +292,7 @@ class IsolatedRoot:
 
     @property
     def value(self) -> float:
-        return float(self.midpoint)
+        return float(self.lo)
 
     def is_root_of(self, f: Polynomial) -> bool:
         """Whether f is 0 here, for an f whose roots are all roots of the
@@ -297,9 +310,10 @@ def isolate_real_roots(p: Polynomial) -> list[IsolatedRoot]:
 
     Vincent-Collins-Akritas bisection: the primitive integer part a of the
     square-free part of p has its roots in (-2^k, 2^k), and each side is
-    halved until Descartes' rule of signs isolates every root.  A dyadic root,
-    so every integer root, lands on a bisection point and is found exactly.
-    Each other root gets an interval whose ends round to the same double, that
+    halved until Descartes' rule of signs isolates every root.  `_refine`
+    then narrows each interval by exact signs at points a float guess picks.
+    A root that is a double, so every integer root, is found exactly.  Each
+    other root gets an interval whose ends round to the same double, that
     holds no other root of p and has no root of p at either end.
     """
     if p.is_zero():
@@ -364,24 +378,38 @@ def _sign_variations(a: list[int]) -> int:
 
 
 def _sign_at(a: list[int], n: int, e: int) -> int:
-    """Sign of sum a_i x^i at x = n/2^e, by Horner on the 2^(e d) multiple."""
-    acc = 0
-    for i, c in enumerate(reversed(a)):
-        acc = acc * n + (c << (e * i))
+    """Sign of sum a_i x^i at x = n/2^e."""
+    acc = _scaled_value(a, n, e)
     return (acc > 0) - (acc < 0)
 
 
-def _refine(a: list[int], lo: int, hi: int, e: int) -> IsolatedRoot:
-    """Bisect (lo/2^e, hi/2^e), which holds one root of p = sum a_i x^i.
+def _scaled_value(a: list[int], n: int, e: int) -> int:
+    """2^(e d) times sum a_i x^i at x = n/2^e, for d = len(a) - 1, by Horner."""
+    acc = 0
+    for i, c in enumerate(reversed(a)):
+        acc = acc * n + (c << (e * i))
+    return acc
 
-    Stops once both ends round to the same double, so the root does too, and
-    neither end is a root of p.  s is the sign of p just right of lo; at a
-    root lo that is the sign of p'(lo), which is not 0 as p is square-free.
+
+def _refine(a: list[int], lo: int, hi: int, e: int) -> IsolatedRoot:
+    """The one root of p = sum a_i x^i in (lo/2^e, hi/2^e), refined.
+
+    Returns an interval whose ends round to the same double, so the root does
+    too, and neither of which is a root of p; a root that is a double comes
+    back exact.  s is the sign of p just right of lo; at a root lo that is
+    the sign of p'(lo), which is not 0 as p is square-free.  `_certify`
+    proves the root's double from a float guess with a few exact signs; only
+    when it fails is the interval bisected, about 50 exact signs from a
+    Descartes interval.
     """
     s = _sign_at(a, lo, e)
-    lo_root, hi_root = s == 0, _sign_at(a, hi, e) == 0
+    lo_root = s == 0
     if lo_root:
         s = _sign_at([i * c for i, c in enumerate(a)][1:], lo, e)
+    root = _certify(a, lo, hi, e, s)
+    if root is not None:
+        return root
+    hi_root = _sign_at(a, hi, e) == 0
     while lo_root or hi_root or lo / (1 << e) != hi / (1 << e):
         mid, lo, hi, e = lo + hi, 2 * lo, 2 * hi, e + 1
         sm = _sign_at(a, mid, e)
@@ -393,6 +421,105 @@ def _refine(a: list[int], lo: int, hi: int, e: int) -> IsolatedRoot:
         else:
             hi, hi_root = mid, False
     return IsolatedRoot(Fraction(lo, 1 << e), Fraction(hi, 1 << e))
+
+
+def _certify(a: list[int], lo: int, hi: int, e: int, s: int) -> IsolatedRoot | None:
+    """The root of p = sum a_i x^i in (lo/2^e, hi/2^e), where p has sign s
+    left of the root, proved by exact signs at points a float guess chose;
+    None when the proof fails.
+
+    The interval holds no other root, so at a double D strictly inside it,
+    p(D) = 0 makes D the root, and else the sign of p(D) tells the root's
+    side.  E, 1023/2048 of the way from D to the next double on that side,
+    rounds to D, and opposite signs of p at D and E put the root in (D, E),
+    which rounds to D as well.  Else D moves on, by the secant step through
+    the exact values at D and E or at least to that next double.
+    """
+    x = _float_guess(a, lo, hi, e, s)
+    if x is None:
+        return None
+    d = len(a) - 1
+
+    def inside(n: int, m: int) -> bool:  # lo/2^e < n/2^m < hi/2^e
+        return lo << m < n << e < hi << m
+
+    for _ in range(_CERTIFY_STEPS):
+        if not math.isfinite(x):
+            return None
+        n, m = _dyadic(x)
+        if not inside(n, m):
+            return None
+        v = _scaled_value(a, n, m)
+        if v == 0:
+            return IsolatedRoot(Fraction(n, 1 << m), Fraction(n, 1 << m))
+        right = (v > 0) == (s > 0)  # the root is right of D
+        step = math.nextafter(x, math.inf if right else -math.inf) - x
+        if not math.isfinite(step):
+            return None
+        n1, m1 = _dyadic(x + step)
+        k = max(m, m1) + 11
+        edge = 1025 * (n << (k - m - 11)) + 1023 * (n1 << (k - m1 - 11))
+        if not inside(edge, k):
+            return None
+        w = _scaled_value(a, edge, k)
+        if w and (w > 0) != (v > 0):
+            ends = sorted((n << (k - m), edge))
+            return IsolatedRoot(Fraction(ends[0], 1 << k), Fraction(ends[1], 1 << k))
+        v <<= (k - m) * d  # p(D) on the scale of w = 2^(k d) p(E)
+        if v == w:
+            return None
+        try:
+            x += max(1.0, v / (v - w) * 1023 / 2048) * step
+        except OverflowError:
+            return None
+    return None
+
+
+def _dyadic(x: float) -> tuple[int, int]:
+    """(n, m) with x = n/2^m."""
+    n, d = x.as_integer_ratio()
+    return n, d.bit_length() - 1
+
+
+def _float_guess(a: list[int], lo: int, hi: int, e: int, s: int) -> float | None:
+    """A float guess of the root of p = sum a_i x^i in (lo/2^e, hi/2^e), where
+    p has sign s left of the root; None if the float work overflows.
+
+    Newton's method in floats from the midpoint, kept in a bracket that the
+    float signs of p narrow, bisecting it when a step would leave it.  It
+    stops once a step is within a unit in the last place, or once |p(x)| is
+    within the rounding error bound of Horner's rule, below which the float
+    value carries no sign, and after _NEWTON_STEPS steps at most.
+    """
+    shift = max(0, max(c.bit_length() for c in a) - 1000)  # keeps the floats finite
+    try:
+        coeffs = [c / (1 << shift) for c in reversed(a)]
+        lo_f, hi_f = lo / (1 << e), hi / (1 << e)
+    except OverflowError:
+        return None
+    x = (lo_f + hi_f) / 2
+    for _ in range(_NEWTON_STEPS):
+        f = df = bound = 0.0
+        ax = abs(x)
+        for c in coeffs:
+            df = df * x + f
+            f = f * x + c
+            bound = bound * ax + abs(f)
+        if not (math.isfinite(f) and math.isfinite(df)):
+            return None
+        if abs(f) <= _EPS_BOUND * bound:
+            break
+        if (f > 0) == (s > 0):
+            lo_f = x
+        else:
+            hi_f = x
+        if not (df and lo_f < (nxt := x - f / df) < hi_f):
+            nxt = (lo_f + hi_f) / 2
+        done = abs(nxt - x) <= math.ulp(x)
+        x = nxt
+        if done:
+            break
+    return x
 
 
 # ----------------------------------------------------------------------

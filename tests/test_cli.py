@@ -14,6 +14,7 @@ import pytest
 from cyclic_spectra import cli, verify
 from cyclic_spectra.cli import main
 from cyclic_spectra.graphs import graph_from_json
+from cyclic_spectra.limits import CLT_ORDER_CAP
 from cyclic_spectra.transforms import RootedSpectralData
 from cyclic_spectra.verify import (
     STAR_SUITES,
@@ -766,6 +767,33 @@ class TestLimitsTables:
         code = main(["limits", "clt", "--family", "complete:1"])
         assert code == 2
         assert "root must have positive degree" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("order", ["513", "1200", "100000"])
+    def test_clt_order_above_cap_exit_2(self, capsys, monkeypatch, order):
+        # refused at parse time: at --n 1200 the normalization overflowed a
+        # float (exit 3), and at 100000 the exact series did not finish
+        def refuse(*args):
+            raise AssertionError("work before the cap check")
+
+        monkeypatch.setattr(cli, "spectral_data", refuse)
+        code = main(["limits", "clt", "--family", "complete:3", "--n", order, "--n-max", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"must be at most {CLT_ORDER_CAP}" in captured.err
+
+    def test_clt_order_at_cap_accepted(self, capsys):
+        code, data = run_json(
+            capsys, "limits", "clt", "--family", "complete:3", "--n", str(CLT_ORDER_CAP),
+            "--n-max", "1",
+        )
+        assert code == 0 and len(data["rows"]) == CLT_ORDER_CAP
+
+    def test_clt_moment_beyond_float_range_exit_2(self, capsys):
+        # complete:60 has trace moments of order 175 above the largest float
+        code = main(["limits", "clt", "--family", "complete:60", "--n", "180", "--n-max", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "order-175 trace moments are beyond the float range" in captured.err
 
     def test_comb_base_of_one_vertex_exit_2(self, capsys):
         code = main(["limits", "comb", "--family", "complete:1"])

@@ -16,6 +16,7 @@ from cyclic_spectra.convolutions import (
     h_transform,
     nfold_comb_transforms,
     nfold_star_transforms,
+    star_power_spectra,
 )
 from cyclic_spectra.cumulants import h_coefficients
 from cyclic_spectra.exact import Polynomial, RationalFunction, poly_gcd
@@ -698,6 +699,113 @@ class TestRootIsolation:
         _, third, _ = isolate_real_roots(p)
         assert third.exact is None and third.lo < F(1, 3) < third.hi
         assert third.value == float(F(1, 3))
+
+
+def _certificates(monkeypatch) -> list:
+    """What `transforms._certify` returns, call by call, from here on."""
+    results = []
+    certify = transforms._certify
+
+    def spy(*args):
+        results.append(certify(*args))
+        return results[-1]
+
+    monkeypatch.setattr(transforms, "_certify", spy)
+    return results
+
+
+def _no_certificate(monkeypatch):
+    monkeypatch.setattr(transforms, "_certify", lambda *args: None)
+
+
+class TestRefine:
+    """`_refine` proves a root's double from a float guess by two exact signs,
+    and bisects when that fails; the double is the same either way."""
+
+    # halfway between the doubles 256 and 256 + 2^-44, so a point 1023/2048 of
+    # the gap from either lies 2^-55 short of it
+    HALFWAY = 256 + F(1, 2**45)
+
+    @pytest.mark.parametrize("offset", [F(1, 3 * 2**60), -F(1, 3 * 2**60)])
+    def test_root_beside_a_halfway_point_is_bisected(self, monkeypatch, offset):
+        root = self.HALFWAY + offset  # the float guess is the right double
+        certified = _certificates(monkeypatch)
+        [found] = isolate_real_roots(poly(-root, 1))
+        assert certified == [None]
+        assert found.lo < root < found.hi
+        assert found.value == float(root) == (256 + 2.0**-44 if offset > 0 else 256.0)
+
+    @pytest.mark.parametrize("offset", [F(1, 3 * 2**60), -F(1, 3 * 2**60)])
+    def test_wrong_neighbour_guess_is_not_certified(self, monkeypatch, offset):
+        # a guess on the far side of the halfway point: the sign at E, not
+        # the one at D, shows that the root is not within (D, E)
+        root = self.HALFWAY + offset
+        wrong = 256.0 if offset > 0 else 256 + 2.0**-44
+        monkeypatch.setattr(transforms, "_float_guess", lambda *args: wrong)
+        certified = _certificates(monkeypatch)
+        [found] = isolate_real_roots(poly(-root, 1))
+        assert certified == [None]
+        assert found.lo < root < found.hi and found.value == float(root) != wrong
+
+    def test_guess_a_million_ulps_off_gives_the_bisection_result(self, monkeypatch):
+        p = _path_char_poly(12) * poly(-2, 0, 1) * poly(-1, 3)
+        with monkeypatch.context() as m:
+            _no_certificate(m)
+            bisected = isolate_real_roots(p)
+        guess = transforms._float_guess
+        monkeypatch.setattr(
+            transforms, "_float_guess", lambda *args: (x := guess(*args)) + 1e6 * math.ulp(x)
+        )
+        certified = _certificates(monkeypatch)
+        roots = isolate_real_roots(p)
+        assert [r.value for r in roots] == [r.value for r in bisected]
+        assert [r.exact for r in roots] == [r.exact for r in bisected]
+        assert all(r.exact is not None or r.is_root_of(p) for r in roots)
+        # the exact secant steps recover from the guess for most roots
+        assert sum(c is not None for c in certified) > len(certified) // 2
+
+    def test_dyadic_roots_come_back_exact(self, monkeypatch):
+        certified = _certificates(monkeypatch)
+        assert transforms._refine([-3, 8], 0, 1, 0) == transforms.IsolatedRoot(F(3, 8), F(3, 8))
+        assert certified[0].exact == F(3, 8)
+        p = poly(-3, 8) * poly(-5, 1) * poly(-2, 0, 1) * poly(7, 4) * poly(-1, 3)
+        exact = [r.exact for r in isolate_real_roots(p)]
+        assert exact == [F(-7, 4), None, None, F(3, 8), None, 5]
+
+    @pytest.mark.parametrize("ulps", [F(1023, 2048), F(1025, 2048)])
+    def test_root_at_a_point_e_is_not_an_interval_end(self, ulps):
+        # 1 + 1023/2048 ulp is the point E of the double D = 1, and 1 + 1025/2048
+        # ulp that of D = 1 + ulp: p(E) = 0 is no sign change, and the root
+        # is either found exactly or strictly inside its interval
+        root = 1 + ulps * F(1, 2**52)
+        [found] = isolate_real_roots(poly(-root, 1))
+        assert found.exact == root or found.lo < root < found.hi
+        assert found.value == float(root)
+
+    def test_coefficients_beyond_the_float_range(self, monkeypatch):
+        # (2^1100 + 1)(x^2 - 2) + 1: the float guess scales the coefficients
+        # into range, and its roots round to the doubles of +-sqrt 2
+        p = poly(-2, 0, 1).scale(2**1100 + 1) + Polynomial.one()
+        certified = _certificates(monkeypatch)
+        roots = isolate_real_roots(p)
+        assert all(c is not None for c in certified) and len(certified) == 2
+        assert [r.value for r in roots] == [-math.sqrt(2), math.sqrt(2)]
+        assert all(r.is_root_of(p) for r in roots)
+
+    def test_star_powers_match_bisection_at_higher_degree(self, monkeypatch):
+        # the Erdos-Renyi graphs of the `generic` benchmark workload at seed 1,
+        # and path:64, whose S_N of degree 64 the float guess often misses
+        rng = random.Random(1)
+        graphs = []
+        for n in range(10, 23, 2):
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+            graphs.append(_graph(n, edges, rng.randrange(n)))
+        graphs.append(named("path:64"))
+        data = spectral_data(graphs)
+        certified = [list(star_power_spectra(sd, [1, 2])) for sd in data]
+        _no_certificate(monkeypatch)
+        bisected = [list(star_power_spectra(sd, [1, 2])) for sd in data]
+        assert certified == bisected
 
 
 def _irreducible(b: int, c: int) -> bool:
