@@ -36,7 +36,6 @@ from .limits import (
 from .models import MomentData, eigensolve
 from .transforms import (
     EXACT_CHARPOLY_CAP,
-    SpectrumReport,
     extract_spectrum,
     green,
     laurent_at_infinity,
@@ -122,12 +121,12 @@ def cmd_spectrum(args) -> int:
     if dim <= args.oracle_max:
         product_graph = build_product(base, fold)
         oracle = eigensolve(graphs.adjacency(product_graph.graph).astype(float))
-        fields["oracle"] = oracle.entries
-        if [m for _, m in oracle.entries] != [m for _, m in report.entries]:
+        fields["oracle"] = oracle
+        if [m for _, m in oracle] != [m for _, m in report.entries]:
             status = EXIT_MISMATCH
             fields["mismatch"] = "multiplicity structure differs"
         else:
-            diffs = [abs(a - b) for (a, _), (b, _) in zip(report.entries, oracle.entries)]
+            diffs = [abs(a - b) for (a, _), (b, _) in zip(report.entries, oracle)]
             if max(diffs, default=0.0) > 1e-9:
                 status = EXIT_MISMATCH
                 fields["mismatch"] = f"max eigenvalue diff {max(diffs)}"
@@ -265,8 +264,9 @@ def cmd_limits(args) -> int:
 _MULTIPLICITY_RULE = "multiplicity must be at least 1, in ASCII digits"
 
 
-def _parse_spectrum(text: str) -> SpectrumReport:
-    """value:multiplicity pairs; the verdict reports values as floats, so each must fit one."""
+def _parse_spectrum(text: str) -> list[tuple[Fraction, int]]:
+    """value:multiplicity pairs, sorted by value, each value once; the verdict
+    reports values as floats, so each must fit one."""
     entries = []
     for chunk in text.split(","):
         value, _, mult = chunk.partition(":")
@@ -280,13 +280,14 @@ def _parse_spectrum(text: str) -> SpectrumReport:
             raise ValueError(f"{_MULTIPLICITY_RULE}, got {mult!r}")
         entries.append((v, m))
     entries.sort()
-    dim = sum(m for _, m in entries)
-    return SpectrumReport(tuple(entries), dim)
+    if any(a == b for (a, _), (b, _) in zip(entries, entries[1:])):
+        raise ValueError("eigenvalues must be distinct")
+    return entries
 
 
 def cmd_idcheck(args) -> int:
-    spectrum = _parse_spectrum(args.spectrum)
-    verdict = cb_id_classify(spectrum, [_fraction(w) for w in args.weights.split(",")])
+    entries = _parse_spectrum(args.spectrum)
+    verdict = cb_id_classify(entries, [_fraction(w) for w in args.weights.split(",")])
     fields = {"divisible": verdict.divisible, "case": verdict.case, "reason": verdict.reason,
               "alpha": verdict.alpha, "beta": verdict.beta}
     _emit(args, {key: value for key, value in fields.items() if value is not None})

@@ -111,16 +111,10 @@ def star_power_spectra(sd: RootedSpectralData, ns: Sequence[int]) -> Iterator[Sp
         if len(roots) != s.degree:
             raise ArithmeticError(f"S_{n} has {len(roots)} real roots, not {s.degree}")
         common = poly_gcd(s, g)
-        entries = [(root.value, 1) for root in roots if not root.is_root_of(common)]
-        entries += [(mu.value, n - 1) for mu in q_only if n > 1]
-        entries += [
-            (mu.value, n * m + (n - 1) * in_q + mu.is_root_of(common)) for mu, m, in_q in g_base
-        ]
-        try:
-            report = SpectrumReport(tuple(sorted(entries)), n * (sd.dim - 1) + 1)
-        except ValueError as exc:  # the multiplicities or the rounded roots
-            raise ArithmeticError(*exc.args) from exc
-        yield report
+        rows = [(root, 1) for root in roots if not root.is_root_of(common)]
+        rows += [(mu, n - 1) for mu in q_only if n > 1]
+        rows += [(mu, n * m + (n - 1) * in_q + mu.is_root_of(common)) for mu, m, in_q in g_base]
+        yield SpectrumReport(tuple(sorted(rows)), n * (sd.dim - 1) + 1)
 
 
 def _multiplicities(p: Polynomial, roots: list[IsolatedRoot]) -> list[int]:

@@ -27,12 +27,7 @@ from .convolutions import (
 )
 from .exact import Polynomial
 from .models import MomentData
-from .transforms import (
-    RootedSpectralData,
-    SpectrumReport,
-    laurent_at_infinity,
-    renormalized_cauchy,
-)
+from .transforms import RootedSpectralData, laurent_at_infinity, renormalized_cauchy
 
 BETA_CAP = 200
 
@@ -351,24 +346,21 @@ class IDVerdict:
     reason: str = ""
 
 
-def cb_id_classify(spectrum: SpectrumReport, weights: Sequence) -> IDVerdict:
+def cb_id_classify(entries: Sequence[tuple], weights: Sequence) -> IDVerdict:
     """Classify a (trace spectrum, state weights) pair for divisibility.
 
-    weights[i] is the state weight of spectrum.entries[i]; they must be
+    entries are the spectrum's (eigenvalue, multiplicity) rows, increasing;
+    weights[i] is the state weight of entries[i], and they must be
     nonnegative and sum to one.  Eigenvalues and weights are taken as exact
     rationals and the verdict is decided with ==; alpha and beta are reported
     as floats.
     """
-    if len(weights) != len(spectrum.entries):
+    if len(weights) != len(entries):
         raise ValueError("one weight per spectrum entry required")
     wts = [Fraction(w) for w in weights]
     if any(w < 0 for w in wts) or sum(wts) != 1:
         raise ValueError("weights must be nonnegative and sum to 1")
-    nonzero = [
-        (Fraction(v), m, w)
-        for (v, m), w in zip(spectrum.entries, wts)
-        if v != 0
-    ]
+    nonzero = [(Fraction(v), m, w) for (v, m), w in zip(entries, wts) if v != 0]
     if not nonzero:
         return IDVerdict(True, "zero")
     if len(nonzero) == 1:

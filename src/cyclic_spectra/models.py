@@ -30,8 +30,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .transforms import SpectrumReport
-
 CLUSTER_TOL = 1e-8
 
 
@@ -48,24 +46,17 @@ def _symmetric_matrix(m, dtype) -> np.ndarray:
     return a
 
 
-def eigensolve(m: np.ndarray) -> SpectrumReport:
-    """SpectrumReport from LAPACK's symmetric solver, clustering near-equal values.
+def eigensolve(m: np.ndarray) -> tuple[tuple[float, int], ...]:
+    """(eigenvalue, multiplicity) rows, increasing, from LAPACK's symmetric
+    solver, with values within CLUSTER_TOL of their neighbour clustered.
 
     ``eigvalsh`` reads only one triangle, so a non-symmetric matrix is rejected
     here instead of being solved as if it were symmetric.
     """
     values = np.linalg.eigvalsh(_symmetric_matrix(m, float))
-    n = len(values)
-    entries = []
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and values[j + 1] - values[j] <= CLUSTER_TOL:
-            j += 1
-        cluster = values[i : j + 1]
-        entries.append((float(cluster.mean()), j - i + 1))
-        i = j + 1
-    return SpectrumReport(tuple(entries), n)
+    # a cluster ends where the next value lies more than CLUSTER_TOL above it
+    ends = np.flatnonzero(np.diff(values) > CLUSTER_TOL) + 1
+    return tuple((float(c.mean()), len(c)) for c in np.split(values, ends) if len(c))
 
 
 # ----------------------------------------------------------------------

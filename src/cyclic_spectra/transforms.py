@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -274,13 +274,20 @@ def laurent_at_infinity(f: RationalFunction, order: int) -> tuple[Fraction, ...]
 # ----------------------------------------------------------------------
 # exact real root isolation: Descartes bisection over the integers
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class IsolatedRoot:
     """A real root in the exact interval [lo, hi]: lo == hi for a root found
-    exactly, else both ends round to the same double, the root's value."""
+    exactly, else both ends round to the same double, the root's value.  A
+    root beyond the float range has no double and raises ValueError."""
 
     lo: Fraction
     hi: Fraction
+
+    def __post_init__(self):
+        try:
+            float(self.lo)
+        except OverflowError:
+            raise ValueError("root beyond the float range") from None
 
     @property
     def exact(self) -> Fraction | None:
@@ -334,7 +341,7 @@ def isolate_real_roots(p: Polynomial) -> list[IsolatedRoot]:
             else:
                 lo, hi = sorted(((sign * c) << k, (sign * (c + 1)) << k))
                 roots.append(_refine(a, lo, hi, j))
-    return sorted(roots, key=lambda r: r.lo)
+    return sorted(roots)
 
 
 def _descartes_bisect(q: list[int]) -> Iterator[tuple[int, int, bool]]:
@@ -410,7 +417,7 @@ def _refine(a: list[int], lo: int, hi: int, e: int) -> IsolatedRoot:
     if root is not None:
         return root
     hi_root = _sign_at(a, hi, e) == 0
-    while lo_root or hi_root or lo / (1 << e) != hi / (1 << e):
+    while lo_root or hi_root or _double(lo, e) != _double(hi, e):
         mid, lo, hi, e = lo + hi, 2 * lo, 2 * hi, e + 1
         sm = _sign_at(a, mid, e)
         if sm == 0:
@@ -421,6 +428,14 @@ def _refine(a: list[int], lo: int, hi: int, e: int) -> IsolatedRoot:
         else:
             hi, hi_root = mid, False
     return IsolatedRoot(Fraction(lo, 1 << e), Fraction(hi, 1 << e))
+
+
+def _double(n: int, e: int) -> float:
+    """n/2^e rounded to a double, infinite beyond the float range."""
+    try:
+        return n / (1 << e)
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
 
 
 def _certify(a: list[int], lo: int, hi: int, e: int, s: int) -> IsolatedRoot | None:
@@ -527,17 +542,23 @@ def _float_guess(a: list[int], lo: int, hi: int, e: int, s: int) -> float | None
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Multiset of (eigenvalue, multiplicity) pairs, increasing, summing to dim."""
+    """An exact route's spectrum of an element of dim vertices: rows of
+    (IsolatedRoot, multiplicity), sorted by root.  `entries` views each row as
+    its printed double; reports with equal entries and dim are equal.
+    Multiplicities that do not sum to dim, or doubles that do not strictly
+    increase (two distinct roots may round to one), raise ArithmeticError.
+    """
 
-    entries: tuple[tuple[float, int], ...]
+    rows: tuple[tuple[IsolatedRoot, int], ...] = field(compare=False)
     dim: int
+    entries: tuple[tuple[float, int], ...] = field(init=False)
 
     def __post_init__(self):
-        if sum(m for _, m in self.entries) != self.dim:
-            raise ValueError("multiplicities do not sum to dim")
-        values = [v for v, _ in self.entries]
-        if any(b - a <= 0 for a, b in zip(values, values[1:])):
-            raise ValueError("eigenvalues must be strictly increasing")
+        object.__setattr__(self, "entries", tuple((root.value, m) for root, m in self.rows))
+        if sum(m for _, m in self.rows) != self.dim:
+            raise ArithmeticError("multiplicities do not sum to dim")
+        if any(b <= a for (a, _), (b, _) in zip(self.entries, self.entries[1:])):
+            raise ArithmeticError("eigenvalues must be strictly increasing")
 
 
 def extract_spectrum(rc: RationalFunction, dim: int) -> SpectrumReport:
@@ -562,7 +583,7 @@ def extract_spectrum(rc: RationalFunction, dim: int) -> SpectrumReport:
         raise ArithmeticError("not a trace resolvent: poles must be real and simple")
     den_prime = t.den.derivative()
     gcds: dict[int, Polynomial] = {}
-    entries = []
+    rows = []
     for root in roots:
         residue = t.num(root.midpoint) / den_prime(root.midpoint)
         m = round(residue)
@@ -576,9 +597,6 @@ def extract_spectrum(rc: RationalFunction, dim: int) -> SpectrumReport:
             raise ArithmeticError(f"non-integer residue {float(residue)} at pole {root.value}")
         if m < 1:
             raise ArithmeticError(f"non-positive multiplicity {m} at pole {root.value}")
-        entries.append((root.value, m))
-    try:
-        return SpectrumReport(tuple(entries), dim)
-    except ValueError as exc:  # the multiplicities or the rounded poles
-        raise ArithmeticError(*exc.args) from exc
+        rows.append((root, m))
+    return SpectrumReport(tuple(rows), dim)
 

@@ -174,8 +174,8 @@ def test_criterion_04_oracle_equivalence():
         largest = max(largest, dim)
         pipeline = extract_spectrum(rc, dim)
         oracle = eigensolve(adjacency(graph.graph).astype(float))
-        assert [m for _, m in pipeline.entries] == [m for _, m in oracle.entries]
-        for (a, _), (b, _) in zip(pipeline.entries, oracle.entries):
+        assert [m for _, m in pipeline.entries] == [m for _, m in oracle]
+        for (a, _), (b, _) in zip(pipeline.entries, oracle):
             assert abs(a - b) <= EIG_TOL
     print(f"\nACCEPTANCE 4 PASS - pipeline matches eigensolver on "
           f"{len(corpus)} graphs up to {largest} vertices")
@@ -336,14 +336,14 @@ def test_criterion_10_clt_behavior():
 
 def test_criterion_11_id_classifier():
     # the 2x2 exchange matrix with the first coordinate state is divisible
-    verdict = cb_id_classify(SpectrumReport(((-1.0, 1), (1.0, 1)), 2), [0.5, 0.5])
+    verdict = cb_id_classify(((-1.0, 1), (1.0, 1)), [0.5, 0.5])
     assert verdict.divisible and verdict.case == "two_nonzero"
     # equal-sign two-point spectra are rejected
     for (a, b) in ((2.0, 3.0), (-4.0, -1.0)):
         weights = [-a / (b - a), b / (b - a)]
         if min(weights) < 0:
             weights = [0.5, 0.5]
-        spectrum = SpectrumReport(((min(a, b), 1), (max(a, b), 1)), 2)
+        spectrum = ((min(a, b), 1), (max(a, b), 1))
         assert not cb_id_classify(spectrum, weights).divisible
     # symbolic n-th root round trips, 10 rational pairs, n <= 6
     rng = random.Random(1111)

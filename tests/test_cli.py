@@ -1,7 +1,9 @@
 """Command-line interface: output schemas, exit codes, determinism."""
 
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import math
 import random
@@ -10,12 +12,21 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cyclic_spectra import cli, verify
+from cyclic_spectra import cli, graphs, verify
 from cyclic_spectra.cli import main
-from cyclic_spectra.graphs import graph_from_json
+from cyclic_spectra.convolutions import nfold_comb_transforms, star_power_spectra
+from cyclic_spectra.exact import square_free_part
+from cyclic_spectra.graphs import graph_from_json, nfold_comb, nfold_star
 from cyclic_spectra.limits import CLT_ORDER_CAP
-from cyclic_spectra.transforms import RootedSpectralData
+from cyclic_spectra.transforms import (
+    RootedSpectralData,
+    char_poly,
+    extract_spectrum,
+    spectral_data,
+)
 from cyclic_spectra.verify import (
     STAR_SUITES,
     SUITES,
@@ -414,6 +425,14 @@ class TestIdcheck:
             f"error: eigenvalue {value!r} is nonzero but below the smallest float\n"
         )
 
+    @pytest.mark.parametrize("spectrum", ["1:1,1:1", "1:1,2/2:1"])
+    def test_repeated_eigenvalue_exit_2(self, capsys, spectrum):
+        # a value given twice, as the same text or as another form of it
+        code = main(["idcheck", "--spectrum", spectrum, "--weights", "0.5,0.5"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: eigenvalues must be distinct\n"
+
     def test_smallest_subnormal_eigenvalue_is_reported(self, capsys):
         tiny = repr(5e-324)
         code, data = run_json(capsys, "idcheck", "--spectrum", f"{tiny}:1", "--weights", "1")
@@ -585,6 +604,120 @@ class TestGoldenEnvelope:
         code, out = run(capsys, *shlex.split(command))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ENVELOPE[command]
+
+
+def _golden_spectrum(command: str):
+    """(product graph, report) of a golden `spectrum` command, built as
+    `cmd_spectrum` builds them."""
+    args = cli.build_parser().parse_args(shlex.split(command))
+    base, _ = cli._parse_graph_arg(args.family)
+    [sd] = spectral_data([base])
+    if cli._product(args) == "star":
+        [report] = star_power_spectra(sd, [args.fold])
+        return nfold_star(base, args.fold), report
+    rc = nfold_comb_transforms(sd, args.fold)
+    return nfold_comb(base, args.fold), extract_spectrum(rc, sd.dim**args.fold)
+
+
+def _golden_product_size(command: str) -> int:
+    args = cli.build_parser().parse_args(shlex.split(command))
+    n = cli._parse_graph_arg(args.family)[0].n
+    return args.fold * (n - 1) + 1 if cli._product(args) == "star" else n**args.fold
+
+
+class TestExactRows:
+    """Every row of a golden spectrum is an exact interval around a root of
+    the product's characteristic polynomial, read from `char_poly`."""
+
+    @pytest.mark.parametrize("command", sorted(
+        c for c in GOLDEN_STDOUT if c.startswith("spectrum") and _golden_product_size(c) <= 81
+    ))
+    def test_rows_isolate_roots_of_phi(self, command):
+        product, report = _golden_spectrum(command)
+        [(phi, _)] = char_poly([product])
+        square_free = square_free_part(phi)
+        roots = [root for root, _ in report.rows]
+        assert all(a.hi < b.lo for a, b in zip(roots, roots[1:]))
+        for root in roots:
+            if root.lo == root.hi:
+                assert phi(root.lo) == 0
+            else:
+                assert square_free(root.lo) * square_free(root.hi) < 0
+        assert sum(m for _, m in report.rows) == report.dim == phi.degree == product.n
+
+
+# a family spec: mostly a named family of a valid size, else an unknown
+# family or a size that is 0 or no plain integer
+_FUZZ_SPEC = st.tuples(
+    st.sampled_from(sorted(graphs._FAMILIES) * 3 + ["wheel"]),
+    st.sampled_from([str(k) for k in range(1, 10)] + ["0", "", "x", "-1", "1_0"]),
+).map(":".join)
+
+
+@st.composite
+def _spectrum_argv(draw):
+    """`spectrum` on a named family, with a product of at most 81 vertices."""
+    spec = draw(_FUZZ_SPEC)
+    word = draw(st.sampled_from([None, "star", "comb"]))
+    flag = draw(st.sampled_from([None, "star", "comb"]))
+    try:
+        n = graphs.named(spec).n
+    except ValueError:  # the command exits 2 from its spec
+        n = 1
+    fold_max = 8
+    if n > 1:
+        star = (word or flag or "star") == "star"
+        fold_max = 80 // (n - 1) if star else max(f for f in range(1, 7) if n**f <= 81)
+    family = [f"{word}-of", spec] if word else [spec]
+    argv = ["spectrum", "--family", *family, "--fold", str(draw(st.integers(0, fold_max)))]
+    return argv + (["--product", flag] if flag else [])
+
+
+# value:multiplicity chunks, mostly valid; "2/2" repeats "1", and the rest
+# is junk or out of the float range
+_FUZZ_CHUNK = st.tuples(
+    st.sampled_from(["0", "1", "-1", "2", "-3", "1/2", "-2/4", "7/3", "2/2", "1e400", "1e-400",
+                     "1/0", "x", ""]),
+    st.sampled_from(["1", "1", "1", "2", "2", "0", "1_0", "x", "1:1"]),
+).map(":".join)
+
+
+@st.composite
+def _idcheck_argv(draw):
+    chunks = draw(st.lists(_FUZZ_CHUNK, min_size=1, max_size=3))
+    k = len(chunks)
+    weights = draw(st.one_of(
+        st.just([f"1/{k}"] * k),
+        st.permutations(["1"] + ["0"] * (k - 1)),
+        st.lists(st.sampled_from(["0", "1", "1/2", "0.5", "-1", "1/0", "x"]), min_size=1,
+                 max_size=4),
+    ))
+    return ["idcheck", "--spectrum", ",".join(chunks), "--weights", ",".join(weights)]
+
+
+_FUZZ_ARGV = st.one_of(
+    _spectrum_argv(),
+    _idcheck_argv(),
+    st.builds(
+        lambda spec, n_max: ["limits", "gap", "--family", spec, "--n-max", str(n_max)],
+        _FUZZ_SPEC, st.integers(0, 16),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_FUZZ_ARGV)
+def test_exit_contract(argv):
+    # exit 0 prints one envelope; exits 2 and 3 print nothing to stdout
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), (argv, code)
+    if code == 0:
+        payload = json.loads(out.getvalue())
+        assert payload["schema"] == cli.SCHEMA and payload["command"] == argv[0]
+    else:
+        assert out.getvalue() == "", argv
 
 
 class TestExitRoute:
@@ -943,11 +1076,10 @@ class TestCertificates:
     def test_spectrum_mismatch_exit_3(self, capsys, monkeypatch):
         # a corrupted oracle must surface as exit 3 with a mismatch field
         from cyclic_spectra import cli as cli_mod
-        from cyclic_spectra.transforms import SpectrumReport
 
         def bogus_eigensolve(matrix):
             n = matrix.shape[0]
-            return SpectrumReport(((float(n), n),), n)
+            return ((float(n), n),)
 
         monkeypatch.setattr(cli_mod, "eigensolve", bogus_eigensolve)
         code, data = run_json(capsys, "spectrum", "--family", "star:3")

@@ -40,7 +40,7 @@ from cyclic_spectra.models import (
     matrix_power_moments,
 )
 from cyclic_spectra.partitions import enumerate_partitions
-from cyclic_spectra.transforms import SpectrumReport, laurent_at_infinity, spectral_data
+from cyclic_spectra.transforms import laurent_at_infinity, spectral_data
 from cyclic_spectra.verify import random_rooted_graph
 from rooted import root_first_adjacency
 
@@ -491,49 +491,49 @@ class TestBetaTable:
 
 class TestIDClassifier:
     def test_k2_divisible(self):
-        spectrum = SpectrumReport(((-1.0, 1), (1.0, 1)), 2)
+        spectrum = ((-1.0, 1), (1.0, 1))
         verdict = cb_id_classify(spectrum, [0.5, 0.5])
         assert verdict.divisible and verdict.case == "two_nonzero"
 
     def test_same_sign_rejected(self):
-        spectrum = SpectrumReport(((2.0, 1), (3.0, 1)), 2)
+        spectrum = ((2.0, 1), (3.0, 1))
         verdict = cb_id_classify(spectrum, [F(-2, 1) / (3 - 2) * 0 + F(1, 2), F(1, 2)])
         assert not verdict.divisible
 
     def test_zero_operator(self):
-        spectrum = SpectrumReport(((0.0, 3),), 3)
+        spectrum = ((0.0, 3),)
         verdict = cb_id_classify(spectrum, [1.0])
         assert verdict.divisible and verdict.case == "zero"
 
     def test_one_nonzero(self):
-        spectrum = SpectrumReport(((0.0, 2), (5.0, 1)), 3)
+        spectrum = ((0.0, 2), (5.0, 1))
         assert cb_id_classify(spectrum, [0.0, 1.0]).divisible
         assert not cb_id_classify(spectrum, [0.5, 0.5]).divisible
 
     def test_wrong_weights_rejected(self):
-        spectrum = SpectrumReport(((-1.0, 1), (2.0, 1)), 2)
+        spectrum = ((-1.0, 1), (2.0, 1))
         good = cb_id_classify(spectrum, [F(1, 3), F(2, 3)])
         bad = cb_id_classify(spectrum, [0.5, 0.5])
         assert good.divisible and not bad.divisible
 
     def test_multiplicity_rejected(self):
-        spectrum = SpectrumReport(((-1.0, 2), (1.0, 1)), 3)
+        spectrum = ((-1.0, 2), (1.0, 1))
         verdict = cb_id_classify(spectrum, [F(2, 3), F(1, 3)])
         assert not verdict.divisible
 
     def test_weight_validation(self):
-        spectrum = SpectrumReport(((-1.0, 1), (1.0, 1)), 2)
+        spectrum = ((-1.0, 1), (1.0, 1))
         with pytest.raises(ValueError):
             cb_id_classify(spectrum, [0.9, 0.9])
 
     def test_decided_exactly(self):
         # a tiny eigenvalue is not zero, and weights a hair off the line or
         # off a total of one are rejected
-        spectrum = SpectrumReport(((-1, 1), (F(1, 10**10), 1), (1, 1)), 3)
+        spectrum = ((-1, 1), (F(1, 10**10), 1), (1, 1))
         verdict = cb_id_classify(spectrum, [F(1, 2), 0, F(1, 2)])
         assert not verdict.divisible
         assert verdict.reason == "more than two non-zero eigenvalues"
-        pair = SpectrumReport(((-1, 1), (2, 1)), 2)
+        pair = ((-1, 1), (2, 1))
         eps = F(1, 10**12)
         assert not cb_id_classify(pair, [F(1, 3) + eps, F(2, 3) - eps]).divisible
         with pytest.raises(ValueError):

@@ -86,21 +86,21 @@ class TestSlotwiseModel:
 class TestEigensolve:
     def test_star_4(self):
         report = eigensolve(adjacency(star(4).graph).astype(float))
-        assert [m for _, m in report.entries] == [1, 3, 1]
-        assert abs(report.entries[0][0] + 2) < 1e-9
-        assert abs(report.entries[2][0] - 2) < 1e-9
+        assert [m for _, m in report] == [1, 3, 1]
+        assert abs(report[0][0] + 2) < 1e-9
+        assert abs(report[2][0] - 2) < 1e-9
 
     def test_friendship_2(self):
         report = eigensolve(adjacency(friendship(2).graph).astype(float))
         s = math.sqrt(17)
         expect = [((1 - s) / 2, 1), (-1.0, 2), (1.0, 1), ((1 + s) / 2, 1)]
-        assert [m for _, m in report.entries] == [m for _, m in expect]
-        for (v, _), (ev, _) in zip(report.entries, expect):
+        assert [m for _, m in report] == [m for _, m in expect]
+        for (v, _), (ev, _) in zip(report, expect):
             assert abs(v - ev) < 1e-9
 
     def test_zero_matrix(self):
         report = eigensolve(np.zeros((4, 4)))
-        assert report.entries == ((0.0, 4),)
+        assert report == ((0.0, 4),)
 
     def test_non_symmetric_rejected(self):
         with pytest.raises(ValueError):
@@ -114,7 +114,7 @@ class TestEigensolve:
             traces = matrix_power_moments(np.array(m, dtype=object), 12).omega
             for k in range(1, 13):
                 via_powers = float(traces[k - 1])
-                via_eigs = sum(mult * value**k for value, mult in report.entries)
+                via_eigs = sum(mult * value**k for value, mult in report)
                 scale = max(1.0, abs(via_powers))
                 assert abs(via_powers - via_eigs) / scale < 1e-6
 
@@ -321,8 +321,8 @@ class TestWordsAgainstTensorModels:
             big = sum(model.boolean_embed(i, a) for i in range(n))
             tensor = eigensolve(np.array(big, dtype=float))
             direct = eigensolve(adjacency(nfold_star(base, n).graph).astype(float))
-            t_nonzero = [(v, m) for v, m in tensor.entries if abs(v) > 1e-9]
-            d_nonzero = [(v, m) for v, m in direct.entries if abs(v) > 1e-9]
+            t_nonzero = [(v, m) for v, m in tensor if abs(v) > 1e-9]
+            d_nonzero = [(v, m) for v, m in direct if abs(v) > 1e-9]
             assert [m for _, m in t_nonzero] == [m for _, m in d_nonzero]
             for (a_val, _), (b_val, _) in zip(t_nonzero, d_nonzero):
                 assert abs(a_val - b_val) < 1e-9

@@ -4,6 +4,7 @@ and spectrum extraction."""
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -792,6 +793,30 @@ class TestRefine:
         assert [r.value for r in roots] == [-math.sqrt(2), math.sqrt(2)]
         assert all(r.is_root_of(p) for r in roots)
 
+    # 2^1024 less half an ulp of the largest double, the least value that
+    # rounds to no double
+    FLOAT_LIMIT = 2**1024 - 2**970
+
+    @pytest.mark.parametrize("p", [
+        poly(-(3 * 2**1100 + 1), 2),  # the bisection once overflowed dividing its ends
+        poly(-FLOAT_LIMIT, 1),
+        poly(FLOAT_LIMIT, 1),
+        poly(-(FLOAT_LIMIT**2), 0, 1),
+    ], ids=["3 2^1100 + 1 over 2", "the limit", "minus the limit", "plus and minus the limit"])
+    def test_root_beyond_the_float_range_is_refused(self, p):
+        with pytest.raises(ValueError, match="^root beyond the float range$"):
+            isolate_real_roots(p)
+
+    @pytest.mark.parametrize("root", [
+        FLOAT_LIMIT - F(1, 3), -(FLOAT_LIMIT - F(1, 3)), FLOAT_LIMIT - F(1, 2), int(sys.float_info.max),
+    ], ids=["limit - 1/3", "-(limit - 1/3)", "limit - 1/2", "largest double"])
+    def test_root_just_inside_the_float_range(self, root):
+        # the Descartes interval reaches beyond the float range, and the root
+        # still comes back as its correctly rounded double
+        [found] = isolate_real_roots(poly(-root, 1))
+        assert found.exact == root or found.lo < root < found.hi
+        assert found.value == float(found.hi) == float(root) == math.copysign(sys.float_info.max, root)
+
     def test_star_powers_match_bisection_at_higher_degree(self, monkeypatch):
         # the Erdos-Renyi graphs of the `generic` benchmark workload at seed 1,
         # and path:64, whose S_N of degree 64 the float guess often misses
@@ -870,8 +895,8 @@ def _assert_matches_oracle(rc, g):
     """The spectrum read from rc has the multiplicities and eigenvalues of g."""
     report = extract_spectrum(rc, g.n)
     oracle = eigensolve(adjacency(g.graph).astype(float))
-    assert [m for _, m in report.entries] == [m for _, m in oracle.entries]
-    for (a, _), (b, _) in zip(report.entries, oracle.entries):
+    assert [m for _, m in report.entries] == [m for _, m in oracle]
+    for (a, _), (b, _) in zip(report.entries, oracle):
         assert abs(a - b) < 1e-9
 
 
@@ -955,8 +980,8 @@ class TestExtractSpectrum:
         (ratfun(poly(1), poly(-1, 1)), 1, "do not sum to dim"),  # t = 1/z + 1/(z - 1)
     ])
     def test_improper_and_wrong_sum_are_pipeline_failures(self, rc, dim, match):
-        # SpectrumReport raises ValueError for bad input; from the pipeline
-        # its sum to dim fails as ArithmeticError, the exit-3 class
+        # a sum to dim that fails in SpectrumReport is an ArithmeticError,
+        # the exit-3 class, like every other pipeline failure
         with pytest.raises(ArithmeticError, match=match):
             extract_spectrum(rc, dim)
 
@@ -1016,8 +1041,8 @@ class TestExtractSpectrum:
         assert cli.main(["spectrum", "--family", str(path)]) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
         oracle = eigensolve(adjacency(Graph(n, edges)).astype(float))
-        assert [m for _, m, _ in rows] == [m for _, m in oracle.entries]
-        for (a, _, _), (b, _) in zip(rows, oracle.entries):
+        assert [m for _, m, _ in rows] == [m for _, m in oracle]
+        for (a, _, _), (b, _) in zip(rows, oracle):
             assert abs(a - b) < 1e-9
 
 
